@@ -31,7 +31,6 @@ from .expr import (
     Pow,
     Sub,
     Var,
-    constant_fold,
     differentiate,
     dimension,
     evaluate,
@@ -40,7 +39,6 @@ from .expr import (
     to_string,
 )
 from .explorer import (
-    AnsatzPolynomial,
     Classification,
     ExplorationConfig,
     ExplorationReport,
@@ -87,8 +85,8 @@ __all__ = [
     "__version__",
     # expressions
     "Add", "Const", "Div", "EvaluationError", "Expr", "Mul", "Neg",
-    "ParseError", "Pow", "Sub", "Var", "constant_fold", "differentiate",
-    "dimension", "evaluate", "evaluate_many", "parse", "to_string",
+    "ParseError", "Pow", "Sub", "Var", "differentiate", "dimension",
+    "evaluate", "evaluate_many", "parse", "to_string",
     # self-application checks
     "EXACT_TOL", "SAMPLED_TOL", "LinearForm", "OuroborosReport",
     "SampleDomain", "Verdict", "check_linear_exact", "check_sampled",
@@ -106,7 +104,7 @@ __all__ = [
     "check_system", "finite_difference", "residual_expr",
     "verify_mean_system",
     # numerical search
-    "AnsatzPolynomial", "Classification", "ExplorationConfig",
-    "ExplorationReport", "LinearSolutionSet", "explore",
-    "linear_case_exact", "mean_theta", "monomial_exponents",
+    "Classification", "ExplorationConfig", "ExplorationReport",
+    "LinearSolutionSet", "explore", "linear_case_exact", "mean_theta",
+    "monomial_exponents",
 ]

@@ -17,7 +17,9 @@ Keys are sorted and the layout is fixed, so two runs with the same inputs
 produce byte-identical output except for the manifest timestamp. Exit code
 0 means the checked property holds (or, for explore, that the search
 completed); 1 means it fails; 2 means the invocation or its inputs were
-unusable. Diagnostics go to stderr, never into the envelope.
+unusable; 3 means the program itself failed, reported as one
+``internal error: <Type>: <message>`` line. Diagnostics go to stderr, never
+into the envelope.
 
 A JSON config file (--config) supplies defaults for the subcommand's
 options under their flag names with underscores, e.g. {"samples": 500};
@@ -104,6 +106,14 @@ def parse_fractions(text: str, what: str) -> list[Fraction]:
     return out
 
 
+def _to_floats(fracs: list[Fraction], what: str) -> tuple[float, ...]:
+    """Exact fractions as floats; one beyond the float range is unusable input."""
+    try:
+        return tuple(float(f) for f in fracs)  # raises rather than round to inf
+    except OverflowError as exc:
+        raise InputError(f"{what} holds a number too large for a float") from exc
+
+
 def _load_config_file(path: str | None) -> dict:
     if path is None:
         return {}
@@ -174,7 +184,7 @@ def _run_check(args: argparse.Namespace) -> int:
 
     if opts["coeffs"] is not None:
         fracs = parse_fractions(opts["coeffs"], "--coeffs")
-        form = LinearForm(tuple(float(f) for f in fracs))
+        form = LinearForm(_to_floats(fracs, "--coeffs"))
         tol = EXACT_TOL if opts["tol"] is None else float(opts["tol"])
         report = check_linear_exact(form, tol=tol)
         config = {"coeffs": [str(f) for f in fracs], "tol": tol}
@@ -223,7 +233,7 @@ def _run_pde(args: argparse.Namespace) -> int:
     form = None
     if opts["coeffs"] is not None:
         fracs = parse_fractions(opts["coeffs"], "--coeffs")
-        form = LinearForm(tuple(float(f) for f in fracs))
+        form = LinearForm(_to_floats(fracs, "--coeffs"))
         expr = form.to_expr()
         source = opts["coeffs"]
     else:
@@ -285,8 +295,8 @@ def _run_expect(args: argparse.Namespace) -> int:
     values = parse_fractions(_require(opts, "values", "expect"), "--values")
     probs = parse_fractions(_require(opts, "probs", "expect"), "--probs")
     rv = DiscreteRandomVariable(
-        values=tuple(float(v) for v in values),
-        probs=tuple(float(p) for p in probs),
+        values=_to_floats(values, "--values"),
+        probs=_to_floats(probs, "--probs"),
     )
     report = check_expectation_ouroboros(rv)
     config = {"values": [str(v) for v in values], "probs": [str(p) for p in probs]}
@@ -432,6 +442,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # a crash must not pass for a "fails" verdict
+        print(f"internal error: {type(exc).__name__}: {' '.join(str(exc).split())}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -23,7 +23,6 @@ exactly this nonconstant reading, and reports record it.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -34,12 +33,10 @@ from scipy.linalg import null_space
 from scipy.optimize import least_squares
 
 from .core import LinearForm, SampleDomain
-from .expr import Const, Expr, Var, mul, power
-from .expr import add as expr_add
-from .families import arithmetic_mean
+from .pde import PdeKind, PdeSpec
+from .poly import derivative, monomial_exponents, monomial_values
 
 __all__ = [
-    "AnsatzPolynomial",
     "Classification",
     "ExplorationConfig",
     "ExplorationProblem",
@@ -51,7 +48,6 @@ __all__ = [
     "linear_case_exact",
     "mean_theta",
     "monomial_exponents",
-    "objective",
 ]
 
 OBJECTIVE_ZERO_TOL = 1e-10
@@ -70,22 +66,6 @@ SCOPE_NOTE = (
 )
 
 
-def monomial_exponents(n: int, degree: int) -> list[tuple[int, ...]]:
-    """Exponent tuples of the graded basis, constant first, degrees ascending."""
-    if n < 1:
-        raise ValueError("dimension must be at least 1")
-    if degree < 0:
-        raise ValueError("degree must be nonnegative")
-    out: list[tuple[int, ...]] = []
-    for g in range(degree + 1):
-        for combo in itertools.combinations_with_replacement(range(n), g):
-            alpha = [0] * n
-            for i in combo:
-                alpha[i] += 1
-            out.append(tuple(alpha))
-    return out
-
-
 def basis_size(n: int, degree: int) -> int:
     return math.comb(n + degree, degree)
 
@@ -95,35 +75,6 @@ def mean_theta(n: int, degree: int) -> np.ndarray:
     theta = np.zeros(basis_size(n, degree))
     theta[1 : n + 1] = 1.0 / n
     return theta
-
-
-@dataclass(frozen=True)
-class AnsatzPolynomial:
-    """A polynomial candidate: theta over the graded monomial basis."""
-
-    n: int
-    degree: int
-    theta: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        theta = tuple(float(t) for t in self.theta)
-        expected = basis_size(self.n, self.degree)
-        if len(theta) != expected:
-            raise ValueError(f"theta must have length {expected}, got {len(theta)}")
-        object.__setattr__(self, "theta", theta)
-
-    def exponents(self) -> list[tuple[int, ...]]:
-        return monomial_exponents(self.n, self.degree)
-
-    def to_expr(self) -> Expr:
-        total: Expr = Const(0.0)
-        for coeff, alpha in zip(self.theta, self.exponents()):
-            term: Expr = Const(coeff)
-            for i, a in enumerate(alpha):
-                if a > 0:
-                    term = mul(term, power(Var(i + 1), a))
-            total = expr_add(total, term)
-        return total
 
 
 @dataclass(frozen=True)
@@ -212,13 +163,17 @@ class ExplorationProblem:
         self.exponents = monomial_exponents(n, degree)
         self.size = len(self.exponents)
         self.degrees = np.array([sum(a) for a in self.exponents])
-        self.phi_matrix = _design_matrix(self.points, self.exponents)
-        partials = [
-            _derivative_design_matrix(self.points, self.exponents, k) for k in range(1, n + 1)
-        ]
-        self.a1 = sum(partials) - n * partials[n - 1]
-        signs = [(-1.0) ** k for k in range(1, n + 1)]
-        self.a2 = sum(s * d for s, d in zip(signs, partials))
+        self.phi_matrix = monomial_values(self.points, self.exponents)
+        # d/dx_k of a basis monomial is a multiple of another basis monomial
+        index = {alpha: j for j, alpha in enumerate(self.exponents)}
+        partials = [np.zeros_like(self.phi_matrix) for _ in range(n)]
+        for j, alpha in enumerate(self.exponents):
+            for k in range(1, n + 1):
+                for lowered, c in derivative({alpha: 1.0}, k).items():
+                    partials[k - 1][:, j] = c * self.phi_matrix[:, index[lowered]]
+        self.a1, self.a2 = (
+            sum(weight * partials[k - 1] for k, weight in spec.terms()) for spec in _system_specs(n)
+        )
         # degree aggregation: row g sums the theta slots of total degree g
         self.grade = np.zeros((degree + 1, self.size))
         self.grade[self.degrees, np.arange(self.size)] = 1.0
@@ -301,28 +256,9 @@ class ExplorationProblem:
         return jac_theta[:, self.free] - jac_theta[:, -1:]
 
 
-def _design_matrix(points: np.ndarray, exponents) -> np.ndarray:
-    cols = [np.prod(points**np.array(alpha), axis=1) for alpha in exponents]
-    return np.column_stack(cols)
-
-
-def _derivative_design_matrix(points: np.ndarray, exponents, k: int) -> np.ndarray:
-    cols = []
-    for alpha in exponents:
-        a_k = alpha[k - 1]
-        if a_k == 0:
-            cols.append(np.zeros(points.shape[0]))
-            continue
-        shifted = list(alpha)
-        shifted[k - 1] -= 1
-        cols.append(a_k * np.prod(points**np.array(shifted), axis=1))
-    return np.column_stack(cols)
-
-
-def objective(theta, config: ExplorationConfig, points: np.ndarray) -> tuple[float, np.ndarray]:
-    """Objective value and exact gradient at a full theta vector."""
-    problem = ExplorationProblem(config, points)
-    return problem.objective_full(np.asarray(theta, dtype=float))
+def _system_specs(n: int) -> tuple[PdeSpec, PdeSpec]:
+    """Equation I with beta = n and equation II, the two equations of the system."""
+    return PdeSpec(PdeKind.EQ_I, n=n, beta=n), PdeSpec(PdeKind.EQ_II, n=n)
 
 
 class Classification(str, Enum):
@@ -530,11 +466,13 @@ def linear_case_exact(n: int) -> LinearSolutionSet:
     """
     if n < 2 or n % 2 != 0:
         raise ValueError(f"an even dimension of at least 2 is required, got n={n}")
-    ones = np.ones(n)
-    eq1 = ones.copy()
-    eq1[-1] = 1.0 - n
-    alternating = np.array([(-1.0) ** k for k in range(1, n + 1)])
-    constraints = np.vstack([ones, eq1, alternating])
+    rows = [np.ones(n)]
+    for spec in _system_specs(n):
+        row = np.zeros(n)
+        for k, weight in spec.terms():
+            row[k - 1] += weight
+        rows.append(row)
+    constraints = np.vstack(rows)
     particular = np.full(n, 1.0 / n)
     residual = constraints @ particular - np.array([1.0, 0.0, 0.0])
     assert np.abs(residual).max() < 1e-12, "the mean must satisfy all three constraints"

@@ -47,7 +47,6 @@ __all__ = [
     "Sub",
     "Var",
     "add",
-    "constant_fold",
     "differentiate",
     "dimension",
     "div",
@@ -516,25 +515,6 @@ def power(base: Expr, exponent: int) -> Expr:
     if isinstance(base, Const):
         return Const(_pow_repeated(base.value, exponent))
     return Pow(base, exponent)
-
-
-def constant_fold(e: Expr) -> Expr:
-    """Rebuild through the smart constructors, folding constant subtrees."""
-    if isinstance(e, (Const, Var)):
-        return e
-    if isinstance(e, Add):
-        return add(constant_fold(e.left), constant_fold(e.right))
-    if isinstance(e, Sub):
-        return sub(constant_fold(e.left), constant_fold(e.right))
-    if isinstance(e, Mul):
-        return mul(constant_fold(e.left), constant_fold(e.right))
-    if isinstance(e, Div):
-        return div(constant_fold(e.left), constant_fold(e.right))
-    if isinstance(e, Neg):
-        return neg(constant_fold(e.operand))
-    if isinstance(e, Pow):
-        return power(constant_fold(e.base), e.exponent)
-    raise TypeError(f"not an expression node: {e!r}")
 
 
 def differentiate(e: Expr, k: int) -> Expr:

@@ -51,7 +51,6 @@ from ouroboros.explorer import (
     linear_case_exact,
     mean_theta,
     monomial_exponents,
-    objective,
 )
 from ouroboros.families import head_average_solution
 from ouroboros.pde import (
@@ -277,7 +276,7 @@ def test_criterion_09_search_is_sound_and_makes_no_uniqueness_claim():
         for degree in (1, 2, 3):
             cfg = ExplorationConfig(n=n, degree=degree, seed=7)
             dom = SampleDomain(n=n, radius=2.0, seed=7, count=cfg.resolved_samples)
-            value, _ = objective(mean_theta(n, degree), cfg, dom.samples())
+            value, _ = ExplorationProblem(cfg, dom.samples()).objective_full(mean_theta(n, degree))
             assert value <= 1e-12, (n, degree, value)
 
     rng = rng_for(9)

@@ -85,6 +85,10 @@ class TestCheckCommand:
         assert main(["check"]) == 2
         assert main(["check", "--coeffs", "1", "--expr", "x1"]) == 2
 
+    def test_coefficients_beyond_the_float_range_are_bad_input(self, capsys):
+        assert main(["check", "--coeffs", "1e400"]) == 2
+        assert "too large for a float" in capsys.readouterr().err
+
     def test_constant_expression_needs_explicit_dimension(self, capsys):
         assert main(["check", "--expr", "3"]) == 2
         code, doc = run_main(capsys, ["check", "--expr", "3", "--n", "2"][:5])
@@ -121,11 +125,59 @@ class TestPdeCommand:
         assert doc["result"]["report"]["all_hold"] is True
         assert doc["result"]["report"]["ouroboros"]["verdict"] == "holds_exact"
 
+    def test_cancelling_residual_is_symbolically_zero(self, capsys):
+        code, doc = run_main(capsys, ["pde", "--expr", "(x1+x2)^2", "--equation", "II"])
+        assert code == 0
+        assert_valid(doc)
+        assert doc["result"]["report"]["symbolic_zero"] is True
+
+    @pytest.mark.parametrize(
+        "expr, radius, code",
+        [("1e-14*x1^40", "2", 1), ("1e-13*x1^2", "1e6", 1), ("1e-13*x1^2", "2", 0)],
+    )
+    def test_tiny_coefficients_are_not_a_symbolic_zero(self, capsys, expr, radius, code):
+        """The residual is small in its coefficients, not on the samples; only the
+        sampled bound, against --tol, may pass it."""
+        argv = ["pde", "--expr", expr, "--equation", "II", "--n", "2", "--radius", radius]
+        got, doc = run_main(capsys, argv)
+        assert doc["result"]["report"]["symbolic_zero"] is False
+        assert doc["result"]["report"]["residual_constant"] is None
+        assert got == code
+
+    def test_quotient_residual_is_sampled_only(self, capsys):
+        code, doc = run_main(capsys, ["pde", "--expr", "x1/x2", "--equation", "II"])
+        assert code == 1
+        assert_valid(doc)
+        assert doc["result"]["report"]["symbolic_zero"] is False
+        assert "sampled" in doc["result"]["report"]["note"]
+
+    def test_coefficients_beyond_the_float_range_are_bad_input(self, capsys):
+        assert main(["pde", "--coeffs", "1e400,1", "--equation", "II"]) == 2
+        assert "too large for a float" in capsys.readouterr().err
+
+    def test_crash_exits_three_with_one_line(self):
+        """1500 coefficients nest too deep for the recursive tree walkers."""
+        coeffs = ",".join(["1/1500"] * 1500)
+        proc = subprocess.run(
+            [sys.executable, "-m", "ouroboros", "pde", "--coeffs", coeffs, "--equation", "II"],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")},
+        )
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("internal error: RecursionError: ")
+        assert proc.stderr.count("\n") == 1
+
     def test_system_rejects_beta(self, capsys):
         assert main(["pde", "--coeffs", "1/2,1/2", "--equation", "system", "--beta", "2"]) == 2
 
 
 class TestExpectCommand:
+    def test_values_beyond_the_float_range_are_bad_input(self, capsys):
+        assert main(["expect", "--values", "1e400", "--probs", "1"]) == 2
+        assert "too large for a float" in capsys.readouterr().err
+
     def test_expectation_holds(self, capsys):
         code, doc = run_main(
             capsys, ["expect", "--values", "1,2,3", "--probs", "1/5,3/10,1/2"]

@@ -6,9 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ouroboros.core import SampleDomain, check_sampled
-from ouroboros.expr import evaluate
+from ouroboros.expr import evaluate, parse
 from ouroboros.explorer import (
-    AnsatzPolynomial,
     Classification,
     ExplorationConfig,
     ExplorationProblem,
@@ -17,9 +16,16 @@ from ouroboros.explorer import (
     linear_case_exact,
     mean_theta,
     monomial_exponents,
-    objective,
 )
-from ouroboros.pde import PdeKind, PdeSpec, check_residual
+from ouroboros.pde import PdeKind, PdeSpec, check_residual, check_system
+
+
+def polynomial_expr(theta, n, degree):
+    """sum(theta_j * x^alpha_j) over the graded basis, parsed from exact text."""
+    return parse(" + ".join(
+        repr(float(c)) + "".join(f"*x{i + 1}^{a}" for i, a in enumerate(alpha) if a)
+        for c, alpha in zip(theta, monomial_exponents(n, degree))
+    ))
 
 
 def make_problem(n=4, degree=2, seed=11, count=50):
@@ -47,18 +53,14 @@ class TestBasis:
         assert np.all(theta[1:5] == 0.25)
         assert np.all(theta[5:] == 0.0)
 
-    def test_ansatz_rejects_wrong_length(self):
-        with pytest.raises(ValueError):
-            AnsatzPolynomial(n=2, degree=2, theta=(1.0, 2.0))
-
     def test_ansatz_expression_matches_the_design_matrix(self):
         cfg, problem = make_problem(n=4, degree=2, count=10)
         rng = np.random.default_rng(0)
         theta = rng.standard_normal(problem.size)
-        poly = AnsatzPolynomial(n=4, degree=2, theta=tuple(theta))
+        u = polynomial_expr(theta, 4, 2)
         direct = problem.phi_matrix @ theta
         for i, point in enumerate(problem.points):
-            via_expr = evaluate(poly.to_expr(), tuple(point))
+            via_expr = evaluate(u, tuple(point))
             assert via_expr == pytest.approx(direct[i], rel=1e-12, abs=1e-12)
 
 
@@ -88,7 +90,7 @@ class TestObjective:
             for degree in (1, 2, 3):
                 cfg = ExplorationConfig(n=n, degree=degree, seed=7)
                 dom = SampleDomain(n=n, radius=2.0, seed=7, count=cfg.resolved_samples)
-                value, _ = objective(mean_theta(n, degree), cfg, dom.samples())
+                value, _ = ExplorationProblem(cfg, dom.samples()).objective_full(mean_theta(n, degree))
                 assert value <= 1e-12
 
     def test_positive_away_from_solutions(self):
@@ -141,29 +143,45 @@ class TestObjective:
         assert theta.sum() == pytest.approx(1.0, abs=1e-12)
         assert np.array_equal(problem.reduce(theta), np.array(phi))
 
+    def test_operator_matrices_match_per_column_derivatives(self):
+        """a1 and a2 equal, bit for bit, their definition column by column."""
+        for n, degree in ((2, 1), (4, 3), (6, 2)):
+            cfg, problem = make_problem(n=n, degree=degree, count=40)
+            partials = []
+            for k in range(n):
+                cols = []
+                for alpha in problem.exponents:
+                    lowered = np.array(alpha)
+                    lowered[k] = max(alpha[k] - 1, 0)
+                    cols.append(alpha[k] * np.prod(problem.points**lowered, axis=1))
+                partials.append(np.column_stack(cols))
+            signs = [(-1.0) ** k for k in range(1, n + 1)]
+            assert np.array_equal(problem.a1, sum(partials) - n * partials[-1])
+            assert np.array_equal(problem.a2, sum(s * d for s, d in zip(signs, partials)))
+
     def test_residual_matrices_agree_with_the_symbolic_route(self):
         cfg, problem = make_problem(n=4, degree=2, count=30)
         rng = np.random.default_rng(1)
         theta = rng.standard_normal(problem.size)
-        poly = AnsatzPolynomial(n=4, degree=2, theta=tuple(theta))
+        u = polynomial_expr(theta, 4, 2)
         dom = SampleDomain(n=4, radius=2.0, seed=11, count=30)
         r1, r2, y, powers, s, o = problem.residual_parts(theta)
         for spec, matrix_abs in (
             (PdeSpec(PdeKind.EQ_I, n=4, beta=4), np.abs(r1).max()),
             (PdeSpec(PdeKind.EQ_II, n=4), np.abs(r2).max()),
         ):
-            symbolic = check_residual(poly.to_expr(), spec, dom).max_abs_residual
+            symbolic = check_residual(u, spec, dom).max_abs_residual
             assert matrix_abs == pytest.approx(symbolic, rel=1e-9, abs=1e-9)
 
     def test_defect_agrees_with_direct_self_application(self):
         cfg, problem = make_problem(n=2, degree=3, count=8)
         rng = np.random.default_rng(2)
         theta = rng.standard_normal(problem.size)
-        poly = AnsatzPolynomial(n=2, degree=3, theta=tuple(theta))
+        u = polynomial_expr(theta, 2, 3)
         _, _, _, _, _, o = problem.residual_parts(theta)
         for i, point in enumerate(problem.points):
-            y = evaluate(poly.to_expr(), tuple(point))
-            defect = evaluate(poly.to_expr(), (y, y)) - y
+            y = evaluate(u, tuple(point))
+            defect = evaluate(u, (y, y)) - y
             assert o[i] == pytest.approx(defect, rel=1e-9, abs=1e-9)
 
 
@@ -196,9 +214,19 @@ class TestExplore:
         for run in found:
             assert run.reverified_objective is not None
             assert run.reverified_objective <= 1e-9
-            poly = AnsatzPolynomial(n=4, degree=2, theta=run.theta)
             dom = SampleDomain(n=4, radius=2.0, seed=99, count=400)
-            assert check_sampled(poly.to_expr(), dom).holds
+            assert check_sampled(polynomial_expr(run.theta, 4, 2), dom).holds
+
+    def test_four_dimensional_candidates_pass_the_system_check(self):
+        """Each of those candidates solves the whole system exactly, not just on samples."""
+        report = explore(ExplorationConfig(n=4, degree=2, seed=0, starts=6))
+        found = [r for r in report.runs if r.classification is Classification.OTHER_CANDIDATE]
+        assert len(found) == 6
+        dom = SampleDomain(n=4, radius=2.0, seed=3, count=64)
+        for run in found:
+            system = check_system(polynomial_expr(run.theta, 4, 2), 4, dom)
+            assert system.eq1.symbolic_zero and system.eq2.symbolic_zero, run.theta
+            assert system.all_hold, run.theta
 
     def test_degree_one_runs_land_in_the_exact_solution_set(self):
         report = explore(ExplorationConfig(n=4, degree=1, seed=5, starts=6))

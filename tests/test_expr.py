@@ -1,10 +1,11 @@
 """Expression layer: parsing, printing, evaluation, differentiation."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ouroboros.expr import (
@@ -19,7 +20,6 @@ from ouroboros.expr import (
     Sub,
     Var,
     add,
-    constant_fold,
     differentiate,
     dimension,
     evaluate,
@@ -192,26 +192,6 @@ class TestSimplification:
         assert power(x, 1) == x
         assert power(x, 0) == Const(1.0)
 
-    def test_constant_fold_collapses_closed_expressions(self):
-        assert constant_fold(parse("(1 + 2)*4 - 12")) == Const(0.0)
-
-    def test_fold_keeps_division_by_literal_zero(self):
-        e = parse("1/0")
-        assert isinstance(constant_fold(e), Div)
-
-    @given(expr_strategy())
-    @settings(max_examples=150)
-    def test_fold_never_changes_finite_values(self, e):
-        x = (1.1, -0.4, 0.9)
-        try:
-            before = evaluate(e, x)
-        except EvaluationError:
-            return
-        if not math.isfinite(before):
-            return
-        after = evaluate(constant_fold(e), x)
-        assert after == pytest.approx(before, rel=1e-12, abs=1e-12)
-
 
 class TestDifferentiation:
     def test_product_rule_prints_cleanly(self):
@@ -234,6 +214,7 @@ class TestDifferentiation:
         assert got == pytest.approx(expected, rel=1e-12)
 
     @given(expr_strategy(max_vars=2), st.integers(min_value=1, max_value=2))
+    @example(e=Add(Var(2), Div(Const(1.0), Const(4.117376076054289e-25))), var=2)
     @settings(max_examples=150)
     def test_matches_central_differences(self, e, var):
         x = (0.6, -0.8)
@@ -244,11 +225,14 @@ class TestDifferentiation:
             xm = list(x)
             xp[var - 1] += h
             xm[var - 1] -= h
-            fd = (evaluate(e, tuple(xp)) - evaluate(e, tuple(xm))) / (2*h)
+            up, down = evaluate(e, tuple(xp)), evaluate(e, tuple(xm))
+            fd = (up - down) / (2*h)
         except EvaluationError:
             return
         if not (math.isfinite(d) and math.isfinite(fd)):
             return
         if abs(d) > 1e6 or abs(fd) > 1e6:
             return  # near a pole the central difference itself is unreliable
+        if sys.float_info.epsilon * max(abs(up), abs(down)) / h > 1e-4:
+            return  # rounding f(x +- h) alone can move the central difference past 1e-4
         assert d == pytest.approx(fd, rel=1e-4, abs=1e-4)

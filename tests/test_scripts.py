@@ -1,0 +1,20 @@
+"""The runnable experiments under scripts/ finish cleanly."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_verify_transport_families_passes():
+    """Every family clears every checker, the normal-form zero test included."""
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "verify_transport_families.py")],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "FAIL" not in proc.stdout
