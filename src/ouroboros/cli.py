@@ -38,7 +38,7 @@ from fractions import Fraction
 
 from . import __version__
 from .core import EXACT_TOL, SAMPLED_TOL, LinearForm, SampleDomain, check_linear_exact, check_sampled
-from .expr import ParseError, dimension, parse, to_string
+from .expr import EvaluationError, ParseError, dimension, parse, to_string
 from .explorer import ExplorationConfig, explore, linear_case_exact
 from .pde import RESIDUAL_TOL, PdeKind, PdeSpec, check_residual, check_system
 from .probability import DiscreteRandomVariable, check_expectation_ouroboros
@@ -259,7 +259,7 @@ def _run_pde(args: argparse.Namespace) -> int:
     if equation == "system":
         if opts["beta"] is not None:
             raise InputError("--beta does not apply to the system check")
-        report = check_system(form if form is not None else expr, n, dom)
+        report = _evaluated(check_system, form if form is not None else expr, n, dom)
         result = {
             "mode": "system",
             "n": n,
@@ -276,7 +276,7 @@ def _run_pde(args: argparse.Namespace) -> int:
         if opts["beta"] is not None:
             raise InputError("--beta only applies to equation I")
         spec = PdeSpec(PdeKind.EQ_II, n=n)
-    report = check_residual(expr, spec, dom)
+    report = _evaluated(check_residual, expr, spec, dom)
     result = {
         "mode": "residual",
         "equation": equation,
@@ -288,6 +288,14 @@ def _run_pde(args: argparse.Namespace) -> int:
     }
     _emit(_envelope("pde", config, dom.seed, result))
     return 0 if report.passes(tol) else 1
+
+
+def _evaluated(check, *args):
+    """Run a residual or system check; u without a value where it is needed is unusable input."""
+    try:
+        return check(*args)
+    except EvaluationError as exc:
+        raise InputError(f"u cannot be evaluated: {exc}") from exc
 
 
 def _run_expect(args: argparse.Namespace) -> int:
@@ -342,7 +350,8 @@ def _write_runs_csv(path: str, report) -> None:
     fields = [
         "start", "init", "classification", "converged", "objective",
         "residual_eq1", "residual_eq2", "residual_ouroboros",
-        "distance_to_mean", "n_evaluations", "reverified_objective", "theta",
+        "distance_to_mean", "n_evaluations", "n_jacobian_evaluations", "solver_status",
+        "reverified_objective", "theta",
     ]
     try:
         with open(path, "w", encoding="utf-8", newline="") as fh:

@@ -29,12 +29,10 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.linalg import null_space
-from scipy.optimize import least_squares
 
 from .core import LinearForm, SampleDomain
 from .pde import PdeKind, PdeSpec
-from .poly import derivative, monomial_exponents, monomial_values
+from .poly import combine, derivative, monomial_exponents, monomial_values
 
 __all__ = [
     "Classification",
@@ -154,15 +152,28 @@ class ExplorationProblem:
     and the analytic gradient is exact. The normalisation is handled by
     eliminating theta[0] (= 0) and the last slot (= 1 - sum of the others),
     which at degree 1 is precisely the unit-coefficient-sum parametrisation.
+
+    The stacked form handed to the Gauss-Newton solver carries the two
+    linear blocks reduced to their R-factor. The weighted stack
+    S = [sqrt(w1/N) * a1; sqrt(w2/N) * a2] is fixed, and with S = QR,
+    S^T S = R^T R, so R @ theta (size rows) stands in for S @ theta (2N
+    rows): the cost, gradient and Gauss-Newton matrix the solver sees are
+    those of the full 3N rows in exact arithmetic, while the Jacobian it
+    takes SVDs of has N + size rows. The reduced rows are computed as
+    Q^T @ (S @ theta), which equals R @ theta: each entry of R sums over
+    all 2N rows, and evaluating R @ theta directly raises the objective's
+    round-off floor about a hundredfold, which lengthens the solver's
+    tails. ``a1``, ``a2`` and ``objective_full`` keep the unreduced
+    definition; reported residuals come from them.
     """
 
     def __init__(self, config: ExplorationConfig, points: np.ndarray):
         self.config = config
         self.points = np.asarray(points, dtype=float)
-        n, degree = config.n, config.degree
-        self.exponents = monomial_exponents(n, degree)
+        n = config.n
+        count = self.points.shape[0]
+        self.exponents = monomial_exponents(n, config.degree)
         self.size = len(self.exponents)
-        self.degrees = np.array([sum(a) for a in self.exponents])
         self.phi_matrix = monomial_values(self.points, self.exponents)
         # d/dx_k of a basis monomial is a multiple of another basis monomial
         index = {alpha: j for j, alpha in enumerate(self.exponents)}
@@ -174,10 +185,16 @@ class ExplorationProblem:
         self.a1, self.a2 = (
             sum(weight * partials[k - 1] for k, weight in spec.terms()) for spec in _system_specs(n)
         )
-        # degree aggregation: row g sums the theta slots of total degree g
-        self.grade = np.zeros((degree + 1, self.size))
-        self.grade[self.degrees, np.arange(self.size)] = 1.0
+        self.grade = _grade_matrix(self.exponents)
         self.free = np.arange(1, self.size - 1)  # eliminated: slot 0 and the last
+        stacked = np.vstack([
+            math.sqrt(config.weight_eq1 / count) * self.a1,
+            math.sqrt(config.weight_eq2 / count) * self.a2,
+        ])
+        q, r = np.linalg.qr(stacked)
+        self.linear_stack, self.linear_q = stacked, q
+        self.linear_jacobian = r[:, self.free] - r[:, -1:]
+        self.defect_scale = math.sqrt(config.weight_ouroboros / count)
 
     # -- constraint handling -------------------------------------------------
 
@@ -194,31 +211,26 @@ class ExplorationProblem:
 
     def residual_parts(self, theta: np.ndarray):
         theta = np.asarray(theta, dtype=float)
-        r1 = self.a1 @ theta
-        r2 = self.a2 @ theta
+        return (self.a1 @ theta, self.a2 @ theta, *self._defect_parts(theta))
+
+    def _defect_parts(self, theta: np.ndarray):
         y = self.phi_matrix @ theta
-        powers = np.vander(y, self.config.degree + 1, increasing=True)
         s = self.grade @ theta
-        o = powers @ s - y
-        return r1, r2, y, powers, s, o
+        powers, o = _self_defect(y, s)
+        return y, powers, s, o
 
     def objective_full(self, theta: np.ndarray) -> tuple[float, np.ndarray]:
         """Objective and exact gradient with respect to the full theta."""
         cfg = self.config
         count = self.points.shape[0]
         r1, r2, y, powers, s, o = self.residual_parts(theta)
-        value = (
-            cfg.weight_eq1 * np.mean(r1**2)
-            + cfg.weight_eq2 * np.mean(r2**2)
-            + cfg.weight_ouroboros * np.mean(o**2)
-        )
         jac_o = self._defect_jacobian(y, powers, s)
         grad = (2.0 / count) * (
             cfg.weight_eq1 * (self.a1.T @ r1)
             + cfg.weight_eq2 * (self.a2.T @ r2)
             + cfg.weight_ouroboros * (jac_o.T @ o)
         )
-        return float(value), grad
+        return _weighted_objective(cfg, r1, r2, o), grad
 
     def objective_free(self, phi: np.ndarray) -> tuple[float, np.ndarray]:
         """Objective and gradient over the free coordinates."""
@@ -234,26 +246,64 @@ class ExplorationProblem:
     # -- stacked form for the Gauss-Newton solver ----------------------------
 
     def stacked_residuals(self, phi: np.ndarray) -> np.ndarray:
-        cfg = self.config
-        count = self.points.shape[0]
-        r1, r2, _, _, _, o = self.residual_parts(self.embed(phi))
-        return np.concatenate([
-            math.sqrt(cfg.weight_eq1 / count) * r1,
-            math.sqrt(cfg.weight_eq2 / count) * r2,
-            math.sqrt(cfg.weight_ouroboros / count) * o,
-        ])
+        """R @ theta, then the weighted defect: min(2N, size) + N entries."""
+        theta = self.embed(phi)
+        *_, o = self._defect_parts(theta)
+        return np.concatenate([self.linear_q.T @ (self.linear_stack @ theta), self.defect_scale * o])
 
     def stacked_jacobian(self, phi: np.ndarray) -> np.ndarray:
-        cfg = self.config
-        count = self.points.shape[0]
-        theta = self.embed(phi)
-        _, _, y, powers, s, _ = self.residual_parts(theta)
-        jac_theta = np.vstack([
-            math.sqrt(cfg.weight_eq1 / count) * self.a1,
-            math.sqrt(cfg.weight_eq2 / count) * self.a2,
-            math.sqrt(cfg.weight_ouroboros / count) * self._defect_jacobian(y, powers, s),
+        """Jacobian of :meth:`stacked_residuals` over the free coordinates."""
+        y, powers, s, _ = self._defect_parts(self.embed(phi))
+        jac_o = self._defect_jacobian(y, powers, s)
+        return np.vstack([
+            self.linear_jacobian,
+            self.defect_scale * (jac_o[:, self.free] - jac_o[:, -1:]),
         ])
-        return jac_theta[:, self.free] - jac_theta[:, -1:]
+
+
+def _grade_matrix(exponents) -> np.ndarray:
+    """Degree aggregation: row g sums the theta slots of total degree g."""
+    degrees = [sum(alpha) for alpha in exponents]
+    grade = np.zeros((max(degrees) + 1, len(exponents)))
+    grade[degrees, np.arange(len(exponents))] = 1.0
+    return grade
+
+
+def _self_defect(y: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Powers of y and the defect o = p(y) - y, where p(t) = sum_g s_g t^g.
+
+    With s_g the sum of u's degree-g coefficients, p is u on the diagonal,
+    so at y = u(x) the defect is u(u(x), ..., u(x)) - u(x).
+    """
+    powers = np.vander(y, len(s), increasing=True)
+    return powers, powers @ s - y
+
+
+def _weighted_objective(config: ExplorationConfig, r1, r2, o) -> float:
+    return float(
+        config.weight_eq1 * np.mean(r1**2)
+        + config.weight_eq2 * np.mean(r2**2)
+        + config.weight_ouroboros * np.mean(o**2)
+    )
+
+
+def _residual_operators(exponents, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """size x size matrices taking theta to the coefficients of the residuals.
+
+    Column j holds the normal form of equation I's (then equation II's)
+    residual of the j-th basis monomial, so a design matrix times
+    ``op @ theta`` gives that residual of u at every point.
+    """
+    index = {alpha: j for j, alpha in enumerate(exponents)}
+    operators = []
+    for spec in _system_specs(n):
+        op = np.zeros((len(exponents), len(exponents)))
+        for j, alpha in enumerate(exponents):
+            residual = combine((weight, derivative({alpha: 1.0}, k)) for k, weight in spec.terms())
+            for lowered, c in residual.items():
+                op[index[lowered], j] = c
+        operators.append(op)
+    return operators[0], operators[1]
 
 
 def _system_specs(n: int) -> tuple[PdeSpec, PdeSpec]:
@@ -281,6 +331,8 @@ class StartRecord:
     classification: Classification
     converged: bool
     n_evaluations: int
+    n_jacobian_evaluations: int
+    solver_status: int  # scipy's least_squares status: 0 hit max_nfev, 1-4 met a tolerance
     reverified_objective: float | None = None
 
     def to_dict(self) -> dict:
@@ -296,6 +348,8 @@ class StartRecord:
             "classification": self.classification.value,
             "converged": self.converged,
             "n_evaluations": self.n_evaluations,
+            "n_jacobian_evaluations": self.n_jacobian_evaluations,
+            "solver_status": self.solver_status,
             "reverified_objective": self.reverified_objective,
         }
 
@@ -336,14 +390,23 @@ def explore(config: ExplorationConfig) -> ExplorationReport:
     """Run the multi-start search and classify every run.
 
     Gauss-Newton (scipy's trust-region least squares with the analytic
-    Jacobian) minimises the stacked residual vector from each start. A run
-    is mean_like when it reaches objective <= 1e-10 within L2 distance 1e-3
-    of the mean's theta; a converged run far from the mean only counts as
-    other_candidate if it survives re-verification on a fresh, ten times
-    larger sample cloud with objective <= 1e-9, otherwise it is recorded
-    as non_converged. Exhausting the iteration cap is an outcome, not an
-    error.
+    Jacobian) minimises the stacked residual vector from each start, in the
+    reduced form of :class:`ExplorationProblem`: N + size rows, the two
+    linear blocks as their R-factor. A run is mean_like when it reaches
+    objective <= 1e-10 within L2 distance 1e-3 of the mean's theta; a
+    converged run far from the mean only counts as other_candidate if it
+    survives re-verification on a fresh, ten times larger sample cloud with
+    objective <= 1e-9, otherwise it is recorded as non_converged.
+    Re-verification builds no problem: one design matrix and the residual
+    operators on theta give the same objective. Exhausting the iteration
+    cap is an outcome, not an error; each run records the solver's status
+    and Jacobian count, so a run that hit the cap is told apart from one
+    that stopped on a tolerance.
     """
+    # imported here, and looked up at each call, so the other commands
+    # never load scipy
+    from scipy.optimize import least_squares
+
     dom = SampleDomain(
         n=config.n, radius=config.radius, seed=config.seed, count=config.resolved_samples
     )
@@ -396,21 +459,32 @@ def explore(config: ExplorationConfig) -> ExplorationReport:
             classification=label,
             converged=converged,
             n_evaluations=int(result.nfev),
+            n_jacobian_evaluations=int(result.njev),
+            solver_status=int(result.status),
             reverified_objective=reverified,
         ))
     return ExplorationReport(config=config, runs=tuple(runs))
 
 
 def _reverify_objective(config: ExplorationConfig, start: int, theta: np.ndarray) -> float:
+    """The objective of theta on a fresh cloud ten times larger.
+
+    No :class:`ExplorationProblem` is built: the residuals are one design
+    matrix times theta and times the residual operators' images of theta,
+    so neither derivative matrices nor a QR are computed.
+    """
     dom = SampleDomain(
         n=config.n,
         radius=config.radius,
         seed=config.seed + 2 + start,
         count=REVERIFY_SAMPLE_FACTOR * config.resolved_samples,
     )
-    problem = ExplorationProblem(config, dom.samples())
-    value, _ = problem.objective_full(theta)
-    return float(value)
+    exponents = monomial_exponents(config.n, config.degree)
+    eq1, eq2 = _residual_operators(exponents, config.n)
+    design = monomial_values(dom.samples(), exponents)
+    y, r1, r2 = (design @ np.column_stack([theta, eq1 @ theta, eq2 @ theta])).T
+    _, o = _self_defect(y, _grade_matrix(exponents) @ theta)
+    return _weighted_objective(config, r1, r2, o)
 
 
 # ---------------------------------------------------------------------------
@@ -464,6 +538,8 @@ def linear_case_exact(n: int) -> LinearSolutionSet:
     For n = 2 the set is the single point (1/2, 1/2); for larger even n it
     gains dimensions, so uniqueness within degree 1 holds only at n = 2.
     """
+    from scipy.linalg import null_space
+
     if n < 2 or n % 2 != 0:
         raise ValueError(f"an even dimension of at least 2 is required, got n={n}")
     rows = [np.ones(n)]

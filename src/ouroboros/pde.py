@@ -31,7 +31,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import LinearForm, OuroborosReport, SampleDomain, check_linear_exact, check_sampled
-from .expr import Const, Expr, differentiate, dimension, evaluate, evaluate_many, mul, sub
+from .expr import Const, EvaluationError, Expr, differentiate, dimension, evaluate, evaluate_many, mul, sub
 from .expr import add as expr_add
 from .families import arithmetic_mean
 from .poly import Poly, combine, derivative, expand
@@ -133,6 +133,7 @@ def check_residual(
 
     The symbolic route evaluates the exact residual expression; the second
     route rebuilds the residual from central finite differences of u alone.
+    Raises EvaluationError when u has no value at a sample.
     """
     if dom.n != spec.n:
         raise ValueError("sample domain and equation dimension disagree")
@@ -274,7 +275,10 @@ class SystemReport:
 
 
 def check_system(u: Expr | LinearForm, n: int, dom: SampleDomain) -> SystemReport:
-    """Check a candidate against the full system in even dimension n."""
+    """Check a candidate against the full system in even dimension n.
+
+    Raises EvaluationError when u has no value at a sample or at the origin.
+    """
     if n < 2 or n % 2 != 0:
         raise ValueError(f"the system needs an even dimension of at least 2, got n={n}")
     if dom.n != n:
@@ -289,7 +293,10 @@ def check_system(u: Expr | LinearForm, n: int, dom: SampleDomain) -> SystemRepor
     residuals = [residual_expr(expr, spec) for spec in specs]
     form = expand(expr, n)  # one expansion serves both equations
     eq1, eq2 = (_residual_report(expr, form, r, spec, dom) for r, spec in zip(residuals, specs))
-    origin = evaluate(expr, (0.0,) * n)
+    try:
+        origin = evaluate(expr, (0.0,) * n)
+    except EvaluationError as exc:
+        raise EvaluationError(f"{exc} at the origin") from exc
     return SystemReport(
         eq1=eq1,
         eq2=eq2,

@@ -169,6 +169,20 @@ class TestPdeCommand:
         assert proc.stderr.startswith("internal error: RecursionError: ")
         assert proc.stderr.count("\n") == 1
 
+    @pytest.mark.parametrize("expr,equation,where", [
+        ("1/(x1-x1)", "II", "(sample 0)"),
+        ("1/(x1-x1)", "system", "(sample 0)"),
+        ("1/x1", "system", "at the origin"),
+    ])
+    def test_zero_divisor_is_bad_input(self, capsys, expr, equation, where):
+        """A u without a value where the check needs one exits 2 with one line, not 3."""
+        assert main(["pde", "--expr", expr, "--equation", equation, "--n", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: u cannot be evaluated: division by zero")
+        assert captured.err.rstrip("\n").endswith(where)
+        assert captured.err.count("\n") == 1
+
     def test_system_rejects_beta(self, capsys):
         assert main(["pde", "--coeffs", "1/2,1/2", "--equation", "system", "--beta", "2"]) == 2
 
@@ -207,6 +221,7 @@ class TestExploreCommand:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 3
         assert rows[0]["classification"] == "mean_like"
+        assert rows[0]["solver_status"] in {"1", "2", "3", "4"}
 
     def test_degree_two_omits_the_linear_section(self, capsys):
         code, doc = run_main(
@@ -290,6 +305,26 @@ class TestInstalledEntryPoints:
         )
         assert proc.returncode == 0
         assert_valid(json.loads(proc.stdout))
+
+    def test_commands_other_than_explore_never_load_scipy(self):
+        """scipy is imported inside explore and linear_case_exact only."""
+        script = (
+            "import sys, ouroboros, ouroboros.cli\n"
+            "assert 'scipy' not in sys.modules, 'import'\n"
+            "from ouroboros.cli import main\n"
+            "for argv in (['check', '--coeffs', '1/2,1/2'], ['check', '--expr', 'x1'],\n"
+            "             ['pde', '--coeffs', '1/2,1/2', '--equation', 'system'],\n"
+            "             ['expect', '--values', '1,2', '--probs', '1/2,1/2'], ['version']):\n"
+            "    assert main(argv) == 0, argv\n"
+            "    assert 'scipy' not in sys.modules, argv\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")},
+        )
+        assert proc.returncode == 0, proc.stderr
 
     def test_console_script_round_trip(self, tmp_path):
         """The declared `ouroboros` console script runs by name and exits with main()'s code.

@@ -1,5 +1,7 @@
 """Multi-start search: objective machinery, classification, exact linear case."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,9 +10,11 @@ from hypothesis import strategies as st
 from ouroboros.core import SampleDomain, check_sampled
 from ouroboros.expr import evaluate, parse
 from ouroboros.explorer import (
+    REVERIFY_SAMPLE_FACTOR,
     Classification,
     ExplorationConfig,
     ExplorationProblem,
+    _reverify_objective,
     basis_size,
     explore,
     linear_case_exact,
@@ -185,6 +189,84 @@ class TestObjective:
             assert o[i] == pytest.approx(defect, rel=1e-9, abs=1e-9)
 
 
+def unreduced_stack(problem, phi):
+    """Residuals and Jacobian with both linear blocks at full height, 3N rows."""
+    cfg, count = problem.config, problem.points.shape[0]
+    theta = problem.embed(phi)
+    r1, r2, *_ = problem.residual_parts(theta)
+    lin = np.vstack([math.sqrt(cfg.weight_eq1 / count) * problem.a1,
+                     math.sqrt(cfg.weight_eq2 / count) * problem.a2])
+    r_lin = lin @ theta
+    jac_lin = lin[:, problem.free] - lin[:, -1:]
+    # the defect block is the same in both forms: the last N rows
+    r, jac = problem.stacked_residuals(phi), problem.stacked_jacobian(phi)
+    return r_lin, jac_lin, r[-count:], jac[-count:]
+
+
+class TestReducedStack:
+    """The R-factor stands in for the two linear blocks without changing the least-squares problem."""
+
+    @pytest.mark.parametrize("n,degree", [(4, 2), (6, 3)])
+    def test_normal_equations_match_the_unreduced_form(self, n, degree):
+        cfg = ExplorationConfig(n=n, degree=degree, seed=4)
+        dom = SampleDomain(n=n, radius=cfg.radius, seed=4, count=cfg.resolved_samples)
+        problem = ExplorationProblem(cfg, dom.samples())
+        count = cfg.resolved_samples
+        rng = np.random.default_rng(n * 10 + degree)
+        for scale in (1.0, 1e-3):
+            phi = problem.reduce(mean_theta(n, degree)) + scale * rng.standard_normal(problem.size - 2)
+            r, jac = problem.stacked_residuals(phi), problem.stacked_jacobian(phi)
+            r_lin, jac_lin, r_o, jac_o = unreduced_stack(problem, phi)
+            full_r, full_jac = np.concatenate([r_lin, r_o]), np.vstack([jac_lin, jac_o])
+            red_r, red_jac = r[:-count], jac[:-count]
+            for reduced, unreduced in (
+                (jac.T @ jac, full_jac.T @ full_jac),
+                (jac.T @ r, full_jac.T @ full_r),
+                (r @ r, full_r @ full_r),
+                # the linear blocks alone, where the reduction happens
+                (red_jac.T @ red_jac, jac_lin.T @ jac_lin),
+                (red_jac.T @ red_r, jac_lin.T @ r_lin),
+                (red_r @ red_r, r_lin @ r_lin),
+            ):
+                assert np.abs(reduced - unreduced).max() <= 1e-12 * np.abs(unreduced).max()
+
+    def test_jacobian_has_n_plus_size_rows(self):
+        for n, degree in ((2, 1), (4, 2), (4, 3), (6, 3)):
+            cfg = ExplorationConfig(n=n, degree=degree, seed=0)
+            dom = SampleDomain(n=n, radius=cfg.radius, seed=0, count=cfg.resolved_samples)
+            problem = ExplorationProblem(cfg, dom.samples())
+            phi = problem.reduce(mean_theta(n, degree))
+            shape = (cfg.resolved_samples + problem.size, problem.size - 2)
+            assert problem.stacked_jacobian(phi).shape == shape
+            assert problem.stacked_residuals(phi).shape == shape[:1]
+
+
+class TestReverification:
+    """The lean re-verification objective is the problem's objective on the same cloud."""
+
+    def problem_on_reverify_cloud(self, config, start):
+        dom = SampleDomain(n=config.n, radius=config.radius, seed=config.seed + 2 + start,
+                           count=REVERIFY_SAMPLE_FACTOR * config.resolved_samples)
+        return ExplorationProblem(config, dom.samples())
+
+    def test_matches_the_problem_objective_on_converged_candidates(self):
+        config = ExplorationConfig(n=4, degree=2, seed=0, starts=6)
+        report = explore(config)
+        assert report.counts["other_candidate"] == 6
+        for run in report.runs:
+            value, _ = self.problem_on_reverify_cloud(config, run.start).objective_full(np.array(run.theta))
+            assert run.reverified_objective <= 1e-25
+            assert abs(run.reverified_objective - value) <= 1e-25
+
+    def test_matches_the_problem_objective_on_a_non_solution(self):
+        config = ExplorationConfig(n=4, degree=3, seed=2, weight_eq2=3.0, weight_ouroboros=0.5)
+        theta = mean_theta(4, 3) + 0.1 * np.random.default_rng(6).standard_normal(basis_size(4, 3))
+        lean = _reverify_objective(config, 1, theta)
+        value, _ = self.problem_on_reverify_cloud(config, 1).objective_full(theta)
+        assert lean > 1e-3
+        assert lean == pytest.approx(value, rel=1e-12)
+
+
 class TestExplore:
     def test_two_dimensional_search_always_finds_the_mean(self):
         report = explore(ExplorationConfig(n=2, degree=2, seed=42, starts=8))
@@ -234,6 +316,17 @@ class TestExplore:
         for run in report.runs:
             if run.converged:
                 assert exact.distance(run.theta[1:5]) <= 1e-6
+
+    def test_runs_say_why_the_solver_stopped(self):
+        capped = explore(ExplorationConfig(n=4, degree=3, seed=0, starts=3, max_iterations=3))
+        for run in capped.runs:
+            assert run.solver_status == 0  # the evaluation cap
+            assert run.n_evaluations == 3
+        finished = explore(ExplorationConfig(n=2, degree=2, seed=42, starts=4))
+        for run in finished.runs:
+            assert run.solver_status in (1, 2, 3, 4)  # a tolerance
+            assert 1 <= run.n_jacobian_evaluations <= run.n_evaluations
+            assert run.to_dict()["solver_status"] == run.solver_status
 
     def test_counts_add_up_and_notes_are_present(self):
         report = explore(ExplorationConfig(n=2, degree=1, seed=9, starts=5))

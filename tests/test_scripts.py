@@ -18,3 +18,16 @@ def test_verify_transport_families_passes():
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "FAIL" not in proc.stdout
+
+
+def test_uniqueness_probe_runs_a_small_grid():
+    """The probe, the other caller of explore, finishes and prints the exact linear set."""
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "run_uniqueness_probe.py"),
+         "--starts", "2", "--dims", "2,4", "--degrees", "1,2"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "exact linear solutions at n=4: dimension 1" in proc.stdout
