@@ -164,7 +164,7 @@ def check_sampled(f: Expr, dom: SampleDomain, tol: float = SAMPLED_TOL) -> Ourob
     points = dom.samples()
     try:
         y = evaluate_many(f, points)
-        diagonal = np.repeat(y[:, None], dom.n, axis=1)
+        diagonal = np.broadcast_to(y[:, None], (dom.count, dom.n))  # a view, no copy
         fy = evaluate_many(f, diagonal)
     except EvaluationError as exc:
         used = exc.sample_index + 1 if exc.sample_index is not None else 0

@@ -74,10 +74,11 @@ class EvaluationError(ArithmeticError):
     """Raised when an expression has no value at the given point."""
 
     def __init__(self, message: str, sample_index: int | None = None):
+        self.message = message  # without the sample index
+        self.sample_index = sample_index
         if sample_index is not None:
             message = f"{message} (sample {sample_index})"
         super().__init__(message)
-        self.sample_index = sample_index
 
 
 @dataclass(frozen=True)

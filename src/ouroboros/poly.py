@@ -11,7 +11,7 @@ import operator
 
 import numpy as np
 
-from .expr import Add, Const, Div, Expr, Mul, Neg, Pow, Sub, Var
+from .expr import Add, Const, Div, Expr, Mul, Neg, Pow, Sub, Var, _pow_repeated
 
 Poly = dict[tuple[int, ...], float]
 
@@ -36,14 +36,20 @@ def monomial_exponents(n: int, degree: int) -> list[tuple[int, ...]]:
 
 
 def monomial_values(points: np.ndarray, exponents) -> np.ndarray:
-    """(N, len(exponents)) matrix of monomial values, all powers from one table."""
+    """(N, len(exponents)) matrix of monomial values.
+
+    Each power x_i^p is taken once, by the binary exponentiation that
+    :mod:`ouroboros.expr` evaluates ``Pow`` with, and x^0 factors are left
+    out, so column j equals, bit for bit, ``evaluate_many`` of the tree
+    ``x1^a1*x2^a2*...`` (factors in index order, zero exponents omitted).
+    """
     points = np.asarray(points, dtype=float)
     exps = np.asarray(exponents, dtype=int).reshape(-1, points.shape[1])
-    table = points[:, :, None] ** np.arange(exps.max(initial=0) + 1)
-    values = np.ones((points.shape[0], exps.shape[0]))
-    for i in range(points.shape[1]):
-        values *= table[:, i, exps[:, i]]
-    return values
+    values = np.ones((exps.shape[0], points.shape[0]))  # one row per monomial
+    for column, powers in zip(points.T, exps.T):
+        for p in set(powers.tolist()) - {0}:  # np.unique's first call costs 12 ms
+            values[powers == p] *= _pow_repeated(column, p)
+    return np.ascontiguousarray(values.T)
 
 
 def combine(pairs) -> Poly:

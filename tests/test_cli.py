@@ -11,6 +11,8 @@ import jsonschema
 import pytest
 
 from ouroboros.cli import main, parse_fractions
+from ouroboros.core import SampleDomain
+from ouroboros.pde import DEFAULT_FD_STEP
 
 SCHEMA = json.loads(
     (Path(__file__).resolve().parent.parent / "docs" / "report-schema.json").read_text()
@@ -182,6 +184,16 @@ class TestPdeCommand:
         assert captured.err.startswith("error: u cannot be evaluated: division by zero")
         assert captured.err.rstrip("\n").endswith(where)
         assert captured.err.count("\n") == 1
+
+    def test_zero_divisor_met_only_by_a_finite_difference_names_the_sample(self, capsys):
+        """The pole sits at one sample's x1 + h, the finite-difference step; nowhere else."""
+        sample = 137
+        cloud = SampleDomain(n=2, radius=2.0, seed=0, count=200).samples()  # the pde defaults
+        pole = float(cloud[sample, 0] + DEFAULT_FD_STEP)
+        assert main(["pde", "--expr", f"1/(x1 - ({pole!r}))", "--equation", "II", "--n", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: u cannot be evaluated: division by zero (sample {sample})\n"
 
     def test_system_rejects_beta(self, capsys):
         assert main(["pde", "--coeffs", "1/2,1/2", "--equation", "system", "--beta", "2"]) == 2

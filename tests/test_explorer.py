@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ouroboros.core import SampleDomain, check_sampled
-from ouroboros.expr import evaluate, parse
+from ouroboros.expr import evaluate, evaluate_many, parse
 from ouroboros.explorer import (
     REVERIFY_SAMPLE_FACTOR,
     Classification,
@@ -148,16 +148,18 @@ class TestObjective:
         assert np.array_equal(problem.reduce(theta), np.array(phi))
 
     def test_operator_matrices_match_per_column_derivatives(self):
-        """a1 and a2 equal, bit for bit, their definition column by column."""
+        """a1 and a2 equal, bit for bit, their definition column by column, each
+        lowered monomial evaluated as the tree x1^a1*x2^a2*..."""
         for n, degree in ((2, 1), (4, 3), (6, 2)):
             cfg, problem = make_problem(n=n, degree=degree, count=40)
             partials = []
             for k in range(n):
                 cols = []
                 for alpha in problem.exponents:
-                    lowered = np.array(alpha)
+                    lowered = list(alpha)
                     lowered[k] = max(alpha[k] - 1, 0)
-                    cols.append(alpha[k] * np.prod(problem.points**lowered, axis=1))
+                    text = "*".join(f"x{i}^{a}" for i, a in enumerate(lowered, 1) if a) or "1"
+                    cols.append(alpha[k] * evaluate_many(parse(text), problem.points))
                 partials.append(np.column_stack(cols))
             signs = [(-1.0) ** k for k in range(1, n + 1)]
             assert np.array_equal(problem.a1, sum(partials) - n * partials[-1])

@@ -3,14 +3,17 @@
 import math
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ouroboros.core import LinearForm, SampleDomain, Verdict
-from ouroboros.expr import evaluate, parse, to_string
+from ouroboros.expr import EvaluationError, evaluate, evaluate_many, parse, to_string
 from ouroboros.families import arithmetic_mean, head_average_solution
 from ouroboros.pde import (
+    BLOCK_ROWS,
+    DEFAULT_FD_STEP,
     PdeKind,
     PdeSpec,
     check_alternating_balance,
@@ -19,6 +22,8 @@ from ouroboros.pde import (
     finite_difference,
     residual_expr,
     verify_mean_system,
+    _fd_partials,
+    _poly_values,
 )
 from ouroboros.poly import expand
 
@@ -147,6 +152,110 @@ class TestCheckResidual:
         assert report.max_abs_residual <= 1e-12
 
 
+def powers_of_linear_forms():
+    """n, and terms (c, a, p) of u = sum(c * (a . x)^p): like terms meet on expansion."""
+    return st.integers(min_value=2, max_value=4).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.lists(
+                st.tuples(
+                    coeff_values,
+                    st.lists(coeff_values, min_size=n, max_size=n),
+                    st.integers(min_value=1, max_value=4),
+                ),
+                min_size=1,
+                max_size=4,
+            ),
+        )
+    )
+
+
+class TestResidualRoutes:
+    """The residual's normal form, the derivative tree, and finite differences of u."""
+
+    @given(powers_of_linear_forms(), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_normal_form_values_match_the_derivative_tree(self, nterms, equation_one):
+        n, terms = nterms
+        spec = PdeSpec(PdeKind.EQ_I, n=n, beta=n) if equation_one else PdeSpec(PdeKind.EQ_II, n=n)
+        u = parse(" + ".join(
+            f"({c!r})*(" + " + ".join(f"({a_i!r})*x{i}" for i, a_i in enumerate(a, 1)) + f")^{p}"
+            for c, a, p in terms
+        ))
+        dom = SampleDomain(n=n, radius=2.0, seed=4, count=64)
+        points = dom.samples()
+        tree = evaluate_many(residual_expr(u, spec), points)
+        # the residual with every sign dropped, at |x|, bounds every term of both routes
+        sign_free = sum(
+            abs(c) * p * (np.abs(points) @ np.abs(a)) ** (p - 1)
+            * sum(abs(w * a[k - 1]) for k, w in spec.terms())
+            for c, a, p in terms
+        )
+        report = check_residual(u, spec, dom)
+        assert report.note != "u has no polynomial normal form; sampled bound only"
+        gap = abs(report.max_abs_residual - np.abs(tree).max())
+        assert gap <= 1e-12 * (1.0 + sign_free.max())
+
+    def test_normal_form_values_cover_every_block(self):
+        points = SampleDomain(n=2, radius=2.0, seed=6, count=2 * BLOCK_ROWS + 3).samples()
+        x1, x2 = points.T
+        p = {(1, 0): 2.0, (0, 2): -3.0, (0, 0): 0.5}
+        exact = 2.0 * x1 - 3.0 * (x2 * x2) + 0.5
+        bound = 4 * sys.float_info.epsilon * (2.0 * abs(x1) + 3.0 * x2 * x2 + 0.5)
+        assert np.all(np.abs(_poly_values(p, points) - exact) <= bound)
+
+    def test_u_without_a_normal_form_keeps_the_tree_route(self):
+        u = parse("x1/x2 + x2^2")
+        spec = PdeSpec(PdeKind.EQ_II, n=2)
+        report = check_residual(u, spec, DOM)
+        assert report.note == "u has no polynomial normal form; sampled bound only"
+        assert not report.symbolic_zero
+        assert report.residual_constant is None
+        tree = evaluate_many(residual_expr(u, spec), DOM.samples())
+        assert report.max_abs_residual == np.abs(tree).max()
+
+    @pytest.mark.parametrize("spec", [
+        PdeSpec(PdeKind.EQ_II, n=2),
+        PdeSpec(PdeKind.EQ_I, n=3, beta=3),  # k = 3 is listed twice
+        PdeSpec(PdeKind.EQ_I, n=4, beta=2),
+    ], ids=str)
+    def test_blocked_differences_equal_the_per_shift_loop(self, spec):
+        """Bit for bit, on clouds spanning several blocks with a ragged last one."""
+        u = parse("x1^3*x2 - 2*x1*x2^2/3 + 1/(3 + x1^2) + x2*x" + str(spec.n))
+        ks = sorted({k for k, _ in spec.terms()})
+        rows = BLOCK_ROWS // (2 * len(ks))
+        dom = SampleDomain(n=spec.n, radius=2.0, seed=9, count=3 * rows + 7)
+        points = dom.samples()
+        h = DEFAULT_FD_STEP
+
+        def per_shift(k):
+            up, down = points.copy(), points.copy()
+            up[:, k - 1] += h
+            down[:, k - 1] -= h
+            return (evaluate_many(u, up) - evaluate_many(u, down)) / (2.0 * h)
+
+        blocked = _fd_partials(u, points, ks, h)
+        assert sorted(blocked) == ks
+        for k in ks:
+            assert np.array_equal(blocked[k], per_shift(k))
+        fd = sum(weight * per_shift(k) for k, weight in spec.terms())
+        assert check_residual(u, spec, dom).max_abs_residual_fd == np.abs(fd).max()
+
+    @pytest.mark.parametrize("k,sign", [(1, 1), (1, -1), (2, 1), (2, -1)])
+    def test_zero_divisor_at_a_shift_names_the_shifted_sample(self, k, sign):
+        """Hit only at x + h*e_k (or - h) of one sample in the third block."""
+        spec = PdeSpec(PdeKind.EQ_II, n=2)
+        rows = BLOCK_ROWS // 4
+        dom = SampleDomain(n=2, radius=2.0, seed=2, count=3 * rows + 7)
+        sample = 2 * rows + 5
+        pole = float(dom.samples()[sample, k - 1] + sign * DEFAULT_FD_STEP)
+        u = parse(f"1/(x{k} - ({pole!r}))")
+        with pytest.raises(EvaluationError) as exc:
+            check_residual(u, spec, dom)
+        assert exc.value.sample_index == sample
+        assert str(exc.value) == f"division by zero (sample {sample})"
+
+
 class TestAlternatingBalance:
     def test_balanced_pairs_hold(self):
         assert check_alternating_balance((1.0, 1.0)).holds
@@ -262,6 +371,15 @@ class TestSystem:
         dom = SampleDomain(n=3, radius=2.0, seed=0, count=8)
         with pytest.raises(ValueError):
             check_system(parse("x1"), 2, dom)
+
+    def test_variables_beyond_the_dimension_are_rejected(self):
+        dom = SampleDomain(n=2, radius=2.0, seed=0, count=8)
+        with pytest.raises(ValueError, match="x3"):
+            check_system(parse("x1 + x3"), 2, dom)
+        with pytest.raises(ValueError, match="x3"):
+            check_system(LinearForm((0.5, 0.25, 0.25)), 2, dom)
+        with pytest.raises(ValueError, match="x3"):
+            check_residual(parse("x1/x3"), PdeSpec(PdeKind.EQ_II, n=2), DOM)
 
     def test_report_round_trips_through_dict(self):
         report = verify_mean_system(2)

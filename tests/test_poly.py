@@ -106,11 +106,17 @@ class TestExpand:
             assert gap <= 1e-12 * (1.0 + scale[alpha]), (alpha, exact, via_tree)
 
 
+def monomial_text(alpha):
+    return "*".join(f"x{i}^{a}" for i, a in enumerate(alpha, 1) if a) or "1"
+
+
 class TestMonomialValues:
     def test_matches_per_column_products(self):
-        exps = monomial_exponents(3, 3)
-        direct = np.column_stack([np.prod(POINTS ** np.array(a), axis=1) for a in exps])
-        assert np.array_equal(monomial_values(POINTS, exps), direct)
+        """Each column is, bit for bit, the tree x1^a1*x2^a2*... evaluated."""
+        exps = monomial_exponents(3, 6)
+        values = monomial_values(POINTS, exps)
+        for j, alpha in enumerate(exps):
+            assert np.array_equal(values[:, j], evaluate_many(parse(monomial_text(alpha)), POINTS))
 
     def test_derivative_lowers_one_exponent(self):
         p = expand(parse("3*x1^2*x2 + x2^4"), 2)
