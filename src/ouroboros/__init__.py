@@ -4,8 +4,9 @@ A function is ouroboros when feeding its own output back into every
 argument reproduces that output, f(f(x), ..., f(x)) = f(x). The package
 checks this identity exactly for linear forms and by sampling for general
 expressions, carries the closed-form solution families of two first-order
-transport equations, verifies the expectation operator's idempotence, and
-searches numerically for solutions of the combined system.
+transport equations, verifies the expectation operator's idempotence,
+computes the exact polynomial solution set of the combined system, and
+searches numerically for its solutions as a cross-check.
 """
 
 from .core import (
@@ -42,11 +43,11 @@ from .explorer import (
     Classification,
     ExplorationConfig,
     ExplorationReport,
-    LinearSolutionSet,
+    SolutionSet,
     explore,
-    linear_case_exact,
     mean_theta,
     monomial_exponents,
+    solution_set,
 )
 from .families import (
     HeadAverageSolution,
@@ -105,6 +106,6 @@ __all__ = [
     "verify_mean_system",
     # numerical search
     "Classification", "ExplorationConfig", "ExplorationReport",
-    "LinearSolutionSet", "explore", "linear_case_exact", "mean_theta",
-    "monomial_exponents",
+    "SolutionSet", "explore", "mean_theta", "monomial_exponents",
+    "solution_set",
 ]

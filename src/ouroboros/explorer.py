@@ -1,12 +1,13 @@
-"""Numerical search for solutions of the overdetermined system at even n.
+"""Polynomial solutions of the overdetermined system at even n: exact, and searched.
 
-The search asks, empirically, whether anything other than the arithmetic
-mean satisfies equation I (with beta = n), equation II, and the
-self-application identity at once. It minimises a weighted least-squares
-objective over polynomial candidates and classifies what each start
-converges to. The outcome is a list of classified runs, never a uniqueness
-claim: a clean sweep of mean_like runs is evidence, not proof, and any
-other_candidate is preserved verbatim for inspection.
+The system is equation I (with beta = n), equation II and the
+self-application identity. For a polynomial candidate of degree <= d every
+one of its conditions is linear in the coefficients, so
+:func:`solution_set` computes all nonconstant solutions of that degree
+exactly, as the arithmetic mean plus a rational null space. The search
+(:func:`explore`) minimises a weighted least-squares objective from many
+starts and labels each run by its distance to that set: it is a numerical
+cross-check of the exact answer, and every run is reported verbatim.
 
 Candidates are polynomials over the graded monomial basis: the constant
 monomial first, then the degree-1 monomials x1 .. xn in index order, then
@@ -27,11 +28,13 @@ import json
 import math
 from dataclasses import dataclass
 from enum import Enum
+from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
-from .core import LinearForm, SampleDomain
-from .pde import PdeKind, PdeSpec
+from .core import SampleDomain
+from .pde import system_specs
 from .poly import combine, derivative, monomial_exponents, monomial_values
 
 __all__ = [
@@ -39,19 +42,17 @@ __all__ = [
     "ExplorationConfig",
     "ExplorationProblem",
     "ExplorationReport",
-    "LinearSolutionSet",
+    "SolutionSet",
     "StartRecord",
     "basis_size",
     "explore",
-    "linear_case_exact",
     "mean_theta",
     "monomial_exponents",
+    "solution_set",
 ]
 
 OBJECTIVE_ZERO_TOL = 1e-10
-MEAN_DISTANCE_TOL = 1e-3
-REVERIFY_SAMPLE_FACTOR = 10
-REVERIFY_OBJECTIVE_FACTOR = 10.0
+SET_DISTANCE_TOL = 1e-9
 
 NONTRIVIALITY_NOTE = (
     "nontrivial means nonconstant: the normalisation u(0,...,0)=0 and "
@@ -59,8 +60,9 @@ NONTRIVIALITY_NOTE = (
     "candidates are infeasible by construction"
 )
 SCOPE_NOTE = (
-    "search scope is the polynomial ansatz of the stated degree; "
-    "results say nothing about non-polynomial candidates"
+    "within polynomials of the stated degree the solutions are exactly "
+    "solution_set: the mean alone iff n = 2, otherwise an affine set of the "
+    "reported dimension; nothing is said about non-polynomial candidates"
 )
 
 
@@ -81,9 +83,9 @@ class ExplorationConfig:
 
     ``samples = None`` resolves to max(200, 10 * basis size), enough points
     to make a spurious sampled zero of the polynomial defect improbable.
-    Randomness is fully seeded: the sample cloud uses ``seed``, the Gaussian
-    start vectors use ``seed + 1``, and the re-verification cloud for start s
-    uses ``seed + 2 + s``, so identical configs give bit-identical reports.
+    Randomness is fully seeded: the sample cloud uses ``seed`` and the
+    Gaussian start vectors ``seed + 1``, so identical configs give
+    bit-identical reports.
     """
 
     n: int
@@ -183,7 +185,7 @@ class ExplorationProblem:
                 for lowered, c in derivative({alpha: 1.0}, k).items():
                     partials[k - 1][:, j] = c * self.phi_matrix[:, index[lowered]]
         self.a1, self.a2 = (
-            sum(weight * partials[k - 1] for k, weight in spec.terms()) for spec in _system_specs(n)
+            sum(weight * partials[k - 1] for k, weight in spec.terms()) for spec in system_specs(n)
         )
         self.grade = _grade_matrix(self.exponents)
         self.free = np.arange(1, self.size - 1)  # eliminated: slot 0 and the last
@@ -231,11 +233,6 @@ class ExplorationProblem:
             + cfg.weight_ouroboros * (jac_o.T @ o)
         )
         return _weighted_objective(cfg, r1, r2, o), grad
-
-    def objective_free(self, phi: np.ndarray) -> tuple[float, np.ndarray]:
-        """Objective and gradient over the free coordinates."""
-        value, grad = self.objective_full(self.embed(phi))
-        return value, grad[self.free] - grad[-1]
 
     def _defect_jacobian(self, y, powers, s) -> np.ndarray:
         # d o_i / d theta_j = y_i^deg(j) + (p'(y_i) - 1) * phi_ij
@@ -287,33 +284,8 @@ def _weighted_objective(config: ExplorationConfig, r1, r2, o) -> float:
     )
 
 
-def _residual_operators(exponents, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """size x size matrices taking theta to the coefficients of the residuals.
-
-    Column j holds the normal form of equation I's (then equation II's)
-    residual of the j-th basis monomial, so a design matrix times
-    ``op @ theta`` gives that residual of u at every point.
-    """
-    index = {alpha: j for j, alpha in enumerate(exponents)}
-    operators = []
-    for spec in _system_specs(n):
-        op = np.zeros((len(exponents), len(exponents)))
-        for j, alpha in enumerate(exponents):
-            residual = combine((weight, derivative({alpha: 1.0}, k)) for k, weight in spec.terms())
-            for lowered, c in residual.items():
-                op[index[lowered], j] = c
-        operators.append(op)
-    return operators[0], operators[1]
-
-
-def _system_specs(n: int) -> tuple[PdeSpec, PdeSpec]:
-    """Equation I with beta = n and equation II, the two equations of the system."""
-    return PdeSpec(PdeKind.EQ_I, n=n, beta=n), PdeSpec(PdeKind.EQ_II, n=n)
-
-
 class Classification(str, Enum):
     MEAN_LIKE = "mean_like"
-    CONSTANT_LIKE = "constant_like"  # unreachable under the normalisation; kept for schema stability
     OTHER_CANDIDATE = "other_candidate"
     NON_CONVERGED = "non_converged"
 
@@ -328,12 +300,12 @@ class StartRecord:
     residual_eq2: float
     residual_ouroboros: float
     distance_to_mean: float
+    distance_to_solution_set: float
     classification: Classification
     converged: bool
     n_evaluations: int
     n_jacobian_evaluations: int
     solver_status: int  # scipy's least_squares status: 0 hit max_nfev, 1-4 met a tolerance
-    reverified_objective: float | None = None
 
     def to_dict(self) -> dict:
         return {
@@ -345,12 +317,12 @@ class StartRecord:
             "residual_eq2": self.residual_eq2,
             "residual_ouroboros": self.residual_ouroboros,
             "distance_to_mean": self.distance_to_mean,
+            "distance_to_solution_set": self.distance_to_solution_set,
             "classification": self.classification.value,
             "converged": self.converged,
             "n_evaluations": self.n_evaluations,
             "n_jacobian_evaluations": self.n_jacobian_evaluations,
             "solver_status": self.solver_status,
-            "reverified_objective": self.reverified_objective,
         }
 
 
@@ -358,6 +330,7 @@ class StartRecord:
 class ExplorationReport:
     config: ExplorationConfig
     runs: tuple[StartRecord, ...]
+    solution_set: SolutionSet
     notes: tuple[str, ...] = (NONTRIVIALITY_NOTE, SCOPE_NOTE)
 
     @property
@@ -380,6 +353,7 @@ class ExplorationReport:
             "mean_theta": list(mean_theta(self.config.n, self.config.degree)),
             "runs": [run.to_dict() for run in self.runs],
             "counts": self.counts,
+            "solution_set": self.solution_set.to_dict(),
         }
 
     def to_json(self) -> str:
@@ -387,21 +361,19 @@ class ExplorationReport:
 
 
 def explore(config: ExplorationConfig) -> ExplorationReport:
-    """Run the multi-start search and classify every run.
+    """Run the multi-start search and label every run against the exact set.
 
     Gauss-Newton (scipy's trust-region least squares with the analytic
     Jacobian) minimises the stacked residual vector from each start, in the
     reduced form of :class:`ExplorationProblem`: N + size rows, the two
-    linear blocks as their R-factor. A run is mean_like when it reaches
-    objective <= 1e-10 within L2 distance 1e-3 of the mean's theta; a
-    converged run far from the mean only counts as other_candidate if it
-    survives re-verification on a fresh, ten times larger sample cloud with
-    objective <= 1e-9, otherwise it is recorded as non_converged.
-    Re-verification builds no problem: one design matrix and the residual
-    operators on theta give the same objective. Exhausting the iteration
-    cap is an outcome, not an error; each run records the solver's status
-    and Jacobian count, so a run that hit the cap is told apart from one
-    that stopped on a tolerance.
+    linear blocks as their R-factor. Each run is then measured against
+    :func:`solution_set`: it is non_converged when its theta lies farther
+    than SET_DISTANCE_TOL from the set, otherwise mean_like when it lies
+    that close to the mean's theta, else other_candidate. ``converged``
+    separately records objective <= 1e-10. Exhausting the iteration cap is
+    an outcome, not an error; each run records the solver's status and
+    Jacobian count, so a run that hit the cap is told apart from one that
+    stopped on a tolerance.
     """
     # imported here, and looked up at each call, so the other commands
     # never load scipy
@@ -411,6 +383,7 @@ def explore(config: ExplorationConfig) -> ExplorationReport:
         n=config.n, radius=config.radius, seed=config.seed, count=config.resolved_samples
     )
     problem = ExplorationProblem(config, dom.samples())
+    exact = solution_set(config.n, config.degree)
     target = mean_theta(config.n, config.degree)
     init_rng = np.random.Generator(np.random.Philox(key=config.seed + 1))
     free_count = problem.size - 2
@@ -433,19 +406,13 @@ def explore(config: ExplorationConfig) -> ExplorationReport:
         value, _ = problem.objective_full(theta)
         r1, r2, _, _, _, o = problem.residual_parts(theta)
         distance = float(np.linalg.norm(theta - target))
-        converged = value <= OBJECTIVE_ZERO_TOL
-
-        reverified = None
-        if not converged:
+        distance_to_set = exact.distance(theta)
+        if distance_to_set > SET_DISTANCE_TOL:
             label = Classification.NON_CONVERGED
-        elif distance <= MEAN_DISTANCE_TOL:
+        elif distance <= SET_DISTANCE_TOL:
             label = Classification.MEAN_LIKE
         else:
-            reverified = _reverify_objective(config, s, theta)
-            if reverified <= REVERIFY_OBJECTIVE_FACTOR * OBJECTIVE_ZERO_TOL:
-                label = Classification.OTHER_CANDIDATE
-            else:
-                label = Classification.NON_CONVERGED
+            label = Classification.OTHER_CANDIDATE
 
         runs.append(StartRecord(
             start=s,
@@ -456,106 +423,130 @@ def explore(config: ExplorationConfig) -> ExplorationReport:
             residual_eq2=float(np.mean(r2**2)),
             residual_ouroboros=float(np.mean(o**2)),
             distance_to_mean=distance,
+            distance_to_solution_set=distance_to_set,
             classification=label,
-            converged=converged,
+            converged=value <= OBJECTIVE_ZERO_TOL,
             n_evaluations=int(result.nfev),
             n_jacobian_evaluations=int(result.njev),
             solver_status=int(result.status),
-            reverified_objective=reverified,
         ))
-    return ExplorationReport(config=config, runs=tuple(runs))
-
-
-def _reverify_objective(config: ExplorationConfig, start: int, theta: np.ndarray) -> float:
-    """The objective of theta on a fresh cloud ten times larger.
-
-    No :class:`ExplorationProblem` is built: the residuals are one design
-    matrix times theta and times the residual operators' images of theta,
-    so neither derivative matrices nor a QR are computed.
-    """
-    dom = SampleDomain(
-        n=config.n,
-        radius=config.radius,
-        seed=config.seed + 2 + start,
-        count=REVERIFY_SAMPLE_FACTOR * config.resolved_samples,
-    )
-    exponents = monomial_exponents(config.n, config.degree)
-    eq1, eq2 = _residual_operators(exponents, config.n)
-    design = monomial_values(dom.samples(), exponents)
-    y, r1, r2 = (design @ np.column_stack([theta, eq1 @ theta, eq2 @ theta])).T
-    _, o = _self_defect(y, _grade_matrix(exponents) @ theta)
-    return _weighted_objective(config, r1, r2, o)
+    return ExplorationReport(config=config, runs=tuple(runs), solution_set=exact)
 
 
 # ---------------------------------------------------------------------------
-# exact linear case, the degree-1 oracle
+# the exact solution set
 
 @dataclass(frozen=True)
-class LinearSolutionSet:
-    """Affine set of linear solutions: particular + span of the basis rows."""
+class SolutionSet:
+    """All nonconstant solutions of degree <= ``degree``: particular + span(basis).
+
+    Vectors are theta over the graded basis, in exact rationals; the
+    particular solution is the arithmetic mean.
+    """
 
     n: int
-    particular: tuple[float, ...]
-    basis: tuple[tuple[float, ...], ...]  # orthonormal
+    degree: int
+    particular: tuple[Fraction, ...]
+    basis: tuple[tuple[Fraction, ...], ...]
 
     @property
     def dimension(self) -> int:
         return len(self.basis)
 
-    def distance(self, coeffs) -> float:
-        r = np.asarray(coeffs, dtype=float) - np.asarray(self.particular)
-        for b in self.basis:
-            b = np.asarray(b)
-            r = r - (r @ b) * b
-        return float(np.linalg.norm(r))
+    @cached_property
+    def _orthonormal(self) -> np.ndarray:
+        """Columns: an orthonormal float basis of the set's directions."""
+        if not self.basis:
+            return np.zeros((len(self.particular), 0))
+        return np.linalg.qr(np.array(self.basis, dtype=float).T)[0]
 
-    def contains(self, coeffs, tol: float = 1e-9) -> bool:
-        return self.distance(coeffs) <= tol
-
-    def member(self, weights=()) -> LinearForm:
-        c = np.asarray(self.particular, dtype=float).copy()
-        for w, b in zip(weights, self.basis):
-            c += w * np.asarray(b)
-        return LinearForm(tuple(float(v) for v in c))
+    def distance(self, theta) -> float:
+        """Euclidean distance from a float theta to the set."""
+        r = np.asarray(theta, dtype=float) - np.array(self.particular, dtype=float)
+        q = self._orthonormal
+        return float(np.linalg.norm(r - q @ (q.T @ r)))
 
     def to_dict(self) -> dict:
         return {
             "n": self.n,
+            "degree": self.degree,
             "dimension": self.dimension,
-            "particular": list(self.particular),
-            "basis": [list(b) for b in self.basis],
+            "particular": [str(c) for c in self.particular],
+            "basis": [[str(c) for c in b] for b in self.basis],
         }
 
 
-def linear_case_exact(n: int) -> LinearSolutionSet:
-    """Closed-form degree-1 solution set of the full system.
+def solution_set(n: int, degree: int) -> SolutionSet:
+    """Every nonconstant polynomial solution of the system up to ``degree``, exactly.
 
-    The three linear constraints on the coefficient vector c are
-    sum(c) = 1 (self-application), sum(c) = n * c_n (equation I with
-    beta = n) and the alternating balance (equation II). The arithmetic
-    mean always satisfies them, so it serves as the particular solution;
-    the span of the homogeneous solutions comes from an SVD null space.
-    For n = 2 the set is the single point (1/2, 1/2); for larger even n it
-    gains dimensions, so uniqueness within degree 1 holds only at n = 2.
+    For u = sum(theta_j * x^alpha_j) each condition is linear in theta.
+    Equations I (beta = n) and II send the degree-g coefficients to degree
+    g - 1. Self-application holds for a nonconstant u iff the diagonal
+    section u(t, ..., t) = sum_g s_g t^g equals t, s_g being the sum of the
+    degree-g coefficients; row g of that condition reads degree g only. So
+    the homogeneous system splits into one block per degree, each solved by
+    exact rational elimination. The dimension is 0 at n = 2 and
+    C(n - 2 + d, d) - (d + 1) for n >= 4.
     """
-    from scipy.linalg import null_space
-
     if n < 2 or n % 2 != 0:
         raise ValueError(f"an even dimension of at least 2 is required, got n={n}")
-    rows = [np.ones(n)]
-    for spec in _system_specs(n):
-        row = np.zeros(n)
-        for k, weight in spec.terms():
-            row[k - 1] += weight
-        rows.append(row)
-    constraints = np.vstack(rows)
-    particular = np.full(n, 1.0 / n)
-    residual = constraints @ particular - np.array([1.0, 0.0, 0.0])
-    assert np.abs(residual).max() < 1e-12, "the mean must satisfy all three constraints"
-    kernel = null_space(constraints)
-    basis = tuple(tuple(float(v) for v in kernel[:, j]) for j in range(kernel.shape[1]))
-    return LinearSolutionSet(
-        n=n,
-        particular=tuple(float(v) for v in particular),
-        basis=basis,
-    )
+    if degree < 1:
+        raise ValueError("degree must be at least 1")
+    exponents = monomial_exponents(n, degree)
+    specs = system_specs(n)
+    blocks: dict[int, list[int]] = {}
+    for j, alpha in enumerate(exponents):
+        blocks.setdefault(sum(alpha), []).append(j)
+    basis = []
+    for columns in blocks.values():
+        # one row per (equation, lowered monomial): that coefficient of the residual
+        rows: dict[tuple, dict[int, int]] = {}
+        for j in columns:
+            for e, spec in enumerate(specs):
+                residual = combine((weight, derivative({exponents[j]: 1}, k)) for k, weight in spec.terms())
+                for lowered, c in residual.items():
+                    rows.setdefault((e, lowered), {})[j] = c
+        diagonal = dict.fromkeys(columns, 1)  # s_g, zero in the homogeneous part
+        for vector in _null_space([diagonal, *rows.values()], columns):
+            basis.append(tuple(vector.get(j, Fraction(0)) for j in range(len(exponents))))
+    particular = tuple(Fraction(int(sum(alpha) == 1), n) for alpha in exponents)
+    return SolutionSet(n=n, degree=degree, particular=particular, basis=tuple(basis))
+
+
+def _null_space(rows, columns) -> list[dict[int, Fraction]]:
+    """Basis of {v : row . v = 0 for every row}, rows and vectors sparse.
+
+    Gauss-Jordan elimination: every kept row has a 1 in its pivot column and
+    0 in every other pivot column, so each free column gives one vector.
+    """
+    reduced: dict[int, dict[int, Fraction]] = {}
+    for row in rows:
+        row = {j: Fraction(c) for j, c in row.items()}
+        for pivot, kept in reduced.items():
+            _eliminate(row, kept, pivot)
+        if not row:
+            continue
+        pivot = min(row)
+        lead = row[pivot]
+        row = {j: c / lead for j, c in row.items()}
+        for kept in reduced.values():
+            _eliminate(kept, row, pivot)
+        reduced[pivot] = row
+    return [
+        {free: Fraction(1), **{p: -kept[free] for p, kept in reduced.items() if free in kept}}
+        for free in columns
+        if free not in reduced
+    ]
+
+
+def _eliminate(row: dict[int, Fraction], kept: dict[int, Fraction], pivot: int) -> None:
+    """Subtract the multiple of ``kept`` (1 at ``pivot``) that zeroes row[pivot], in place."""
+    factor = row.get(pivot)
+    if not factor:
+        return
+    for j, c in kept.items():
+        value = row.get(j, 0) - factor * c
+        if value:
+            row[j] = value
+        else:
+            del row[j]

@@ -49,6 +49,7 @@ __all__ = [
     "check_system",
     "finite_difference",
     "residual_expr",
+    "system_specs",
     "verify_mean_system",
 ]
 
@@ -90,6 +91,11 @@ class PdeSpec:
         if self.kind is PdeKind.EQ_I:
             return [(k, 1) for k in range(1, self.beta + 1)] + [(self.n, -self.beta)]
         return [(k, (-1) ** k) for k in range(1, self.n + 1)]
+
+
+def system_specs(n: int) -> tuple[PdeSpec, PdeSpec]:
+    """Equation I with beta = n and equation II, the two equations of the system."""
+    return PdeSpec(PdeKind.EQ_I, n=n, beta=n), PdeSpec(PdeKind.EQ_II, n=n)
 
 
 @dataclass(frozen=True)
@@ -333,10 +339,9 @@ def check_system(u: Expr | LinearForm, n: int, dom: SampleDomain) -> SystemRepor
     else:
         expr = u
         ouro = check_sampled(u, dom)
-    specs = (PdeSpec(PdeKind.EQ_I, n=n, beta=n), PdeSpec(PdeKind.EQ_II, n=n))
     _require_dimension(expr, n)
     form = expand(expr, n)  # one expansion serves both equations
-    eq1, eq2 = (_residual_report(expr, form, spec, dom) for spec in specs)
+    eq1, eq2 = (_residual_report(expr, form, spec, dom) for spec in system_specs(n))
     try:
         origin = evaluate(expr, (0.0,) * n)
     except EvaluationError as exc:

@@ -53,11 +53,11 @@ def monomial_values(points: np.ndarray, exponents) -> np.ndarray:
 
 
 def combine(pairs) -> Poly:
-    """sum(weight * p) over (weight, p) pairs, like terms collected in order."""
+    """sum(weight * p) over (weight, p) pairs, like terms collected in order; exact on Fractions."""
     out: Poly = {}
     for weight, p in pairs:
         for alpha, c in p.items():
-            out[alpha] = out.get(alpha, 0.0) + weight * c
+            out[alpha] = out.get(alpha, 0) + weight * c
     return {alpha: c for alpha, c in out.items() if c != 0.0}
 
 

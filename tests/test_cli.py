@@ -228,20 +228,22 @@ class TestExploreCommand:
         assert code == 0
         assert_valid(doc)
         assert doc["result"]["counts"]["mean_like"] == 3
-        assert "linear_case_exact" in doc["result"]
+        assert doc["result"]["solution_set"]["dimension"] == 0
         with out.open() as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 3
         assert rows[0]["classification"] == "mean_like"
         assert rows[0]["solver_status"] in {"1", "2", "3", "4"}
 
-    def test_degree_two_omits_the_linear_section(self, capsys):
+    def test_every_degree_reports_the_exact_solution_set(self, capsys):
         code, doc = run_main(
-            capsys, ["explore", "--n", "2", "--degree", "2", "--starts", "2", "--samples", "60"]
+            capsys, ["explore", "--n", "4", "--degree", "2", "--starts", "2", "--samples", "60"]
         )
         assert code == 0
         assert_valid(doc)
-        assert "linear_case_exact" not in doc["result"]
+        exact = doc["result"]["solution_set"]
+        assert (exact["n"], exact["degree"], exact["dimension"]) == (4, 2, 3)
+        assert exact["particular"][:5] == ["0", "1/4", "1/4", "1/4", "1/4"]
 
     def test_odd_dimension_exits_two(self, capsys):
         assert main(["explore", "--n", "3", "--degree", "1"]) == 2
@@ -319,10 +321,12 @@ class TestInstalledEntryPoints:
         assert_valid(json.loads(proc.stdout))
 
     def test_commands_other_than_explore_never_load_scipy(self):
-        """scipy is imported inside explore and linear_case_exact only."""
+        """scipy is imported by explore's least squares only; the exact solution set needs none."""
         script = (
             "import sys, ouroboros, ouroboros.cli\n"
             "assert 'scipy' not in sys.modules, 'import'\n"
+            "assert ouroboros.solution_set(8, 3).dimension == 80\n"
+            "assert 'scipy' not in sys.modules, 'solution_set'\n"
             "from ouroboros.cli import main\n"
             "for argv in (['check', '--coeffs', '1/2,1/2'], ['check', '--expr', 'x1'],\n"
             "             ['pde', '--coeffs', '1/2,1/2', '--equation', 'system'],\n"

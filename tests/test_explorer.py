@@ -1,6 +1,7 @@
-"""Multi-start search: objective machinery, classification, exact linear case."""
+"""Exact solution set and multi-start search: objective machinery, classification."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,18 +11,18 @@ from hypothesis import strategies as st
 from ouroboros.core import SampleDomain, check_sampled
 from ouroboros.expr import evaluate, evaluate_many, parse
 from ouroboros.explorer import (
-    REVERIFY_SAMPLE_FACTOR,
+    SET_DISTANCE_TOL,
     Classification,
     ExplorationConfig,
     ExplorationProblem,
-    _reverify_objective,
     basis_size,
     explore,
-    linear_case_exact,
     mean_theta,
     monomial_exponents,
+    solution_set,
 )
-from ouroboros.pde import PdeKind, PdeSpec, check_residual, check_system
+from ouroboros.pde import PdeKind, PdeSpec, check_residual, check_system, system_specs
+from ouroboros.poly import combine, derivative, expand
 
 
 def polynomial_expr(theta, n, degree):
@@ -122,7 +123,7 @@ class TestObjective:
         rng = np.random.default_rng(5)
         phi = rng.standard_normal(problem.size - 2)
         r = problem.stacked_residuals(phi)
-        value, _ = problem.objective_free(phi)
+        value, _ = problem.objective_full(problem.embed(phi))
         assert float(r @ r) == pytest.approx(value, rel=1e-12)
 
     def test_stacked_jacobian_matches_finite_differences(self):
@@ -243,37 +244,10 @@ class TestReducedStack:
             assert problem.stacked_residuals(phi).shape == shape[:1]
 
 
-class TestReverification:
-    """The lean re-verification objective is the problem's objective on the same cloud."""
-
-    def problem_on_reverify_cloud(self, config, start):
-        dom = SampleDomain(n=config.n, radius=config.radius, seed=config.seed + 2 + start,
-                           count=REVERIFY_SAMPLE_FACTOR * config.resolved_samples)
-        return ExplorationProblem(config, dom.samples())
-
-    def test_matches_the_problem_objective_on_converged_candidates(self):
-        config = ExplorationConfig(n=4, degree=2, seed=0, starts=6)
-        report = explore(config)
-        assert report.counts["other_candidate"] == 6
-        for run in report.runs:
-            value, _ = self.problem_on_reverify_cloud(config, run.start).objective_full(np.array(run.theta))
-            assert run.reverified_objective <= 1e-25
-            assert abs(run.reverified_objective - value) <= 1e-25
-
-    def test_matches_the_problem_objective_on_a_non_solution(self):
-        config = ExplorationConfig(n=4, degree=3, seed=2, weight_eq2=3.0, weight_ouroboros=0.5)
-        theta = mean_theta(4, 3) + 0.1 * np.random.default_rng(6).standard_normal(basis_size(4, 3))
-        lean = _reverify_objective(config, 1, theta)
-        value, _ = self.problem_on_reverify_cloud(config, 1).objective_full(theta)
-        assert lean > 1e-3
-        assert lean == pytest.approx(value, rel=1e-12)
-
-
 class TestExplore:
     def test_two_dimensional_search_always_finds_the_mean(self):
         report = explore(ExplorationConfig(n=2, degree=2, seed=42, starts=8))
         assert report.counts["mean_like"] == 8
-        assert report.counts["constant_like"] == 0
         for run in report.runs:
             assert run.converged
             assert run.objective <= 1e-10
@@ -291,13 +265,12 @@ class TestExplore:
         assert a.to_json() == b.to_json()
 
     def test_four_dimensional_candidates_are_genuine(self):
-        """Anything reported as a non-mean solution must survive both recounts."""
+        """Anything reported as a non-mean solution lies in the exact set and holds on fresh samples."""
         report = explore(ExplorationConfig(n=4, degree=2, seed=0, starts=6))
         found = [r for r in report.runs if r.classification is Classification.OTHER_CANDIDATE]
         assert found, "n = 4 has a whole line of linear solutions; some start should hit it"
         for run in found:
-            assert run.reverified_objective is not None
-            assert run.reverified_objective <= 1e-9
+            assert run.distance_to_solution_set <= SET_DISTANCE_TOL
             dom = SampleDomain(n=4, radius=2.0, seed=99, count=400)
             assert check_sampled(polynomial_expr(run.theta, 4, 2), dom).holds
 
@@ -314,10 +287,10 @@ class TestExplore:
 
     def test_degree_one_runs_land_in_the_exact_solution_set(self):
         report = explore(ExplorationConfig(n=4, degree=1, seed=5, starts=6))
-        exact = linear_case_exact(4)
+        exact = solution_set(4, 1)
         for run in report.runs:
             if run.converged:
-                assert exact.distance(run.theta[1:5]) <= 1e-6
+                assert exact.distance(run.theta) <= 1e-6
 
     def test_runs_say_why_the_solver_stopped(self):
         capped = explore(ExplorationConfig(n=4, degree=3, seed=0, starts=3, max_iterations=3))
@@ -346,32 +319,84 @@ class TestExplore:
                 assert run.classification is Classification.NON_CONVERGED
 
 
+def exact_residuals(theta, n, degree):
+    """E1, E2 and the diagonal sums s_g of theta, all in Fraction arithmetic."""
+    exponents = monomial_exponents(n, degree)
+    u = {alpha: c for alpha, c in zip(exponents, theta) if c}
+    e1, e2 = (combine((w, derivative(u, k)) for k, w in spec.terms()) for spec in system_specs(n))
+    sums = [sum((c for alpha, c in zip(exponents, theta) if sum(alpha) == g), Fraction(0))
+            for g in range(degree + 1)]
+    return e1, e2, sums
+
+
+class TestSolutionSet:
+    @pytest.mark.parametrize("n", [2, 4, 6, 8])
+    @pytest.mark.parametrize("degree", [1, 2, 3])
+    def test_dimension_is_the_characteristics_count(self, n, degree):
+        expected = 0 if n == 2 else math.comb(n - 2 + degree, degree) - (degree + 1)
+        assert solution_set(n, degree).dimension == expected
+
+    @pytest.mark.parametrize("n,degree", [(2, 3), (4, 3), (6, 2), (8, 2)])
+    def test_basis_and_particular_satisfy_the_system_exactly(self, n, degree):
+        exact = solution_set(n, degree)
+        e1, e2, sums = exact_residuals(exact.particular, n, degree)
+        assert e1 == {} and e2 == {}
+        assert sums == [0, 1] + [0] * (degree - 1)
+        for vector in exact.basis:
+            assert all(isinstance(c, Fraction) for c in vector)
+            e1, e2, sums = exact_residuals(vector, n, degree)
+            assert e1 == {} and e2 == {}
+            assert sums == [0] * (degree + 1)
+
+    def test_membership_agrees_with_the_system_check(self):
+        dom = SampleDomain(n=4, radius=2.0, seed=3, count=64)
+        exact = solution_set(4, 2)
+        for text, member in (
+            ("(x1 - x3)^2 + (x1+x2+x3+x4)/4", True),
+            ("(x1 - x3)*(x1+x2+x3+x4) + (x1+x2+x3+x4)/4", True),
+            ("(x1 - x2)^2 + (x1+x2+x3+x4)/4", False),
+        ):
+            u = parse(text)
+            form = expand(u, 4)
+            theta = [form.get(alpha, 0.0) for alpha in monomial_exponents(4, 2)]
+            distance = exact.distance(theta)
+            assert (distance <= SET_DISTANCE_TOL) is member, (text, distance)
+            assert check_system(u, 4, dom).all_hold is member, text
+        assert exact.distance(mean_theta(4, 2)) == 0.0
+
+    def test_bad_arguments_are_rejected(self):
+        with pytest.raises(ValueError):
+            solution_set(4, 0)
+        with pytest.raises(ValueError):
+            solution_set(0, 1)
+
+
 class TestLinearCaseExact:
     def test_two_dimensions_pin_the_mean(self):
-        exact = linear_case_exact(2)
+        exact = solution_set(2, 1)
         assert exact.dimension == 0
-        assert exact.particular == (0.5, 0.5)
-        assert exact.contains((0.5, 0.5))
-        assert not exact.contains((0.6, 0.4))
+        assert exact.particular == (0, Fraction(1, 2), Fraction(1, 2))
+        assert exact.distance((0.0, 0.5, 0.5)) <= SET_DISTANCE_TOL
+        assert exact.distance((0.0, 0.6, 0.4)) > SET_DISTANCE_TOL
 
     def test_four_dimensions_have_a_line_of_solutions(self):
-        exact = linear_case_exact(4)
+        exact = solution_set(4, 1)
         assert exact.dimension == 1
-        direction = np.array(exact.basis[0])
-        expected = np.array([1.0, 0.0, -1.0, 0.0]) / np.sqrt(2.0)
+        direction = np.array(exact.basis[0], dtype=float)
+        direction /= np.linalg.norm(direction)
+        expected = np.array([0.0, 1.0, 0.0, -1.0, 0.0]) / np.sqrt(2.0)
         flipped = min(np.abs(direction - expected).max(), np.abs(direction + expected).max())
         assert flipped <= 1e-12
-        assert exact.contains((0.5, 0.25, 0.0, 0.25))
-        assert not exact.contains((0.25, 0.5, 0.25, 0.0))
+        assert exact.distance((0.0, 0.5, 0.25, 0.0, 0.25)) <= SET_DISTANCE_TOL
+        assert exact.distance((0.0, 0.25, 0.5, 0.25, 0.0)) > SET_DISTANCE_TOL
 
     def test_members_satisfy_all_three_constraints(self):
-        exact = linear_case_exact(6)
-        form = exact.member(tuple(0.3 for _ in range(exact.dimension)))
-        c = form.coeffs
-        assert sum(c) == pytest.approx(1.0, abs=1e-12)
-        assert sum(c) == pytest.approx(6 * c[-1], abs=1e-12)
-        assert sum(c[0::2]) == pytest.approx(sum(c[1::2]), abs=1e-12)
+        exact = solution_set(6, 1)
+        c = [p + sum(Fraction(3, 10) * b[j] for b in exact.basis) for j, p in enumerate(exact.particular)][1:]
+        assert sum(c) == 1
+        assert sum(c) == 6 * c[-1]
+        assert sum(c[0::2]) == sum(c[1::2])
 
     def test_odd_dimension_is_rejected(self):
         with pytest.raises(ValueError):
-            linear_case_exact(3)
+            solution_set(3, 1)

@@ -21,7 +21,7 @@ def test_verify_transport_families_passes():
 
 
 def test_uniqueness_probe_runs_a_small_grid():
-    """The probe, the other caller of explore, finishes and prints the exact linear set."""
+    """The probe, the other caller of explore, finishes and prints the exact dimension per row."""
     proc = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / "run_uniqueness_probe.py"),
          "--starts", "2", "--dims", "2,4", "--degrees", "1,2"],
@@ -30,4 +30,9 @@ def test_uniqueness_probe_runs_a_small_grid():
         env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert "exact linear solutions at n=4: dimension 1" in proc.stdout
+    rows = {tuple(map(int, line.split()[:2])): line.split() for line in proc.stdout.splitlines()
+            if line.split()[:2] and all(t.isdigit() for t in line.split()[:2])}
+    assert sorted(rows) == [(2, 1), (2, 2), (4, 1), (4, 2)]
+    assert rows[(4, 2)][2] == "3"
+    assert rows[(4, 1)][2] == "1"
+    assert rows[(2, 2)][2] == "0"
