@@ -23,14 +23,12 @@ from .core import (
 from .expr import (
     Add,
     Const,
-    Div,
     EvaluationError,
     Expr,
     Mul,
     Neg,
     ParseError,
     Pow,
-    Sub,
     Var,
     differentiate,
     dimension,
@@ -85,8 +83,8 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     # expressions
-    "Add", "Const", "Div", "EvaluationError", "Expr", "Mul", "Neg",
-    "ParseError", "Pow", "Sub", "Var", "differentiate", "dimension",
+    "Add", "Const", "EvaluationError", "Expr", "Mul", "Neg",
+    "ParseError", "Pow", "Var", "differentiate", "dimension",
     "evaluate", "evaluate_many", "parse", "to_string",
     # self-application checks
     "EXACT_TOL", "SAMPLED_TOL", "LinearForm", "OuroborosReport",

@@ -14,10 +14,12 @@ Every subcommand prints one JSON envelope to stdout:
      "result": ...}
 
 Keys are sorted and the layout is fixed, so two runs with the same inputs
-produce byte-identical output except for the manifest timestamp. Exit code
+produce byte-identical output except for the manifest timestamp. A float
+that is not finite (an overflow, or no value) is written as null. Exit code
 0 means the checked property holds (or, for explore, that the search
 completed); 1 means it fails; 2 means the invocation or its inputs were
-unusable; 3 means the program itself failed, reported as one
+unusable, an expression nested more than ``expr.MAX_DEPTH`` levels deep
+included; 3 means the program itself failed, reported as one
 ``internal error: <Type>: <message>`` line. Diagnostics go to stderr, never
 into the envelope.
 
@@ -31,6 +33,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from datetime import datetime, timezone
 from decimal import Decimal, InvalidOperation
@@ -158,7 +161,16 @@ def _envelope(command: str, config: dict, seed: int | None, result: dict) -> dic
 
 
 def _emit(envelope: dict) -> None:
-    print(json.dumps(envelope, sort_keys=True, indent=2))
+    """Print the envelope as JSON (RFC 8259), with null for each non-finite float."""
+    print(json.dumps(_finite_or_null(envelope), sort_keys=True, indent=2, allow_nan=False))
+
+
+def _finite_or_null(value):
+    if isinstance(value, dict):
+        return {key: _finite_or_null(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_null(item) for item in value]
+    return None if isinstance(value, float) and not math.isfinite(value) else value
 
 
 def _require(options: dict, key: str, command: str):

@@ -159,9 +159,15 @@ def check_sampled(f: Expr, dom: SampleDomain, tol: float = SAMPLED_TOL) -> Ourob
     is recorded as ``range_contained`` for information only; it does not
     enter the verdict.
     """
+    return _check_sampled_at(f, dom, dom.samples(), tol)
+
+
+def _check_sampled_at(
+    f: Expr, dom: SampleDomain, points: np.ndarray, tol: float = SAMPLED_TOL
+) -> OuroborosReport:
+    """check_sampled on ``points``, the cloud that ``dom`` draws."""
     if dimension(f) > dom.n:
         raise ValueError(f"expression uses x{dimension(f)} but the domain has n={dom.n}")
-    points = dom.samples()
     try:
         y = evaluate_many(f, points)
         diagonal = np.broadcast_to(y[:, None], (dom.count, dom.n))  # a view, no copy

@@ -1,9 +1,13 @@
 """Expression trees for multivariate real functions.
 
 Variables are positional: ``x1`` is index 1, ``x2`` is index 2, and so on.
-Exponents are nonnegative integers, so any tree without ``/`` nodes is a
-polynomial. Trees are immutable and hashable, and every operation in this
-module is pure.
+Exponents are nonnegative integers, so any tree that divides by no variable
+is a polynomial. Trees are immutable and hashable, and every operation in
+this module is pure. A sum is one n-ary ``Add`` of (sign, term) pairs and a
+product one n-ary ``Mul`` of (sign, factor) pairs, -1 marking subtraction
+and division; both evaluate left to right. Their first sign is +1 and their
+first entry is never of their own kind (the constructor splices one in), so
+each printed form has exactly one tree.
 
 Grammar accepted by :func:`parse` (whitespace is ignored everywhere):
 
@@ -19,6 +23,10 @@ Grammar accepted by :func:`parse` (whitespace is ignored everywhere):
 structurally equal tree; the only normalisation involved is that a minus
 sign directly in front of a bare number literal is folded into the constant
 (``-5`` is the constant -5, while ``-(5)`` is a negation node).
+
+Each ``(`` and each unary minus opens a level of nesting; :func:`parse`
+refuses more than ``MAX_DEPTH`` levels, which bounds the recursion of every
+walker below on what it parses.
 
 Simplification is deliberately conservative: the smart constructors below
 fold constant subtrees and eliminate additive zeros and multiplicative
@@ -37,14 +45,13 @@ import numpy as np
 __all__ = [
     "Add",
     "Const",
-    "Div",
     "EvaluationError",
     "Expr",
+    "MAX_DEPTH",
     "Mul",
     "Neg",
     "ParseError",
     "Pow",
-    "Sub",
     "Var",
     "add",
     "differentiate",
@@ -59,6 +66,9 @@ __all__ = [
     "sub",
     "to_string",
 ]
+
+# levels of parentheses and unary minus the parser accepts
+MAX_DEPTH = 100
 
 
 class ParseError(ValueError):
@@ -98,28 +108,35 @@ class Var:
             raise ValueError(f"variable index must be a positive integer, got {self.index!r}")
 
 
+def _set_entries(node, field: str) -> None:
+    """Store ``node.<field>`` as a tuple, splicing in a leading entry of the node's own kind."""
+    entries = tuple(getattr(node, field))
+    if len(entries) < 2 or entries[0][0] != 1 or any(s not in (1, -1) for s, _ in entries):
+        raise ValueError(
+            f"{type(node).__name__} needs two or more (sign, node) pairs, signs +1 or -1, the first +1")
+    if type(entries[0][1]) is type(node):
+        entries = getattr(entries[0][1], field) + entries[1:]
+    object.__setattr__(node, field, entries)
+
+
 @dataclass(frozen=True)
 class Add:
-    left: "Expr"
-    right: "Expr"
+    """Sum of (sign, term) pairs, sign +1 or -1, taken left to right."""
 
+    terms: tuple[tuple[int, "Expr"], ...]
 
-@dataclass(frozen=True)
-class Sub:
-    left: "Expr"
-    right: "Expr"
+    def __post_init__(self) -> None:
+        _set_entries(self, "terms")
 
 
 @dataclass(frozen=True)
 class Mul:
-    left: "Expr"
-    right: "Expr"
+    """Product of (sign, factor) pairs, +1 multiplying and -1 dividing, left to right."""
 
+    factors: tuple[tuple[int, "Expr"], ...]
 
-@dataclass(frozen=True)
-class Div:
-    left: "Expr"
-    right: "Expr"
+    def __post_init__(self) -> None:
+        _set_entries(self, "factors")
 
 
 @dataclass(frozen=True)
@@ -137,26 +154,19 @@ class Pow:
             raise ValueError(f"exponent must be a nonnegative integer, got {self.exponent!r}")
 
 
-Expr = Union[Const, Var, Add, Sub, Mul, Div, Neg, Pow]
+Expr = Union[Const, Var, Add, Mul, Neg, Pow]
 
 
 # ---------------------------------------------------------------------------
 # parsing
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # "number", "var", "end", or the operator character itself
-    text: str
-    pos: int
-    value: object = None
-
-
 _NUMBER_RE = re.compile(r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?")
 _VAR_RE = re.compile(r"x(\d+)")
 
 
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
+def _tokenize(text: str) -> list[tuple]:
+    """(kind, pos, text, value) tuples; kind is "number", "var", "end" or the operator itself."""
+    tokens = []
     pos = 0
     end = len(text)
     while pos < end:
@@ -171,7 +181,7 @@ def _tokenize(text: str) -> list[_Token]:
             index = int(m.group(1))
             if index == 0:
                 raise ParseError("variable index must be at least 1", pos)
-            tokens.append(_Token("var", m.group(0), pos, index))
+            tokens.append(("var", pos, m.group(0), index))
             pos = m.end()
             continue
         if ch.isdigit() or ch == ".":
@@ -181,61 +191,63 @@ def _tokenize(text: str) -> list[_Token]:
             value = float(m.group(0))
             if math.isinf(value):
                 raise ParseError("number literal out of range", pos)
-            tokens.append(_Token("number", m.group(0), pos, value))
+            tokens.append(("number", pos, m.group(0), value))
             pos = m.end()
             continue
         if ch in "+-*/^()":
-            tokens.append(_Token(ch, ch, pos))
+            tokens.append((ch, pos, ch, None))
             pos += 1
             continue
         raise ParseError(f"unexpected character {ch!r}", pos)
-    tokens.append(_Token("end", "", end))
+    tokens.append(("end", end, "", None))
     return tokens
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token]):
+    def __init__(self, tokens: list[tuple]):
         self.tokens = tokens
         self.i = 0
+        self.depth = 0  # enclosing parentheses and unary minus signs
 
-    def peek(self) -> _Token:
+    def peek(self) -> tuple:
         return self.tokens[self.i]
 
-    def advance(self) -> _Token:
+    def advance(self) -> tuple:
         tok = self.tokens[self.i]
         self.i += 1
         return tok
 
     def parse_expr(self) -> Expr:
-        node = self.parse_term()
-        while self.peek().kind in ("+", "-"):
-            op = self.advance()
-            right = self.parse_term()
-            node = Add(node, right) if op.kind == "+" else Sub(node, right)
-        return node
+        terms = [(1, self.parse_term())]
+        while self.peek()[0] in ("+", "-"):
+            sign = 1 if self.advance()[0] == "+" else -1
+            terms.append((sign, self.parse_term()))
+        return Add(terms) if len(terms) > 1 else terms[0][1]
 
     def parse_term(self) -> Expr:
-        node = self.parse_factor()
-        while self.peek().kind in ("*", "/"):
-            op = self.advance()
-            right = self.parse_factor()
-            node = Mul(node, right) if op.kind == "*" else Div(node, right)
-        return node
+        factors = [(1, self.parse_factor())]
+        while self.peek()[0] in ("*", "/"):
+            sign = 1 if self.advance()[0] == "*" else -1
+            factors.append((sign, self.parse_factor()))
+        return Mul(factors) if len(factors) > 1 else factors[0][1]
 
     def parse_factor(self) -> Expr:
         minus_count = 0
-        while self.peek().kind == "-":
+        while self.peek()[0] == "-":
+            if self.depth + minus_count == MAX_DEPTH:
+                raise ParseError("expression nested too deeply", self.peek()[1])
             self.advance()
             minus_count += 1
+        self.depth += minus_count
         node, bare_number = self.parse_atom()
+        self.depth -= minus_count
         has_exponent = False
-        if self.peek().kind == "^":
+        if self.peek()[0] == "^":
             self.advance()
-            exp_tok = self.peek()
-            if exp_tok.kind != "number" or not exp_tok.text.isdigit():
-                raise ParseError("exponent must be a nonnegative integer", exp_tok.pos)
-            self.advance()
-            node = Pow(node, int(exp_tok.text))
+            kind, pos, text, _ = self.advance()
+            if kind != "number" or not text.isdigit():
+                raise ParseError("exponent must be a nonnegative integer", pos)
+            node = Pow(node, int(text))
             has_exponent = True
         # A minus directly before a bare literal denotes a negative constant;
         # with an exponent present the minus stays outside ("-5^2" is -(5^2)).
@@ -247,29 +259,33 @@ class _Parser:
         return node
 
     def parse_atom(self) -> tuple[Expr, bool]:
-        tok = self.advance()
-        if tok.kind == "number":
-            return Const(tok.value), True
-        if tok.kind == "var":
-            return Var(tok.value), False
-        if tok.kind == "(":
+        kind, pos, _, value = self.advance()
+        if kind == "number":
+            return Const(value), True
+        if kind == "var":
+            return Var(value), False
+        if kind == "(":
+            if self.depth == MAX_DEPTH:
+                raise ParseError("expression nested too deeply", pos)
+            self.depth += 1
             node = self.parse_expr()
-            closing = self.advance()
-            if closing.kind != ")":
-                raise ParseError("expected ')'", closing.pos)
+            self.depth -= 1
+            closing_kind, closing_pos, _, _ = self.advance()
+            if closing_kind != ")":
+                raise ParseError("expected ')'", closing_pos)
             return node, False
-        if tok.kind == "end":
-            raise ParseError("unexpected end of input", tok.pos)
-        raise ParseError("expected a number, a variable, or '('", tok.pos)
+        if kind == "end":
+            raise ParseError("unexpected end of input", pos)
+        raise ParseError("expected a number, a variable, or '('", pos)
 
 
 def parse(text: str) -> Expr:
     """Parse an expression string into a tree, raising :class:`ParseError`."""
     parser = _Parser(_tokenize(text))
     node = parser.parse_expr()
-    trailing = parser.peek()
-    if trailing.kind != "end":
-        raise ParseError("unexpected input after expression", trailing.pos)
+    kind, pos, _, _ = parser.peek()
+    if kind != "end":
+        raise ParseError("unexpected input after expression", pos)
     return node
 
 
@@ -280,9 +296,9 @@ _LEVEL_EXPR, _LEVEL_TERM, _LEVEL_FACTOR, _LEVEL_ATOM = 0, 1, 2, 3
 
 
 def _level(e: Expr) -> int:
-    if isinstance(e, (Add, Sub)):
+    if isinstance(e, Add):
         return _LEVEL_EXPR
-    if isinstance(e, (Mul, Div)):
+    if isinstance(e, Mul):
         return _LEVEL_TERM
     if isinstance(e, (Neg, Pow)):
         return _LEVEL_FACTOR
@@ -297,49 +313,47 @@ def _format_const(value: float) -> str:
     return repr(value)
 
 
-def _render(e: Expr, min_level: int) -> str:
-    text = _render_natural(e)
-    if _level(e) < min_level:
-        return f"({text})"
-    return text
-
-
-def _render_natural(e: Expr) -> str:
+def _render(e: Expr, min_level: int = _LEVEL_EXPR) -> str:
+    """``e`` as text, parenthesised when it binds looser than ``min_level``."""
     if isinstance(e, Const):
-        return _format_const(e.value)
-    if isinstance(e, Var):
-        return f"x{e.index}"
-    if isinstance(e, Add):
-        return f"{_render(e.left, _LEVEL_EXPR)} + {_render(e.right, _LEVEL_TERM)}"
-    if isinstance(e, Sub):
-        return f"{_render(e.left, _LEVEL_EXPR)} - {_render(e.right, _LEVEL_TERM)}"
-    if isinstance(e, Mul):
-        return f"{_render(e.left, _LEVEL_TERM)}*{_render(e.right, _LEVEL_FACTOR)}"
-    if isinstance(e, Div):
-        return f"{_render(e.left, _LEVEL_TERM)}/{_render(e.right, _LEVEL_FACTOR)}"
-    if isinstance(e, Neg):
+        text = _format_const(e.value)
+    elif isinstance(e, Var):
+        text = f"x{e.index}"
+    elif isinstance(e, Add):
+        parts = [_render(e.terms[0][1])]
+        for sign, term in e.terms[1:]:
+            parts.append(" + " if sign > 0 else " - ")
+            parts.append(_render(term, _LEVEL_TERM))
+        text = "".join(parts)
+    elif isinstance(e, Mul):
+        parts = [_render(e.factors[0][1], _LEVEL_TERM)]
+        for sign, factor in e.factors[1:]:
+            parts.append("*" if sign > 0 else "/")
+            parts.append(_render(factor, _LEVEL_FACTOR))
+        text = "".join(parts)
+    elif isinstance(e, Neg):
         if isinstance(e.operand, Const):
             # "-5" would re-parse as a negative literal, not a negation node
-            inner = f"({_render_natural(e.operand)})"
+            text = f"-({_format_const(e.operand.value)})"
         else:
-            inner = _render(e.operand, _LEVEL_FACTOR)
-        return f"-{inner}"
-    if isinstance(e, Pow):
+            text = f"-{_render(e.operand, _LEVEL_FACTOR)}"
+    elif isinstance(e, Pow):
         base = e.base
         if isinstance(base, Var) or (isinstance(base, Const) and base.value >= 0):
-            base_text = _render_natural(base)
+            text = f"{_render(base)}^{e.exponent}"
         else:
-            base_text = f"({_render_natural(base)})"
-        return f"{base_text}^{e.exponent}"
-    raise TypeError(f"not an expression node: {e!r}")
+            text = f"({_render(base)})^{e.exponent}"
+    else:
+        raise TypeError(f"not an expression node: {e!r}")
+    return f"({text})" if _level(e) < min_level else text
 
 
 def to_string(e: Expr) -> str:
     """Render a tree; the result re-parses to a structurally equal tree."""
-    return _render_natural(e)
+    return _render(e)
 
 
-for _cls in (Const, Var, Add, Sub, Mul, Div, Neg, Pow):
+for _cls in (Const, Var, Add, Mul, Neg, Pow):
     _cls.__str__ = to_string  # type: ignore[assignment]
 
 
@@ -359,8 +373,11 @@ def _max_index(e: Expr) -> int:
         return 0
     if isinstance(e, Var):
         return e.index
-    if isinstance(e, (Add, Sub, Mul, Div)):
-        return max(_max_index(e.left), _max_index(e.right))
+    if isinstance(e, (Add, Mul)):
+        d = 0
+        for _, child in e.terms if isinstance(e, Add) else e.factors:
+            d = max(d, _max_index(child))
+        return d
     if isinstance(e, Neg):
         return _max_index(e.operand)
     if isinstance(e, Pow):
@@ -377,16 +394,19 @@ def evaluate(e: Expr, point: Sequence[float]) -> float:
             raise ValueError(f"point of length {len(point)} is too short for x{e.index}")
         return float(point[e.index - 1])
     if isinstance(e, Add):
-        return evaluate(e.left, point) + evaluate(e.right, point)
-    if isinstance(e, Sub):
-        return evaluate(e.left, point) - evaluate(e.right, point)
+        total = evaluate(e.terms[0][1], point)
+        for sign, term in e.terms[1:]:
+            value = evaluate(term, point)
+            total = total + value if sign > 0 else total - value
+        return total
     if isinstance(e, Mul):
-        return evaluate(e.left, point) * evaluate(e.right, point)
-    if isinstance(e, Div):
-        denominator = evaluate(e.right, point)
-        if denominator == 0.0:
-            raise EvaluationError("division by zero")
-        return evaluate(e.left, point) / denominator
+        product = evaluate(e.factors[0][1], point)
+        for sign, factor in e.factors[1:]:
+            value = evaluate(factor, point)
+            if sign < 0 and value == 0.0:
+                raise EvaluationError("division by zero")
+            product = product * value if sign > 0 else product / value
+        return product
     if isinstance(e, Neg):
         return -evaluate(e.operand, point)
     if isinstance(e, Pow):
@@ -435,22 +455,29 @@ def _eval_array(e: Expr, pts: np.ndarray) -> np.ndarray:
             raise ValueError(f"points of width {pts.shape[1]} are too short for x{e.index}")
         return pts[:, e.index - 1]
     if isinstance(e, Add):
-        return _eval_array(e.left, pts) + _eval_array(e.right, pts)
-    if isinstance(e, Sub):
-        return _eval_array(e.left, pts) - _eval_array(e.right, pts)
+        total = _eval_array(e.terms[0][1], pts)
+        for sign, term in e.terms[1:]:
+            value = _eval_array(term, pts)
+            total = (np.add if sign > 0 else np.subtract)(total, value, out=_spare(total, value))
+        return total
     if isinstance(e, Mul):
-        return _eval_array(e.left, pts) * _eval_array(e.right, pts)
-    if isinstance(e, Div):
-        denominator = _eval_array(e.right, pts)
-        zero = denominator == 0.0
-        if zero.any():
-            raise EvaluationError("division by zero", sample_index=int(np.flatnonzero(zero)[0]))
-        return _eval_array(e.left, pts) / denominator
+        product = _eval_array(e.factors[0][1], pts)
+        for sign, factor in e.factors[1:]:
+            value = _eval_array(factor, pts)
+            if sign < 0 and (value == 0.0).any():
+                raise EvaluationError("division by zero", sample_index=int(np.flatnonzero(value == 0.0)[0]))
+            product = (np.multiply if sign > 0 else np.divide)(product, value, out=_spare(product, value))
+        return product
     if isinstance(e, Neg):
         return -_eval_array(e.operand, pts)
     if isinstance(e, Pow):
         return _pow_repeated(_eval_array(e.base, pts), e.exponent)
     raise TypeError(f"not an expression node: {e!r}")
+
+
+def _spare(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
+    """An operand the result may overwrite: one that is no view of the points."""
+    return a if a.base is None else b if b.base is None else None
 
 
 # ---------------------------------------------------------------------------
@@ -463,7 +490,7 @@ def add(left: Expr, right: Expr) -> Expr:
         return right
     if isinstance(right, Const) and right.value == 0.0:
         return left
-    return Add(left, right)
+    return Add(((1, left), (1, right)))
 
 
 def sub(left: Expr, right: Expr) -> Expr:
@@ -473,7 +500,7 @@ def sub(left: Expr, right: Expr) -> Expr:
         return left
     if isinstance(left, Const) and left.value == 0.0:
         return neg(right)
-    return Sub(left, right)
+    return Add(((1, left), (-1, right)))
 
 
 def mul(left: Expr, right: Expr) -> Expr:
@@ -489,7 +516,7 @@ def mul(left: Expr, right: Expr) -> Expr:
             return Const(0.0)
         if right.value == 1.0:
             return left
-    return Mul(left, right)
+    return Mul(((1, left), (1, right)))
 
 
 def div(left: Expr, right: Expr) -> Expr:
@@ -497,7 +524,7 @@ def div(left: Expr, right: Expr) -> Expr:
         return left
     if isinstance(left, Const) and isinstance(right, Const) and right.value != 0.0:
         return Const(left.value / right.value)
-    return Div(left, right)
+    return Mul(((1, left), (-1, right)))
 
 
 def neg(operand: Expr) -> Expr:
@@ -523,7 +550,8 @@ def differentiate(e: Expr, k: int) -> Expr:
 
     The result is built through the smart constructors, so the derivative
     of a constant is the constant zero and variables absent from ``e``
-    yield zero.
+    yield zero. A product differentiates to one summand per factor that
+    depends on ``xk``, so the result is no deeper for a longer product.
     """
     if not isinstance(k, int) or k < 1:
         raise ValueError(f"variable index must be a positive integer, got {k!r}")
@@ -532,20 +560,26 @@ def differentiate(e: Expr, k: int) -> Expr:
     if isinstance(e, Var):
         return Const(1.0 if e.index == k else 0.0)
     if isinstance(e, Add):
-        return add(differentiate(e.left, k), differentiate(e.right, k))
-    if isinstance(e, Sub):
-        return sub(differentiate(e.left, k), differentiate(e.right, k))
+        total = differentiate(e.terms[0][1], k)
+        for sign, term in e.terms[1:]:
+            d = differentiate(term, k)
+            total = add(total, d) if sign > 0 else sub(total, d)
+        return total
     if isinstance(e, Mul):
-        return add(
-            mul(differentiate(e.left, k), e.right),
-            mul(e.left, differentiate(e.right, k)),
-        )
-    if isinstance(e, Div):
-        numerator = sub(
-            mul(differentiate(e.left, k), e.right),
-            mul(e.left, differentiate(e.right, k)),
-        )
-        return div(numerator, power(e.right, 2))
+        total = Const(0.0)
+        for i, (sign, factor) in enumerate(e.factors):
+            d = differentiate(factor, k)
+            if isinstance(d, Const) and d.value == 0.0:
+                continue
+            summand: Expr = Const(1.0)  # the product with d in place of factor i
+            for j, (other_sign, other) in enumerate(e.factors):
+                if j == i or other_sign > 0:
+                    summand = mul(summand, d if j == i else other)
+                else:
+                    summand = div(summand, other)
+            # (1/f)' = -f'/f^2
+            total = add(total, summand) if sign > 0 else sub(total, div(summand, power(factor, 2)))
+        return total
     if isinstance(e, Neg):
         return neg(differentiate(e.operand, k))
     if isinstance(e, Pow):

@@ -32,7 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import LinearForm, OuroborosReport, SampleDomain, check_linear_exact, check_sampled
+from .core import LinearForm, OuroborosReport, SampleDomain, _check_sampled_at, check_linear_exact
 from .expr import Const, EvaluationError, Expr, differentiate, dimension, evaluate, evaluate_many, mul, sub
 from .expr import add as expr_add
 from .families import arithmetic_mean
@@ -150,7 +150,9 @@ def check_residual(
     if dom.n != spec.n:
         raise ValueError("sample domain and equation dimension disagree")
     _require_dimension(u, spec.n)
-    return _residual_report(u, expand(u, spec.n), spec, dom, fd_step)
+    points = dom.samples()
+    partials = _fd_partials(u, points, sorted({k for k, _ in spec.terms()}), fd_step)
+    return _residual_report(u, expand(u, spec.n), spec, points, partials)
 
 
 def _require_dimension(u: Expr, n: int) -> None:
@@ -162,26 +164,25 @@ def _residual_report(
     u: Expr,
     form: Poly | None,
     spec: PdeSpec,
-    dom: SampleDomain,
-    fd_step: float = DEFAULT_FD_STEP,
+    points: np.ndarray,
+    partials: dict[int, np.ndarray],
 ) -> ResidualReport:
-    """check_residual once u is expanded to ``form`` (None: u has no normal form)."""
+    """check_residual at ``points`` once u is expanded to ``form`` (None: no normal form) and differenced."""
     symbolic_zero, residual_constant, note, residual = _decide_residual(form, spec)
-    points = dom.samples()
     if residual is None:
         values = evaluate_many(residual_expr(u, spec), points)
     else:
         values = _poly_values(residual, points)
     max_abs = float(np.abs(values).max())
-    partials = _fd_partials(u, points, sorted({k for k, _ in spec.terms()}), fd_step)
-    fd = sum(weight * partials[k] for k, weight in spec.terms())
+    with np.errstate(over="ignore", invalid="ignore"):
+        fd = sum(weight * partials[k] for k, weight in spec.terms())
     max_abs_fd = float(np.abs(fd).max())
     return ResidualReport(
         symbolic_zero=symbolic_zero,
         residual_constant=residual_constant,
         max_abs_residual=max_abs,
         max_abs_residual_fd=max_abs_fd,
-        samples_used=dom.count,
+        samples_used=len(points),
         note=note,
     )
 
@@ -189,10 +190,11 @@ def _residual_report(
 def _poly_values(p: Poly, points: np.ndarray) -> np.ndarray:
     """p at every point, from monomial tables of at most BLOCK_ROWS rows."""
     exponents, coeffs = list(p), np.array(list(p.values()))
-    return np.concatenate([
-        monomial_values(points[start:start + BLOCK_ROWS], exponents) @ coeffs
-        for start in range(0, len(points), BLOCK_ROWS)
-    ])
+    with np.errstate(over="ignore", invalid="ignore"):  # as evaluate_many: inf and nan, no warning
+        return np.concatenate([
+            monomial_values(points[start:start + BLOCK_ROWS], exponents) @ coeffs
+            for start in range(0, len(points), BLOCK_ROWS)
+        ])
 
 
 def _fd_partials(u: Expr, points: np.ndarray, ks: list[int], h: float) -> dict[int, np.ndarray]:
@@ -217,7 +219,8 @@ def _fd_partials(u: Expr, points: np.ndarray, ks: list[int], h: float) -> dict[i
         except EvaluationError as exc:
             raise EvaluationError(exc.message, start + exc.sample_index % len(block)) from None
         up, down = values.reshape(len(ks), 2, len(block)).transpose(1, 0, 2)
-        partials[:, start:start + len(block)] = (up - down) / (2.0 * h)
+        with np.errstate(over="ignore", invalid="ignore"):
+            partials[:, start:start + len(block)] = (up - down) / (2.0 * h)
     return dict(zip(ks, partials))
 
 
@@ -333,15 +336,18 @@ def check_system(u: Expr | LinearForm, n: int, dom: SampleDomain) -> SystemRepor
         raise ValueError(f"the system needs an even dimension of at least 2, got n={n}")
     if dom.n != n:
         raise ValueError("sample domain and system dimension disagree")
+    points = dom.samples()
     if isinstance(u, LinearForm):
         expr = u.to_expr()
         ouro = check_linear_exact(u)
     else:
         expr = u
-        ouro = check_sampled(u, dom)
+        ouro = _check_sampled_at(u, dom, points)
     _require_dimension(expr, n)
-    form = expand(expr, n)  # one expansion serves both equations
-    eq1, eq2 = (_residual_report(expr, form, spec, dom) for spec in system_specs(n))
+    # one expansion and one set of differences serve both equations: each uses k = 1..n
+    form = expand(expr, n)
+    partials = _fd_partials(expr, points, list(range(1, n + 1)), DEFAULT_FD_STEP)
+    eq1, eq2 = (_residual_report(expr, form, spec, points, partials) for spec in system_specs(n))
     try:
         origin = evaluate(expr, (0.0,) * n)
     except EvaluationError as exc:

@@ -11,7 +11,7 @@ import operator
 
 import numpy as np
 
-from .expr import Add, Const, Div, Expr, Mul, Neg, Pow, Sub, Var, _pow_repeated
+from .expr import Add, Const, Expr, Mul, Neg, Pow, Var, _pow_repeated
 
 Poly = dict[tuple[int, ...], float]
 
@@ -102,21 +102,19 @@ def expand(e: Expr, n: int) -> Poly | None:
             if e.index > n:
                 raise ValueError(f"x{e.index} does not exist in dimension n={n}")
             return {units[e.index - 1]: 1.0}
-        if isinstance(e, (Add, Sub)):
-            # one pass over a whole left-leaning chain, as the parser builds sums
-            summands = []
-            while isinstance(e, (Add, Sub)):
-                summands.append((1 if isinstance(e, Add) else -1, walk(e.right)))
-                e = e.left
-            summands.append((1, walk(e)))
-            return combine(reversed(summands))
+        if isinstance(e, Add):
+            return combine([(sign, walk(term)) for sign, term in e.terms])
         if isinstance(e, Mul):
-            return times(walk(e.left), walk(e.right))
-        if isinstance(e, Div):
-            numerator, divisor = walk(e.left), walk(e.right)
-            if divisor.keys() != one.keys():
-                raise _NoNormalForm
-            return combine([(1, {a: c / divisor[(0,) * n] for a, c in numerator.items()})])
+            result = walk(e.factors[0][1])
+            for sign, factor in e.factors[1:]:
+                p = walk(factor)
+                if sign > 0:
+                    result = times(result, p)
+                    continue
+                if p.keys() != one.keys():
+                    raise _NoNormalForm
+                result = combine([(1, {a: c / p[(0,) * n] for a, c in result.items()})])
+            return result
         if isinstance(e, Neg):
             return combine([(-1, walk(e.operand))])
         if isinstance(e, Pow):

@@ -29,12 +29,10 @@ from ouroboros.core import (
 from ouroboros.expr import (
     Add,
     Const,
-    Div,
     Mul,
     Neg,
     ParseError,
     Pow,
-    Sub,
     Var,
     add,
     differentiate,
@@ -241,7 +239,8 @@ def _random_tree(r: random.Random, depth: int):
         return Pow(_random_tree(r, depth - 1), r.randint(0, 4))
     left = _random_tree(r, depth - 1)
     right = _random_tree(r, depth - 1)
-    return {"add": Add, "sub": Sub, "mul": Mul, "div": Div}[kind](left, right)
+    node, sign = {"add": (Add, 1), "sub": (Add, -1), "mul": (Mul, 1), "div": (Mul, -1)}[kind]
+    return node(((1, left), (sign, right)))
 
 
 MALFORMED = [

@@ -10,8 +10,10 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+from ouroboros import cli
 from ouroboros.cli import main, parse_fractions
 from ouroboros.core import SampleDomain
+from ouroboros.expr import MAX_DEPTH
 from ouroboros.pde import DEFAULT_FD_STEP
 
 SCHEMA = json.loads(
@@ -157,19 +159,18 @@ class TestPdeCommand:
         assert main(["pde", "--coeffs", "1e400,1", "--equation", "II"]) == 2
         assert "too large for a float" in capsys.readouterr().err
 
-    def test_crash_exits_three_with_one_line(self):
-        """1500 coefficients nest too deep for the recursive tree walkers."""
-        coeffs = ",".join(["1/1500"] * 1500)
-        proc = subprocess.run(
-            [sys.executable, "-m", "ouroboros", "pde", "--coeffs", coeffs, "--equation", "II"],
-            capture_output=True,
-            text=True,
-            env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")},
-        )
-        assert proc.returncode == 3
-        assert proc.stdout == ""
-        assert proc.stderr.startswith("internal error: RecursionError: ")
-        assert proc.stderr.count("\n") == 1
+    def test_crash_exits_three_with_one_line(self, capsys, monkeypatch):
+        """An exception escaping a handler is a crash: exit 3, one line however long the message."""
+        def crash(args):
+            raise RecursionError("maximum recursion depth exceeded\n  while walking a tree")
+
+        monkeypatch.setattr(cli, "_run_pde", crash)
+        code = main(["pde", "--coeffs", "1/2,1/2", "--equation", "II"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err.startswith("internal error: RecursionError: ")
+        assert captured.err.count("\n") == 1
 
     @pytest.mark.parametrize("expr,equation,where", [
         ("1/(x1-x1)", "II", "(sample 0)"),
@@ -197,6 +198,83 @@ class TestPdeCommand:
 
     def test_system_rejects_beta(self, capsys):
         assert main(["pde", "--coeffs", "1/2,1/2", "--equation", "system", "--beta", "2"]) == 2
+
+
+def nested_to_the_limit() -> str:
+    """A non-polynomial u nested exactly MAX_DEPTH levels deep: each level adds a
+    parenthesis and a unary minus, and squares the level inside it."""
+    text = "x1"
+    for _ in range(MAX_DEPTH // 2):
+        text = f"(-{text}^2/8 + x2/2)"
+    return f"{text}/(1 + x1^2)"
+
+
+class TestDeepInputs:
+    """Long sums and products get an answer; nesting past the limit is bad input."""
+
+    @pytest.mark.parametrize("argv", [
+        ["check", "--expr", " + ".join(f"x{k % 2 + 1}/1200" for k in range(1200))],
+        ["check", "--expr", "x1" + "*2/2" * 600],
+        ["pde", "--expr", " + ".join(f"x{k % 2 + 1}/600" for k in range(600)), "--equation", "II"],
+        # 5 samples: each finite-difference block is 15000 rows by 1500 columns at any sample count
+        ["pde", "--coeffs", ",".join(["1/1500"] * 1500), "--equation", "II", "--samples", "5"],
+    ], ids=["check-1200-term-sum", "check-1201-factor-product", "pde-600-term-sum", "pde-1500-coeffs"])
+    def test_long_inputs_get_an_answer(self, capsys, argv):
+        code, doc = run_main(capsys, argv)
+        assert code == 0
+        assert_valid(doc)
+
+    @pytest.mark.parametrize("equation", [None, "II", "system"])
+    def test_nesting_at_the_limit_gets_an_answer(self, capsys, equation):
+        u = nested_to_the_limit()
+        argv = ["check", "--expr", u] if equation is None else ["pde", "--expr", u, "--equation", equation]
+        code, doc = run_main(capsys, argv)
+        assert code in (0, 1)
+        assert_valid(doc)
+        assert doc["result"]["expression"] == u
+
+    @pytest.mark.parametrize("text", [
+        "(" * 300 + "x1" + ")" * 300,
+        "(" + nested_to_the_limit() + ")",
+        "-" * (MAX_DEPTH + 1) + "x1",
+    ], ids=["300-parentheses", "one-past-the-limit", "minus-run"])
+    def test_nesting_past_the_limit_is_bad_input(self, capsys, text):
+        assert main(["check", f"--expr={text}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "expression nested too deeply" in captured.err
+        assert captured.err.count("\n") == 1
+
+
+class TestNonFiniteResults:
+    @pytest.mark.parametrize("argv", [
+        ["check", "--expr", "1/(x1-x1)", "--n", "1"],
+        ["pde", "--expr", "x1^400", "--equation", "II", "--n", "2", "--radius", "10"],
+        ["pde", "--expr", "x1 - x2 + 1e200*1e200", "--equation", "system", "--n", "2"],
+    ])
+    def test_are_written_as_null(self, argv):
+        """Output is JSON under RFC 8259 (no NaN or Infinity), and numpy warns of nothing."""
+        proc = subprocess.run(
+            [sys.executable, "-m", "ouroboros", *argv],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")},
+        )
+
+        def refuse(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        assert proc.returncode == 1
+        assert proc.stderr == ""
+        doc = json.loads(proc.stdout, parse_constant=refuse)
+        assert_valid(doc)
+        report = doc["result"]["report"]
+        if argv[0] == "check":
+            assert report["max_deviation"] is None
+        elif argv[-3] == "system":
+            assert report["origin_value"] is None and report["ouroboros"]["max_deviation"] is None
+        else:
+            assert report["max_abs_residual"] is None and report["max_abs_residual_fd"] is None
 
 
 class TestExpectCommand:

@@ -9,15 +9,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ouroboros.expr import (
+    MAX_DEPTH,
     Add,
     Const,
-    Div,
     EvaluationError,
     Mul,
     Neg,
     ParseError,
     Pow,
-    Sub,
     Var,
     add,
     differentiate,
@@ -29,6 +28,12 @@ from ouroboros.expr import (
     power,
     to_string,
 )
+from ouroboros.poly import expand
+
+
+def pair(node, sign):
+    """Map (left, right) to the two-entry sum or product left +- right or left */ right."""
+    return lambda lr: node(((1, lr[0]), (sign, lr[1])))
 
 
 def expr_strategy(max_vars: int = 3):
@@ -41,10 +46,10 @@ def expr_strategy(max_vars: int = 3):
 
     def extend(children):
         return st.one_of(
-            st.tuples(children, children).map(lambda lr: Add(*lr)),
-            st.tuples(children, children).map(lambda lr: Sub(*lr)),
-            st.tuples(children, children).map(lambda lr: Mul(*lr)),
-            st.tuples(children, children).map(lambda lr: Div(*lr)),
+            st.tuples(children, children).map(pair(Add, 1)),
+            st.tuples(children, children).map(pair(Add, -1)),
+            st.tuples(children, children).map(pair(Mul, 1)),
+            st.tuples(children, children).map(pair(Mul, -1)),
             children.map(Neg),
             st.tuples(children, st.integers(min_value=0, max_value=3)).map(
                 lambda be: Pow(be[0], be[1])
@@ -104,6 +109,67 @@ class TestParsing:
         # but not through an exponent: -5^2 means -(5^2)
         assert parse("-5^2") == Neg(Pow(Const(5.0), 2))
 
+    @pytest.mark.parametrize("opening", ["(", "-"])
+    def test_nesting_is_limited(self, opening):
+        """MAX_DEPTH levels of parentheses or unary minus parse; one more is refused at its offset."""
+        closing = ")" if opening == "(" else ""
+        assert dimension(parse(opening * MAX_DEPTH + "x1" + closing * MAX_DEPTH)) == 1
+        with pytest.raises(ParseError) as exc:
+            parse(opening * (MAX_DEPTH + 1) + "x1" + closing * (MAX_DEPTH + 1))
+        assert exc.value.message == "expression nested too deeply"
+        assert exc.value.position == MAX_DEPTH
+
+    def test_sums_and_products_parse_flat(self):
+        assert parse("x1 - x2 + 3") == Add(((1, Var(1)), (-1, Var(2)), (1, Const(3.0))))
+        assert parse("(x1*x2)/x3") == Mul(((1, Var(1)), (1, Var(2)), (-1, Var(3))))
+        # a later entry keeps its parentheses: they change the order of evaluation
+        assert parse("x1 - (x2 + 3)") == Add(((1, Var(1)), (-1, Add(((1, Var(2)), (1, Const(3.0)))))))
+
+
+class TestNodes:
+    def test_a_leading_entry_of_the_same_kind_is_spliced_in(self):
+        inner = Add(((1, Var(1)), (-1, Var(2))))
+        assert Add(((1, inner), (1, Var(3)))).terms == ((1, Var(1)), (-1, Var(2)), (1, Var(3)))
+        assert Mul(((1, Mul(((1, Var(1)), (-1, Var(2))))), (1, Var(3)))) == parse("x1/x2*x3")
+
+    @pytest.mark.parametrize("entries", [
+        ((1, Var(1)),),
+        ((-1, Var(1)), (1, Var(2))),
+        ((1, Var(1)), (2, Var(2))),
+    ])
+    def test_malformed_entries_are_rejected(self, entries):
+        with pytest.raises(ValueError):
+            Add(entries)
+        with pytest.raises(ValueError):
+            Mul(entries)
+
+
+class TestLongInputs:
+    """Sums and products do not nest, so their length is bounded by memory, not the stack."""
+
+    def test_every_walker_takes_a_long_sum(self):
+        count = 5000
+        text = " - ".join(f"{k}*x{k % 3 + 1}" for k in range(1, count + 1))
+        e = parse(text)
+        assert len(e.terms) == count
+        assert to_string(e) == text
+        assert dimension(e) == 3
+        point = (0.5, -1.0, 2.0)
+        assert evaluate_many(e, np.array([point])).tolist() == [evaluate(e, point)]
+        assert evaluate(differentiate(e, 1), point) == -sum(range(3, count + 1, 3))
+        assert expand(e, 3)[(1, 0, 0)] == -sum(range(3, count + 1, 3))
+
+    def test_every_walker_takes_a_long_product(self):
+        count = 300
+        e = parse("*".join(["x1"] * count))
+        assert len(e.factors) == count
+        assert to_string(e) == "*".join(["x1"] * count)
+        assert evaluate(e, (1.0,)) == 1.0
+        assert evaluate_many(e, np.ones((2, 1))).tolist() == [1.0, 1.0]
+        # the flat product rule: one summand per factor, none nested deeper than the product
+        assert evaluate(differentiate(e, 1), (1.0,)) == count
+        assert expand(e, 1) == {(count,): 1.0}
+
 
 class TestPrinting:
     def test_integral_constants_print_without_decimal_point(self):
@@ -114,7 +180,7 @@ class TestPrinting:
         assert to_string(Pow(Const(-2.0), 3)) == "(-2)^3"
 
     def test_subtraction_grouping_survives_printing(self):
-        e = Sub(Const(2.0), Sub(Const(3.0), Const(4.0)))
+        e = Add(((1, Const(2.0)), (-1, Add(((1, Const(3.0)), (-1, Const(4.0)))))))
         assert evaluate(parse(to_string(e)), ()) == evaluate(e, ())
 
     @given(expr_strategy())
@@ -214,7 +280,7 @@ class TestDifferentiation:
         assert got == pytest.approx(expected, rel=1e-12)
 
     @given(expr_strategy(max_vars=2), st.integers(min_value=1, max_value=2))
-    @example(e=Add(Var(2), Div(Const(1.0), Const(4.117376076054289e-25))), var=2)
+    @example(e=Add(((1, Var(2)), (1, Mul(((1, Const(1.0)), (-1, Const(4.117376076054289e-25))))))), var=2)
     @settings(max_examples=150)
     def test_matches_central_differences(self, e, var):
         x = (0.6, -0.8)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ouroboros import pde
 from ouroboros.core import LinearForm, SampleDomain, Verdict
 from ouroboros.expr import EvaluationError, evaluate, evaluate_many, parse, to_string
 from ouroboros.families import arithmetic_mean, head_average_solution
@@ -21,6 +22,7 @@ from ouroboros.pde import (
     check_system,
     finite_difference,
     residual_expr,
+    system_specs,
     verify_mean_system,
     _fd_partials,
     _poly_values,
@@ -380,6 +382,23 @@ class TestSystem:
             check_system(LinearForm((0.5, 0.25, 0.25)), 2, dom)
         with pytest.raises(ValueError, match="x3"):
             check_residual(parse("x1/x3"), PdeSpec(PdeKind.EQ_II, n=2), DOM)
+
+    @pytest.mark.parametrize("u", ["(x1 + x2 + x3 + x4)/4 + (x1 - x3)^2", "x1/(1 + x2^2)"])
+    def test_both_equations_share_one_set_of_differences(self, monkeypatch, u):
+        """Equation I at beta = n and equation II both use k = 1..n: one _fd_partials call."""
+        calls, fd_partials = [], pde._fd_partials
+
+        def counted(*args):
+            calls.append(args[2])  # the ks differenced
+            return fd_partials(*args)
+
+        monkeypatch.setattr(pde, "_fd_partials", counted)
+        dom = SampleDomain(n=4, radius=2.0, seed=0, count=32)
+        report = check_system(parse(u), 4, dom)
+        assert calls == [[1, 2, 3, 4]]
+        monkeypatch.undo()
+        for spec, got in zip(system_specs(4), (report.eq1, report.eq2)):
+            assert got == check_residual(parse(u), spec, dom)
 
     def test_report_round_trips_through_dict(self):
         report = verify_mean_system(2)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ouroboros.core import SampleDomain
-from ouroboros.expr import Add, Const, Div, Mul, Neg, Pow, Sub, Var, differentiate, evaluate_many, parse
+from ouroboros.expr import Add, Const, Mul, Neg, Pow, Var, differentiate, evaluate_many, parse
 from ouroboros.poly import derivative, expand, monomial_exponents, monomial_values
 
 N = 3
@@ -26,10 +26,10 @@ def polynomial_trees():
 
     def extend(children):
         return st.one_of(
-            st.tuples(children, children).map(lambda lr: Add(*lr)),
-            st.tuples(children, children).map(lambda lr: Sub(*lr)),
-            st.tuples(children, children).map(lambda lr: Mul(*lr)),
-            st.tuples(children, divisors).map(lambda lr: Div(*lr)),
+            st.tuples(children, children).map(lambda lr: Add(((1, lr[0]), (1, lr[1])))),
+            st.tuples(children, children).map(lambda lr: Add(((1, lr[0]), (-1, lr[1])))),
+            st.tuples(children, children).map(lambda lr: Mul(((1, lr[0]), (1, lr[1])))),
+            st.tuples(children, divisors).map(lambda lr: Mul(((1, lr[0]), (-1, lr[1])))),
             children.map(Neg),
             st.tuples(children, st.integers(min_value=0, max_value=3)).map(lambda be: Pow(*be)),
         )
@@ -44,12 +44,10 @@ def sign_free(e):
         return Const(abs(e.value))
     if isinstance(e, Var):
         return e
-    if isinstance(e, (Add, Sub)):
-        return Add(sign_free(e.left), sign_free(e.right))
+    if isinstance(e, Add):
+        return Add(tuple((1, sign_free(term)) for _, term in e.terms))
     if isinstance(e, Mul):
-        return Mul(sign_free(e.left), sign_free(e.right))
-    if isinstance(e, Div):
-        return Div(sign_free(e.left), sign_free(e.right))
+        return Mul(tuple((sign, sign_free(factor)) for sign, factor in e.factors))
     if isinstance(e, Neg):
         return sign_free(e.operand)
     return Pow(sign_free(e.base), e.exponent)
