@@ -7,7 +7,13 @@ expressions, carries the closed-form solution families of two first-order
 transport equations, verifies the expectation operator's idempotence,
 computes the exact polynomial solution set of the combined system, and
 searches numerically for its solutions as a cross-check.
+
+The names from :mod:`ouroboros.pde` and :mod:`ouroboros.explorer` load on
+first use (PEP 562), since both modules import numpy; the exact checks and
+the expectation check run without it.
 """
+
+from importlib import import_module
 
 from .core import (
     EXACT_TOL,
@@ -37,16 +43,6 @@ from .expr import (
     parse,
     to_string,
 )
-from .explorer import (
-    Classification,
-    ExplorationConfig,
-    ExplorationReport,
-    SolutionSet,
-    explore,
-    mean_theta,
-    monomial_exponents,
-    solution_set,
-)
 from .families import (
     HeadAverageSolution,
     arithmetic_mean,
@@ -54,19 +50,6 @@ from .families import (
     head_average_solution,
     unit_sum_solution_family,
     weighted_average,
-)
-from .pde import (
-    AlternatingBalanceReport,
-    PdeKind,
-    PdeSpec,
-    ResidualReport,
-    SystemReport,
-    check_alternating_balance,
-    check_residual,
-    check_system,
-    finite_difference,
-    residual_expr,
-    verify_mean_system,
 )
 from .probability import (
     DiscreteRandomVariable,
@@ -79,6 +62,36 @@ from .probability import (
 )
 
 __version__ = "0.1.0"
+
+# name -> the submodule that serves it on first use
+_LAZY_HOME = {
+    **dict.fromkeys((
+        "AlternatingBalanceReport", "PdeKind", "PdeSpec", "ResidualReport",
+        "SystemReport", "check_alternating_balance", "check_residual",
+        "check_system", "finite_difference", "residual_expr",
+        "verify_mean_system",
+    ), "pde"),
+    **dict.fromkeys((
+        "Classification", "ExplorationConfig", "ExplorationReport",
+        "SolutionSet", "explore", "mean_theta", "monomial_exponents",
+        "solution_set",
+    ), "explorer"),
+}
+
+
+def __getattr__(name: str):
+    home = _LAZY_HOME.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{home}"), name)
+    # bound here, later lookups bypass this hook, as with an eager import
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_LAZY_HOME))
+
 
 __all__ = [
     "__version__",

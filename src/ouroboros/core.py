@@ -5,7 +5,8 @@ every argument changes nothing: f(f(x), ..., f(x)) = f(x) for all x. For a
 linear form f(x) = sum(c_k * x_k) this holds exactly when the coefficients
 sum to 1 (or are all zero), which is what :func:`check_linear_exact` tests.
 :func:`check_sampled` probes arbitrary expressions numerically on a seeded
-sample cloud.
+sample cloud. Only the sampled route imports numpy, on first use, so the
+exact route runs without it.
 """
 
 from __future__ import annotations
@@ -14,9 +15,8 @@ import json
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
-
-import numpy as np
+from fractions import Fraction
+from typing import TYPE_CHECKING, Sequence
 
 from .expr import Const, EvaluationError, Expr, Var, add, dimension, evaluate, evaluate_many, mul
 
@@ -30,8 +30,13 @@ __all__ = [
     "diagonal_self_apply",
 ]
 
+if TYPE_CHECKING:
+    import numpy as np
+
 EXACT_TOL = 1e-12
 SAMPLED_TOL = 1e-9
+# residual bound of the transport-equation checks (re-exported by pde)
+RESIDUAL_TOL = 1e-9
 
 
 class Verdict(str, Enum):
@@ -60,8 +65,12 @@ class LinearForm:
         return len(self.coeffs)
 
     def coefficient_sum(self) -> float:
-        # compensated summation; plain accumulation loses digits for large n
-        return math.fsum(self.coeffs)
+        """The exact sum rounded once to a float; -inf or inf past the float range."""
+        total = sum(map(Fraction, self.coeffs))
+        try:
+            return float(total)
+        except OverflowError:
+            return math.inf if total > 0 else -math.inf
 
     def evaluate(self, point: Sequence[float]) -> float:
         if len(point) < self.n:
@@ -99,6 +108,8 @@ class SampleDomain:
             raise ValueError("seed must be a 64-bit unsigned integer")
 
     def samples(self) -> np.ndarray:
+        import numpy as np
+
         rng = np.random.Generator(np.random.Philox(key=self.seed))
         return rng.uniform(-self.radius, self.radius, size=(self.count, self.n))
 
@@ -166,6 +177,8 @@ def _check_sampled_at(
     f: Expr, dom: SampleDomain, points: np.ndarray, tol: float = SAMPLED_TOL
 ) -> OuroborosReport:
     """check_sampled on ``points``, the cloud that ``dom`` draws."""
+    import numpy as np
+
     if dimension(f) > dom.n:
         raise ValueError(f"expression uses x{dimension(f)} but the domain has n={dom.n}")
     try:

@@ -38,9 +38,10 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import TYPE_CHECKING, Sequence, Union
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "Add",
@@ -419,6 +420,8 @@ def _pow_repeated(base, exponent: int):
 
     Works on floats and arrays alike and keeps the two evaluation paths
     bitwise consistent; overflow follows IEEE multiplication (inf, no raise).
+    The zero power is 1 everywhere, inf and nan included: 1.0 for a float,
+    an array of ones (``**`` makes one) for an array.
     """
     result = None
     b = base
@@ -430,7 +433,7 @@ def _pow_repeated(base, exponent: int):
         if e:
             b = b * b
     if result is None:  # exponent == 0, including 0^0 = 1
-        return np.ones(base.shape) if isinstance(base, np.ndarray) else 1.0
+        return 1.0 if isinstance(base, float) else base ** 0
     return result
 
 
@@ -440,14 +443,17 @@ def evaluate_many(e: Expr, points: np.ndarray) -> np.ndarray:
     Semantics match :func:`evaluate` per row: a zero divisor raises
     :class:`EvaluationError` carrying the first offending row index.
     """
+    import numpy as np  # here, so that the scalar and exact paths never load it
+
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2:
         raise ValueError("points must be a 2-d array, one point per row")
     with np.errstate(over="ignore", invalid="ignore"):
-        return _eval_array(e, pts)
+        return _eval_array(e, pts, np)
 
 
-def _eval_array(e: Expr, pts: np.ndarray) -> np.ndarray:
+def _eval_array(e: Expr, pts: np.ndarray, np) -> np.ndarray:
+    """``e`` at each row of ``pts``; ``np`` is the numpy module, bound once by the caller."""
     if isinstance(e, Const):
         return np.full(pts.shape[0], e.value)
     if isinstance(e, Var):
@@ -455,23 +461,23 @@ def _eval_array(e: Expr, pts: np.ndarray) -> np.ndarray:
             raise ValueError(f"points of width {pts.shape[1]} are too short for x{e.index}")
         return pts[:, e.index - 1]
     if isinstance(e, Add):
-        total = _eval_array(e.terms[0][1], pts)
+        total = _eval_array(e.terms[0][1], pts, np)
         for sign, term in e.terms[1:]:
-            value = _eval_array(term, pts)
+            value = _eval_array(term, pts, np)
             total = (np.add if sign > 0 else np.subtract)(total, value, out=_spare(total, value))
         return total
     if isinstance(e, Mul):
-        product = _eval_array(e.factors[0][1], pts)
+        product = _eval_array(e.factors[0][1], pts, np)
         for sign, factor in e.factors[1:]:
-            value = _eval_array(factor, pts)
+            value = _eval_array(factor, pts, np)
             if sign < 0 and (value == 0.0).any():
                 raise EvaluationError("division by zero", sample_index=int(np.flatnonzero(value == 0.0)[0]))
             product = (np.multiply if sign > 0 else np.divide)(product, value, out=_spare(product, value))
         return product
     if isinstance(e, Neg):
-        return -_eval_array(e.operand, pts)
+        return -_eval_array(e.operand, pts, np)
     if isinstance(e, Pow):
-        return _pow_repeated(_eval_array(e.base, pts), e.exponent)
+        return _pow_repeated(_eval_array(e.base, pts, np), e.exponent)
     raise TypeError(f"not an expression node: {e!r}")
 
 

@@ -32,7 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import LinearForm, OuroborosReport, SampleDomain, _check_sampled_at, check_linear_exact
+from .core import RESIDUAL_TOL, LinearForm, OuroborosReport, SampleDomain, _check_sampled_at, check_linear_exact
 from .expr import Const, EvaluationError, Expr, differentiate, dimension, evaluate, evaluate_many, mul, sub
 from .expr import add as expr_add
 from .families import arithmetic_mean
@@ -55,11 +55,13 @@ __all__ = [
 
 SYMBOLIC_ZERO_TOL = 1e-12
 DEFAULT_FD_STEP = 1e-5
-RESIDUAL_TOL = 1e-9
 # rows per evaluate_many call in _fd_partials and per monomial table in
 # _poly_values; at 1e5 points, 16384 beat 1024, 4096 and the whole stacked
 # cloud (2-CPU VM)
 BLOCK_ROWS = 16384
+# cells (rows times n) per stacked block in _fd_partials: BLOCK_ROWS rows
+# up to n = 8, fewer beyond, and always at least one sample's shifts
+BLOCK_CELLS = 8 * BLOCK_ROWS
 
 
 class PdeKind(str, Enum):
@@ -201,12 +203,13 @@ def _fd_partials(u: Expr, points: np.ndarray, ks: list[int], h: float) -> dict[i
     """Central differences of u along x_k at every point, for each k in ``ks``.
 
     Each evaluate_many call takes a block of points at all 2*len(ks) shifts
-    stacked, about BLOCK_ROWS rows. A zero divisor met at a shift is reported
-    with the index of the sample that was shifted.
+    stacked, about BLOCK_ROWS rows and at most BLOCK_CELLS cells, or one
+    sample's shifts where those exceed it. A zero divisor met at a shift is
+    reported with the index of the sample that was shifted.
     """
     count, n = points.shape
     shifts = 2 * len(ks)
-    step = max(1, BLOCK_ROWS // shifts)
+    step = max(1, min(BLOCK_ROWS // shifts, BLOCK_CELLS // (shifts * n)))
     partials = np.empty((len(ks), count))
     for start in range(0, count, step):
         block = points[start:start + step]

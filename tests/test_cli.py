@@ -93,6 +93,17 @@ class TestCheckCommand:
         assert main(["check", "--coeffs", "1e400"]) == 2
         assert "too large for a float" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("coeffs,total", [("1e308,1e308", None), ("1e308,1e308,-1e308", 1e308)])
+    def test_a_sum_past_the_float_range_fails(self, capsys, coeffs, total):
+        """Finite coefficients get a verdict; only a sum that is itself too large is null."""
+        code, doc = run_main(capsys, ["check", "--coeffs", coeffs])
+        assert code == 1
+        assert_valid(doc)
+        assert doc["result"]["coefficient_sum"] == total
+        assert doc["result"]["report"]["verdict"] == "fails"
+        assert doc["result"]["report"]["max_deviation"] == total
+        assert doc["result"]["report"]["witness"][0] == 1.0  # at the largest coefficient
+
     def test_constant_expression_needs_explicit_dimension(self, capsys):
         assert main(["check", "--expr", "3"]) == 2
         code, doc = run_main(capsys, ["check", "--expr", "3", "--n", "2"][:5])

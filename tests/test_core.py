@@ -2,6 +2,7 @@
 
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -38,6 +39,26 @@ class TestLinearForm:
         # naive left-to-right summation would drown the small terms
         form = LinearForm((1e16, 1.0, -1e16))
         assert form.coefficient_sum() == 1.0
+
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=8))
+    @settings(max_examples=300)
+    def test_coefficient_sum_equals_fsum_where_fsum_answers(self, coeffs):
+        """Both round the exact sum once, so they agree bit for bit."""
+        try:
+            expected = math.fsum(coeffs)
+        except OverflowError:
+            return  # fsum has no answer; see test_coefficient_sum_past_the_float_range
+        assert LinearForm(tuple(coeffs)).coefficient_sum() == expected
+
+    @pytest.mark.parametrize("coeffs,total", [
+        ((1e308, 1e308), math.inf),
+        ((-1e308, -1e308), -math.inf),
+        ((1e308, 1e308, -1e308), 1e308),
+        ((sys.float_info.max, sys.float_info.max, -sys.float_info.max, 1.0), sys.float_info.max),
+    ])
+    def test_coefficient_sum_past_the_float_range(self, coeffs, total):
+        """No intermediate overflow: only a sum that is itself too large is infinite."""
+        assert LinearForm(coeffs).coefficient_sum() == total
 
     def test_expression_route_agrees_with_direct_evaluation(self):
         form = LinearForm((0.5, -0.25, 0.75))

@@ -13,6 +13,7 @@ from ouroboros.core import LinearForm, SampleDomain, Verdict
 from ouroboros.expr import EvaluationError, evaluate, evaluate_many, parse, to_string
 from ouroboros.families import arithmetic_mean, head_average_solution
 from ouroboros.pde import (
+    BLOCK_CELLS,
     BLOCK_ROWS,
     DEFAULT_FD_STEP,
     PdeKind,
@@ -256,6 +257,30 @@ class TestResidualRoutes:
             check_residual(u, spec, dom)
         assert exc.value.sample_index == sample
         assert str(exc.value) == f"division by zero (sample {sample})"
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 8, 9, 40, 600])
+    def test_blocks_are_bounded_by_rows_and_by_cells(self, monkeypatch, n):
+        """Up to n = 8 a block holds BLOCK_ROWS // shifts samples; wider ones stay within
+        BLOCK_CELLS, down to one sample's shifts."""
+        shapes = []
+
+        def recording(u, stacked):
+            shapes.append(stacked.shape)
+            return np.zeros(len(stacked))
+
+        monkeypatch.setattr(pde, "evaluate_many", recording)
+        shifts = 2 * n
+        count = 3 * (BLOCK_ROWS // shifts) + 1
+        partials = _fd_partials(parse("x1"), np.zeros((count, n)), list(range(1, n + 1)), DEFAULT_FD_STEP)
+        assert sorted(partials) == list(range(1, n + 1))
+        samples = [rows // shifts for rows, _ in shapes]
+        assert all(rows == shifts * s and width == n for (rows, width), s in zip(shapes, samples))
+        assert sum(samples) == count and len(set(samples[:-1])) == 1
+        if n <= 8:
+            assert samples[0] == BLOCK_ROWS // shifts
+        assert all(rows <= BLOCK_ROWS for rows, _ in shapes)
+        assert all(rows * n <= BLOCK_CELLS or s == 1 for (rows, _), s in zip(shapes, samples))
+        assert (samples[0] + 1) * shifts * n > min(BLOCK_CELLS, BLOCK_ROWS * n)  # no smaller than needed
 
 
 class TestAlternatingBalance:
