@@ -25,7 +25,9 @@ into the envelope.
 
 A JSON config file (--config) supplies defaults for the subcommand's
 options under their flag names with underscores, e.g. {"samples": 500};
-explicit flags win over the file.
+explicit flags win over the file. A value means what the same text after its
+flag means: {"n": "4"} is --n 4, a value the flag would refuse, such as
+{"seed": 1.5}, is unusable input, and null means not given.
 
 Start-up, not the check, sets a command's wall time: the checks take
 2-6 ms. Each handler imports what it needs. ``check --coeffs``, ``expect``
@@ -46,6 +48,7 @@ import sys
 from datetime import datetime, timezone
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import __version__
 from .core import (
@@ -60,42 +63,55 @@ from .core import (
 from .expr import EvaluationError, ParseError, dimension, parse, to_string
 from .probability import DiscreteRandomVariable, check_expectation_ouroboros
 
-_CHECK_DEFAULTS = {
-    "coeffs": None,
-    "expr": None,
-    "n": None,
-    "samples": 200,
-    "radius": 2.0,
-    "seed": 0,
-    "tol": None,
-}
-_PDE_DEFAULTS = {
-    "coeffs": None,
-    "expr": None,
-    "equation": None,
-    "beta": None,
-    "n": None,
-    "samples": 200,
-    "radius": 2.0,
-    "seed": 0,
-    "tol": RESIDUAL_TOL,
-}
-_EXPECT_DEFAULTS = {"values": None, "probs": None}
-_EXPLORE_DEFAULTS = {
-    "n": None,
-    "degree": None,
-    "samples": None,
-    "radius": 2.0,
-    "seed": 0,
-    "starts": 20,
-    "weight_eq1": 1.0,
-    "weight_eq2": 1.0,
-    "weight_ouroboros": 1.0,
-    "max_iterations": 100,
-    "tol": 1e-15,
-    "init": "random",
-    "csv": None,
-}
+class Option(NamedTuple):
+    """One option of a subcommand: its flag, config key, type, default and help."""
+
+    name: str
+    type: type
+    default: object
+    help: str
+    choices: tuple | None = None
+
+
+_CHECK_OPTIONS = (
+    Option("coeffs", str, None, "comma-separated coefficients of a linear form, fractions allowed"),
+    Option("expr", str, None, "expression in x1..xn, e.g. '(x1 + x2)/2'"),
+    Option("n", int, None, "dimension; defaults to the largest variable index"),
+    Option("samples", int, 200, "sample count for expression checks"),
+    Option("radius", float, 2.0, "half-width of the sampling box"),
+    Option("seed", int, 0, "sampling seed"),
+    Option("tol", float, None, "tolerance override"),
+)
+_PDE_OPTIONS = (
+    Option("coeffs", str, None, "linear form coefficients, fractions allowed"),
+    Option("expr", str, None, "expression in x1..xn"),
+    Option("equation", str, None, "which check to run", ("I", "II", "system")),
+    Option("beta", int, None, "head length for equation I (1..n)"),
+    Option("n", int, None, "dimension; defaults to the largest variable index"),
+    Option("samples", int, 200, "sample count for residual bounds"),
+    Option("radius", float, 2.0, "half-width of the sampling box"),
+    Option("seed", int, 0, "sampling seed"),
+    Option("tol", float, RESIDUAL_TOL, "residual tolerance"),
+)
+_EXPECT_OPTIONS = (
+    Option("values", str, None, "comma-separated outcomes, fractions allowed"),
+    Option("probs", str, None, "comma-separated probabilities, fractions allowed"),
+)
+_EXPLORE_OPTIONS = (
+    Option("n", int, None, "dimension, even"),
+    Option("degree", int, None, "polynomial degree of the candidates"),
+    Option("samples", int, None, "sample count; default scales with the basis"),
+    Option("radius", float, 2.0, "half-width of the sampling box"),
+    Option("seed", int, 0, "seed for samples and starts"),
+    Option("starts", int, 20, "number of optimisation starts"),
+    Option("weight_eq1", float, 1.0, "weight of the equation I term"),
+    Option("weight_eq2", float, 1.0, "weight of the equation II term"),
+    Option("weight_ouroboros", float, 1.0, "weight of the self-application term"),
+    Option("max_iterations", int, 100, "evaluation budget per start"),
+    Option("tol", float, 1e-15, "optimiser convergence tolerance"),
+    Option("init", str, "random", "start vectors: Gaussian or the mean", ("random", "mean")),
+    Option("csv", str, None, "also write the per-run table to this path"),
+)
 
 
 class InputError(Exception):
@@ -146,19 +162,30 @@ def _load_config_file(path: str | None) -> dict:
     return loaded
 
 
-def _resolve_options(args: argparse.Namespace, defaults: dict) -> dict:
-    """Defaults, overridden by the config file, overridden by explicit flags."""
-    file_values = _load_config_file(getattr(args, "config", None))
-    unknown = set(file_values) - set(defaults)
+def _resolve_options(args: argparse.Namespace, options: tuple[Option, ...]) -> dict:
+    """Table defaults, overridden by the config file, overridden by explicit flags."""
+    file_values = _load_config_file(args.config)
+    unknown = set(file_values) - {opt.name for opt in options}
     if unknown:
         raise InputError(f"unknown config keys: {', '.join(sorted(unknown))}")
-    resolved = dict(defaults)
-    resolved.update(file_values)
-    for key in defaults:
-        flag_value = getattr(args, key, None)
-        if flag_value is not None:
-            resolved[key] = flag_value
+    resolved = {}
+    for opt in options:
+        in_file = file_values.get(opt.name)
+        resolved[opt.name] = opt.default if in_file is None else _read_config_value(opt, str(in_file))
+        if getattr(args, opt.name) is not None:
+            resolved[opt.name] = getattr(args, opt.name)
     return resolved
+
+
+def _read_config_value(opt: Option, text: str):
+    """A config file value, read as the same text after its flag would be."""
+    try:
+        value = opt.type(text)
+    except ValueError:
+        raise InputError(f"config key {opt.name}: cannot read {text!r} as {opt.type.__name__}") from None
+    if opt.choices is not None and value not in opt.choices:
+        raise InputError(f"config key {opt.name}: {text!r} is not one of {', '.join(opt.choices)}")
+    return value
 
 
 def _envelope(command: str, config: dict, seed: int | None, result: dict) -> dict:
@@ -204,14 +231,14 @@ def _parse_expression(text: str):
 
 
 def _run_check(args: argparse.Namespace) -> int:
-    opts = _resolve_options(args, _CHECK_DEFAULTS)
+    opts = _resolve_options(args, _CHECK_OPTIONS)
     if (opts["coeffs"] is None) == (opts["expr"] is None):
         raise InputError("'check' needs exactly one of --coeffs or --expr")
 
     if opts["coeffs"] is not None:
         fracs = parse_fractions(opts["coeffs"], "--coeffs")
         form = LinearForm(_to_floats(fracs, "--coeffs"))
-        tol = EXACT_TOL if opts["tol"] is None else float(opts["tol"])
+        tol = EXACT_TOL if opts["tol"] is None else opts["tol"]
         report = check_linear_exact(form, tol=tol)
         config = {"coeffs": [str(f) for f in fracs], "tol": tol}
         result = {
@@ -229,8 +256,8 @@ def _run_check(args: argparse.Namespace) -> int:
     n = opts["n"] if opts["n"] is not None else dimension(expr)
     if n < 1:
         raise InputError("the expression has no variables; give --n explicitly")
-    tol = SAMPLED_TOL if opts["tol"] is None else float(opts["tol"])
-    dom = SampleDomain(n=n, radius=float(opts["radius"]), seed=int(opts["seed"]), count=int(opts["samples"]))
+    tol = SAMPLED_TOL if opts["tol"] is None else opts["tol"]
+    dom = SampleDomain(n=n, radius=opts["radius"], seed=opts["seed"], count=opts["samples"])
     report = check_sampled(expr, dom, tol=tol)
     config = {
         "expr": to_string(expr),
@@ -253,7 +280,7 @@ def _run_check(args: argparse.Namespace) -> int:
 def _run_pde(args: argparse.Namespace) -> int:
     from .pde import PdeKind, PdeSpec, check_residual, check_system
 
-    opts = _resolve_options(args, _PDE_DEFAULTS)
+    opts = _resolve_options(args, _PDE_OPTIONS)
     equation = _require(opts, "equation", "pde")
     if (opts["coeffs"] is None) == (opts["expr"] is None):
         raise InputError("'pde' needs exactly one of --coeffs or --expr")
@@ -271,8 +298,8 @@ def _run_pde(args: argparse.Namespace) -> int:
     n = opts["n"] if opts["n"] is not None else (len(form.coeffs) if form else dimension(expr))
     if n < 1:
         raise InputError("the expression has no variables; give --n explicitly")
-    tol = float(opts["tol"])
-    dom = SampleDomain(n=n, radius=float(opts["radius"]), seed=int(opts["seed"]), count=int(opts["samples"]))
+    tol = opts["tol"]
+    dom = SampleDomain(n=n, radius=opts["radius"], seed=opts["seed"], count=opts["samples"])
     config = {
         "input": source,
         "equation": equation,
@@ -299,7 +326,7 @@ def _run_pde(args: argparse.Namespace) -> int:
 
     if equation == "I":
         beta = _require(opts, "beta", "pde --equation I")
-        spec = PdeSpec(PdeKind.EQ_I, n=n, beta=int(beta))
+        spec = PdeSpec(PdeKind.EQ_I, n=n, beta=beta)
     else:
         if opts["beta"] is not None:
             raise InputError("--beta only applies to equation I")
@@ -327,7 +354,7 @@ def _evaluated(check, *args):
 
 
 def _run_expect(args: argparse.Namespace) -> int:
-    opts = _resolve_options(args, _EXPECT_DEFAULTS)
+    opts = _resolve_options(args, _EXPECT_OPTIONS)
     values = parse_fractions(_require(opts, "values", "expect"), "--values")
     probs = parse_fractions(_require(opts, "probs", "expect"), "--probs")
     rv = DiscreteRandomVariable(
@@ -349,22 +376,11 @@ def _run_expect(args: argparse.Namespace) -> int:
 def _run_explore(args: argparse.Namespace) -> int:
     from .explorer import ExplorationConfig, explore
 
-    opts = _resolve_options(args, _EXPLORE_DEFAULTS)
+    opts = _resolve_options(args, _EXPLORE_OPTIONS)
     csv_path = opts.pop("csv")
-    config = ExplorationConfig(
-        n=int(_require(opts, "n", "explore")),
-        degree=int(_require(opts, "degree", "explore")),
-        samples=None if opts["samples"] is None else int(opts["samples"]),
-        radius=float(opts["radius"]),
-        seed=int(opts["seed"]),
-        starts=int(opts["starts"]),
-        weight_eq1=float(opts["weight_eq1"]),
-        weight_eq2=float(opts["weight_eq2"]),
-        weight_ouroboros=float(opts["weight_ouroboros"]),
-        max_iterations=int(opts["max_iterations"]),
-        tol=float(opts["tol"]),
-        init=str(opts["init"]),
-    )
+    _require(opts, "n", "explore")
+    _require(opts, "degree", "explore")
+    config = ExplorationConfig(**opts)
     report = explore(config)
     if csv_path is not None:
         _write_runs_csv(csv_path, report)
@@ -407,59 +423,22 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_config(p: argparse.ArgumentParser) -> None:
+    commands = (
+        ("check", "self-application identity", _CHECK_OPTIONS, _run_check),
+        ("pde", "transport equation residuals and the full system", _PDE_OPTIONS, _run_pde),
+        ("expect", "expectation idempotence for a finite random variable", _EXPECT_OPTIONS, _run_expect),
+        (
+            "explore", "exact solution set and multi-start search over polynomials",
+            _EXPLORE_OPTIONS, _run_explore,
+        ),
+    )
+    for command, help_text, options, handler in commands:
+        p = sub.add_parser(command, help=help_text)
+        for opt in options:
+            flag = "--" + opt.name.replace("_", "-")
+            p.add_argument(flag, type=opt.type, choices=opt.choices, help=opt.help)
         p.add_argument("--config", help="JSON file with option defaults; flags override it")
-
-    p_check = sub.add_parser("check", help="self-application identity")
-    p_check.add_argument("--coeffs", help="comma-separated coefficients of a linear form, fractions allowed")
-    p_check.add_argument("--expr", help="expression in x1..xn, e.g. '(x1 + x2)/2'")
-    p_check.add_argument("--n", type=int, help="dimension; defaults to the largest variable index")
-    p_check.add_argument("--samples", type=int, help="sample count for expression checks")
-    p_check.add_argument("--radius", type=float, help="half-width of the sampling box")
-    p_check.add_argument("--seed", type=int, help="sampling seed")
-    p_check.add_argument("--tol", type=float, help="tolerance override")
-    add_config(p_check)
-    p_check.set_defaults(handler=_run_check)
-
-    p_pde = sub.add_parser("pde", help="transport equation residuals and the full system")
-    p_pde.add_argument("--coeffs", help="linear form coefficients, fractions allowed")
-    p_pde.add_argument("--expr", help="expression in x1..xn")
-    p_pde.add_argument("--equation", choices=["I", "II", "system"], help="which check to run")
-    p_pde.add_argument("--beta", type=int, help="head length for equation I (1..n)")
-    p_pde.add_argument("--n", type=int, help="dimension; defaults to the largest variable index")
-    p_pde.add_argument("--samples", type=int, help="sample count for residual bounds")
-    p_pde.add_argument("--radius", type=float, help="half-width of the sampling box")
-    p_pde.add_argument("--seed", type=int, help="sampling seed")
-    p_pde.add_argument("--tol", type=float, help="residual tolerance")
-    add_config(p_pde)
-    p_pde.set_defaults(handler=_run_pde)
-
-    p_exp = sub.add_parser("expect", help="expectation idempotence for a finite random variable")
-    p_exp.add_argument("--values", help="comma-separated outcomes, fractions allowed")
-    p_exp.add_argument("--probs", help="comma-separated probabilities, fractions allowed")
-    add_config(p_exp)
-    p_exp.set_defaults(handler=_run_expect)
-
-    p_explore = sub.add_parser("explore", help="exact solution set and multi-start search over polynomials")
-    p_explore.add_argument("--n", type=int, help="dimension, even")
-    p_explore.add_argument("--degree", type=int, help="polynomial degree of the candidates")
-    p_explore.add_argument("--samples", type=int, help="sample count; default scales with the basis")
-    p_explore.add_argument("--radius", type=float, help="half-width of the sampling box")
-    p_explore.add_argument("--seed", type=int, help="seed for samples and starts")
-    p_explore.add_argument("--starts", type=int, help="number of optimisation starts")
-    p_explore.add_argument("--weight-eq1", dest="weight_eq1", type=float, help="weight of the equation I term")
-    p_explore.add_argument("--weight-eq2", dest="weight_eq2", type=float, help="weight of the equation II term")
-    p_explore.add_argument(
-        "--weight-ouroboros", dest="weight_ouroboros", type=float, help="weight of the self-application term"
-    )
-    p_explore.add_argument(
-        "--max-iterations", dest="max_iterations", type=int, help="evaluation budget per start"
-    )
-    p_explore.add_argument("--tol", type=float, help="optimiser convergence tolerance")
-    p_explore.add_argument("--init", choices=["random", "mean"], help="start vectors: Gaussian or the mean")
-    p_explore.add_argument("--csv", help="also write the per-run table to this path")
-    add_config(p_explore)
-    p_explore.set_defaults(handler=_run_explore)
+        p.set_defaults(handler=handler)
 
     p_version = sub.add_parser("version", help="print the package version")
     p_version.set_defaults(handler=_run_version)

@@ -141,12 +141,19 @@ class OuroborosReport:
         return json.dumps(self.to_dict(), sort_keys=True)
 
 
+def _require_tolerance(tol: float) -> None:
+    """A NaN, infinite or negative tolerance would pass any deviation, or none."""
+    if not 0 <= tol < math.inf:
+        raise ValueError(f"tolerance must be finite and non-negative, got {tol}")
+
+
 def check_linear_exact(f: LinearForm, tol: float = EXACT_TOL) -> OuroborosReport:
     """Exact coefficient test: holds iff |sum(c) - 1| <= tol or all |c_k| <= tol.
 
     The all-zero case is the constant zero function, which trivially maps its
     own output to itself; it is accepted even though its coefficient sum is 0.
     """
+    _require_tolerance(tol)
     deviation = abs(f.coefficient_sum() - 1.0)
     if all(abs(c) <= tol for c in f.coeffs):
         return OuroborosReport(Verdict.HOLDS_EXACT, 0.0, None, 0)
@@ -179,6 +186,7 @@ def _check_sampled_at(
     """check_sampled on ``points``, the cloud that ``dom`` draws."""
     import numpy as np
 
+    _require_tolerance(tol)
     if dimension(f) > dom.n:
         raise ValueError(f"expression uses x{dimension(f)} but the domain has n={dom.n}")
     try:

@@ -112,10 +112,12 @@ class ExplorationConfig:
             raise ValueError("radius must be positive and finite")
         if self.starts < 1:
             raise ValueError("at least one start is required")
-        if min(self.weight_eq1, self.weight_eq2, self.weight_ouroboros) <= 0:
-            raise ValueError("weights must be positive")
+        if not all(0 < w < math.inf for w in (self.weight_eq1, self.weight_eq2, self.weight_ouroboros)):
+            raise ValueError("weights must be positive and finite")
         if self.max_iterations < 1:
             raise ValueError("iteration cap must be positive")
+        if not 0 < self.tol < math.inf:
+            raise ValueError("tol must be positive and finite")
         if self.init not in ("random", "mean"):
             raise ValueError(f"init must be 'random' or 'mean', got {self.init!r}")
 

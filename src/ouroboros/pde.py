@@ -33,6 +33,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import RESIDUAL_TOL, LinearForm, OuroborosReport, SampleDomain, _check_sampled_at, check_linear_exact
+from .core import _require_tolerance
 from .expr import Const, EvaluationError, Expr, differentiate, dimension, evaluate, evaluate_many, mul, sub
 from .expr import add as expr_add
 from .families import arithmetic_mean
@@ -112,6 +113,7 @@ class ResidualReport:
     note: str | None = None
 
     def passes(self, tol: float = RESIDUAL_TOL) -> bool:
+        _require_tolerance(tol)
         return self.symbolic_zero or self.max_abs_residual <= tol
 
     def to_dict(self) -> dict:

@@ -1,20 +1,23 @@
 """Command line behaviour: envelopes, exit codes, config merging, schema."""
 
+import argparse
 import csv
 import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import jsonschema
 import pytest
 
 from ouroboros import cli
-from ouroboros.cli import main, parse_fractions
+from ouroboros.cli import build_parser, main, parse_fractions
 from ouroboros.core import SampleDomain
 from ouroboros.expr import MAX_DEPTH
 from ouroboros.pde import DEFAULT_FD_STEP
+from test_acceptance import DETERMINISM_COMMANDS
 
 SCHEMA = json.loads(
     (Path(__file__).resolve().parent.parent / "docs" / "report-schema.json").read_text()
@@ -337,6 +340,19 @@ class TestExploreCommand:
     def test_odd_dimension_exits_two(self, capsys):
         assert main(["explore", "--n", "3", "--degree", "1"]) == 2
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--weight-eq1", "nan"), ("--weight-ouroboros", "inf"), ("--tol", "nan"), ("--tol", "inf"),
+    ])
+    def test_non_finite_weights_and_tol_are_bad_input(self, capsys, flag, value):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["explore", "--n", "2", "--degree", "1", "--starts", "1", flag, value])
+        assert code == 2
+        assert [str(w.message) for w in caught] == []
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("error:") == 1
+
     def test_requires_dimension_and_degree(self, capsys):
         assert main(["explore", "--degree", "1"]) == 2
         assert main(["explore", "--n", "2"]) == 2
@@ -370,6 +386,99 @@ class TestConfigMerging:
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
         assert main(["check", "--expr", "x1", "--config", str(bad)]) == 2
+
+    def test_flags_and_config_keys_are_the_same_names(self, capsys, tmp_path):
+        """Every flag is a config key and no other key is, for each subcommand."""
+        [subparsers] = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+        dests = {
+            command: {a.dest for a in sub._actions} - {"help", "config"}
+            for command, sub in subparsers.choices.items()
+        }
+        assert dests["version"] == set()
+        assert "--config" not in subparsers.choices["version"].format_help()
+        candidates = set().union(*dests.values()) | {"config", "bogus"}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(dict.fromkeys(candidates)))
+        for command in ("check", "pde", "expect", "explore"):
+            assert main([command, "--config", str(cfg)]) == 2
+            listed = capsys.readouterr().err.split("unknown config keys: ")[1].strip().split(", ")
+            assert set(listed) == candidates - dests[command], command
+
+    @pytest.mark.parametrize("argv", [a for a in DETERMINISM_COMMANDS if len(a) > 1], ids=" ".join)
+    def test_a_file_with_the_flag_values_gives_the_same_report(self, capsys, tmp_path, argv):
+        def as_json(text):
+            try:
+                return json.loads(text)
+            except json.JSONDecodeError:
+                return text
+
+        flags = dict(zip(argv[1::2], argv[2::2]))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({flag[2:].replace("-", "_"): as_json(text) for flag, text in flags.items()}))
+        results = []
+        for command in (argv, [argv[0], "--config", str(cfg)]):
+            code = main(command)
+            out = capsys.readouterr().out
+            results.append((code, [line for line in out.splitlines() if '"timestamp"' not in line]))
+        assert results[0] == results[1]
+
+    @pytest.mark.parametrize("argv, values", [
+        (["pde", "--expr", "x1"], {"equation": "III"}),
+        (["check"], {"coeffs": [0.5, 0.5]}),
+        (["check", "--expr", "(x1 + x2)/2"], {"seed": 1.5}),
+        (["check", "--expr", "(x1 + x2)/2"], {"seed": True}),
+        (["explore", "--n", "2", "--degree", "1"], {"init": "sideways"}),
+    ])
+    def test_a_value_its_flag_would_refuse_is_bad_input(self, capsys, tmp_path, argv, values):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(values))
+        assert main([*argv, "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
+
+    def test_text_is_read_as_its_flag_reads_it(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n": "4"}))
+        argv = ["check", "--expr", "(x1 + x2)/2"]
+        _, by_flag = run_main(capsys, [*argv, "--n", "4"])
+        _, by_file = run_main(capsys, [*argv, "--config", str(cfg)])
+        by_flag["manifest"].pop("timestamp")
+        by_file["manifest"].pop("timestamp")
+        assert by_file == by_flag
+        assert by_file["manifest"]["config"]["n"] == 4
+
+    def test_null_means_not_given(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"samples": None, "seed": None}))
+        code, doc = run_main(capsys, ["check", "--expr", "(x1 + x2)/2", "--config", str(cfg)])
+        assert code == 0
+        assert doc["manifest"]["config"]["samples"] == 200
+        assert doc["manifest"]["seed"] == 0
+
+
+class TestTolerance:
+    @pytest.mark.parametrize("argv", [
+        ["check", "--coeffs", "0.6,0.6"],
+        ["check", "--expr", "x1^2", "--n", "1"],
+        ["pde", "--expr", "x1^2", "--equation", "II", "--n", "2"],
+    ])
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1e-3"])
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    def test_a_tolerance_that_is_not_finite_and_non_negative_is_bad_input(
+        self, capsys, tmp_path, argv, tol, via
+    ):
+        """Each of these fails on a sound tolerance; NaN or inf used to change or hide that."""
+        if via == "flag":
+            argv = [*argv, f"--tol={tol}"]
+        else:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"tol": tol}))
+            argv = [*argv, "--config", str(cfg)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "tolerance must be finite and non-negative" in captured.err
 
 
 class TestEnvelope:

@@ -96,6 +96,12 @@ class TestExactCheck:
         report = check_linear_exact(LinearForm((0.5, 0.5 + 5e-13)))
         assert report.holds
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -1e-3])
+    def test_a_tolerance_that_is_not_finite_and_non_negative_is_rejected(self, tol):
+        """An infinite tolerance let 0.6 + 0.6 hold; a NaN one fails every comparison."""
+        with pytest.raises(ValueError):
+            check_linear_exact(LinearForm((0.6, 0.6)), tol=tol)
+
     @given(finite_coeffs)
     @settings(max_examples=200)
     def test_rescaled_coefficients_always_hold(self, coeffs):
@@ -187,6 +193,12 @@ class TestSampledCheck:
         dom = SampleDomain(n=1, radius=2.0, seed=0, count=10)
         with pytest.raises(ValueError):
             check_sampled(parse("x1 + x2"), dom)
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -1e-3])
+    def test_a_tolerance_that_is_not_finite_and_non_negative_is_rejected(self, tol):
+        dom = SampleDomain(n=1, radius=2.0, seed=0, count=10)
+        with pytest.raises(ValueError):
+            check_sampled(parse("x1^2"), dom, tol=tol)
 
     def test_repeated_runs_are_identical(self):
         dom = SampleDomain(n=3, radius=2.0, seed=7, count=64)

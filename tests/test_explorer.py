@@ -84,6 +84,21 @@ class TestConfig:
         with pytest.raises(ValueError):
             ExplorationConfig(n=2, degree=1, starts=0)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("weight_eq1", math.nan),
+            ("weight_eq2", math.inf),
+            ("weight_ouroboros", math.inf),
+            ("tol", math.nan),
+            ("tol", math.inf),
+            ("tol", 0.0),
+        ],
+    )
+    def test_weights_and_tol_must_be_positive_and_finite(self, field, value):
+        with pytest.raises(ValueError):
+            ExplorationConfig(n=2, degree=1, **{field: value})
+
     def test_default_sample_budget_scales_with_the_basis(self):
         assert ExplorationConfig(n=2, degree=2).resolved_samples == 200
         assert ExplorationConfig(n=4, degree=3).resolved_samples == 350

@@ -89,6 +89,12 @@ class TestCheckResidual:
         assert report.max_abs_residual == 1.0
         assert not report.passes()
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -1e-3])
+    def test_a_tolerance_that_is_not_finite_and_non_negative_is_rejected(self, tol):
+        report = check_residual(parse("x1^2"), PdeSpec(PdeKind.EQ_I, n=2, beta=2), DOM)
+        with pytest.raises(ValueError):
+            report.passes(tol)
+
     def test_nonconstant_residual_reports_the_sampled_bound(self):
         report = check_residual(parse("x1^2"), PdeSpec(PdeKind.EQ_I, n=2, beta=2), DOM)
         assert not report.symbolic_zero
