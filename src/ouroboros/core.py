@@ -101,7 +101,7 @@ class SampleDomain:
         if self.n < 1:
             raise ValueError("dimension must be at least 1")
         if not (self.radius > 0 and math.isfinite(self.radius)):
-            raise ValueError("radius must be positive and finite")
+            raise ValueError(f"radius must be positive and finite, got {self.radius}")
         if self.count < 1:
             raise ValueError("sample count must be at least 1")
         if not (0 <= int(self.seed) < 2**64):

@@ -5,7 +5,7 @@ self-application identity. For a polynomial candidate of degree <= d every
 one of its conditions is linear in the coefficients, so
 :func:`solution_set` computes all nonconstant solutions of that degree
 exactly, as the arithmetic mean plus a rational null space. The search
-(:func:`explore`) minimises a weighted least-squares objective from many
+(:func:`explore`) minimises a least-squares objective from many
 starts and labels each run by its distance to that set: it is a numerical
 cross-check of the exact answer, and every run is reported verbatim.
 
@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
@@ -94,12 +94,8 @@ class ExplorationConfig:
     radius: float = 2.0
     seed: int = 0
     starts: int = 20
-    weight_eq1: float = 1.0
-    weight_eq2: float = 1.0
-    weight_ouroboros: float = 1.0
     max_iterations: int = 100
     tol: float = 1e-15
-    init: str = "random"
 
     def __post_init__(self) -> None:
         if self.n < 2 or self.n % 2 != 0:
@@ -109,17 +105,13 @@ class ExplorationConfig:
         if self.samples is not None and self.samples < 1:
             raise ValueError("sample budget must be positive")
         if not (self.radius > 0 and math.isfinite(self.radius)):
-            raise ValueError("radius must be positive and finite")
+            raise ValueError(f"radius must be positive and finite, got {self.radius}")
         if self.starts < 1:
             raise ValueError("at least one start is required")
-        if not all(0 < w < math.inf for w in (self.weight_eq1, self.weight_eq2, self.weight_ouroboros)):
-            raise ValueError("weights must be positive and finite")
         if self.max_iterations < 1:
             raise ValueError("iteration cap must be positive")
         if not 0 < self.tol < math.inf:
-            raise ValueError("tol must be positive and finite")
-        if self.init not in ("random", "mean"):
-            raise ValueError(f"init must be 'random' or 'mean', got {self.init!r}")
+            raise ValueError(f"tol must be positive and finite, got {self.tol}")
 
     @property
     def resolved_samples(self) -> int:
@@ -128,20 +120,7 @@ class ExplorationConfig:
         return max(200, 10 * basis_size(self.n, self.degree))
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "degree": self.degree,
-            "samples": self.resolved_samples,
-            "radius": self.radius,
-            "seed": self.seed,
-            "starts": self.starts,
-            "weight_eq1": self.weight_eq1,
-            "weight_eq2": self.weight_eq2,
-            "weight_ouroboros": self.weight_ouroboros,
-            "max_iterations": self.max_iterations,
-            "tol": self.tol,
-            "init": self.init,
-        }
+        return {**asdict(self), "samples": self.resolved_samples}
 
 
 class ExplorationProblem:
@@ -151,15 +130,15 @@ class ExplorationProblem:
     theta and carried by precomputed matrices; the self-application defect
     o(x) = u(u(x) * ones) - u(x) is polynomial in theta. The objective is
 
-        J = w1 * mean(r1^2) + w2 * mean(r2^2) + wo * mean(o^2)
+        J = mean(r1^2) + mean(r2^2) + mean(o^2)
 
     and the analytic gradient is exact. The normalisation is handled by
     eliminating theta[0] (= 0) and the last slot (= 1 - sum of the others),
     which at degree 1 is precisely the unit-coefficient-sum parametrisation.
 
     The stacked form handed to the Gauss-Newton solver carries the two
-    linear blocks reduced to their R-factor. The weighted stack
-    S = [sqrt(w1/N) * a1; sqrt(w2/N) * a2] is fixed, and with S = QR,
+    linear blocks reduced to their R-factor. The scaled stack
+    S = [a1; a2] / sqrt(N) is fixed, and with S = QR,
     S^T S = R^T R, so R @ theta (size rows) stands in for S @ theta (2N
     rows): the cost, gradient and Gauss-Newton matrix the solver sees are
     those of the full 3N rows in exact arithmetic, while the Jacobian it
@@ -191,14 +170,12 @@ class ExplorationProblem:
         )
         self.grade = _grade_matrix(self.exponents)
         self.free = np.arange(1, self.size - 1)  # eliminated: slot 0 and the last
-        stacked = np.vstack([
-            math.sqrt(config.weight_eq1 / count) * self.a1,
-            math.sqrt(config.weight_eq2 / count) * self.a2,
-        ])
+        scale = math.sqrt(1.0 / count)
+        stacked = np.vstack([scale * self.a1, scale * self.a2])
         q, r = np.linalg.qr(stacked)
         self.linear_stack, self.linear_q = stacked, q
         self.linear_jacobian = r[:, self.free] - r[:, -1:]
-        self.defect_scale = math.sqrt(config.weight_ouroboros / count)
+        self.defect_scale = scale
 
     # -- constraint handling -------------------------------------------------
 
@@ -225,16 +202,11 @@ class ExplorationProblem:
 
     def objective_full(self, theta: np.ndarray) -> tuple[float, np.ndarray]:
         """Objective and exact gradient with respect to the full theta."""
-        cfg = self.config
         count = self.points.shape[0]
         r1, r2, y, powers, s, o = self.residual_parts(theta)
         jac_o = self._defect_jacobian(y, powers, s)
-        grad = (2.0 / count) * (
-            cfg.weight_eq1 * (self.a1.T @ r1)
-            + cfg.weight_eq2 * (self.a2.T @ r2)
-            + cfg.weight_ouroboros * (jac_o.T @ o)
-        )
-        return _weighted_objective(cfg, r1, r2, o), grad
+        grad = (2.0 / count) * (self.a1.T @ r1 + self.a2.T @ r2 + jac_o.T @ o)
+        return float(np.mean(r1**2) + np.mean(r2**2) + np.mean(o**2)), grad
 
     def _defect_jacobian(self, y, powers, s) -> np.ndarray:
         # d o_i / d theta_j = y_i^deg(j) + (p'(y_i) - 1) * phi_ij
@@ -245,7 +217,7 @@ class ExplorationProblem:
     # -- stacked form for the Gauss-Newton solver ----------------------------
 
     def stacked_residuals(self, phi: np.ndarray) -> np.ndarray:
-        """R @ theta, then the weighted defect: min(2N, size) + N entries."""
+        """R @ theta, then the scaled defect: min(2N, size) + N entries."""
         theta = self.embed(phi)
         *_, o = self._defect_parts(theta)
         return np.concatenate([self.linear_q.T @ (self.linear_stack @ theta), self.defect_scale * o])
@@ -278,14 +250,6 @@ def _self_defect(y: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return powers, powers @ s - y
 
 
-def _weighted_objective(config: ExplorationConfig, r1, r2, o) -> float:
-    return float(
-        config.weight_eq1 * np.mean(r1**2)
-        + config.weight_eq2 * np.mean(r2**2)
-        + config.weight_ouroboros * np.mean(o**2)
-    )
-
-
 class Classification(str, Enum):
     MEAN_LIKE = "mean_like"
     OTHER_CANDIDATE = "other_candidate"
@@ -295,7 +259,6 @@ class Classification(str, Enum):
 @dataclass(frozen=True)
 class StartRecord:
     start: int
-    init: str
     theta: tuple[float, ...]
     objective: float
     residual_eq1: float
@@ -312,7 +275,6 @@ class StartRecord:
     def to_dict(self) -> dict:
         return {
             "start": self.start,
-            "init": self.init,
             "theta": list(self.theta),
             "objective": self.objective,
             "residual_eq1": self.residual_eq1,
@@ -393,10 +355,9 @@ def explore(config: ExplorationConfig) -> ExplorationReport:
 
     runs = []
     for s in range(config.starts):
-        phi0 = problem.reduce(target) if config.init == "mean" else init_vectors[s]
         result = least_squares(
             problem.stacked_residuals,
-            phi0,
+            init_vectors[s],
             jac=problem.stacked_jacobian,
             method="trf",
             ftol=config.tol,
@@ -418,7 +379,6 @@ def explore(config: ExplorationConfig) -> ExplorationReport:
 
         runs.append(StartRecord(
             start=s,
-            init=config.init,
             theta=tuple(float(t) for t in theta),
             objective=value,
             residual_eq1=float(np.mean(r1**2)),

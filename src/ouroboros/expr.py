@@ -361,15 +361,8 @@ for _cls in (Const, Var, Add, Mul, Neg, Pow):
 # ---------------------------------------------------------------------------
 # evaluation
 
-def dimension(e: Expr, n_hint: int | None = None) -> int:
-    """Largest variable index occurring in ``e``, or ``n_hint`` if larger."""
-    d = _max_index(e)
-    if n_hint is not None:
-        d = max(d, n_hint)
-    return d
-
-
-def _max_index(e: Expr) -> int:
+def dimension(e: Expr) -> int:
+    """Largest variable index occurring in ``e``; 0 for a constant."""
     if isinstance(e, Const):
         return 0
     if isinstance(e, Var):
@@ -377,12 +370,12 @@ def _max_index(e: Expr) -> int:
     if isinstance(e, (Add, Mul)):
         d = 0
         for _, child in e.terms if isinstance(e, Add) else e.factors:
-            d = max(d, _max_index(child))
+            d = max(d, dimension(child))
         return d
     if isinstance(e, Neg):
-        return _max_index(e.operand)
+        return dimension(e.operand)
     if isinstance(e, Pow):
-        return _max_index(e.base)
+        return dimension(e.base)
     raise TypeError(f"not an expression node: {e!r}")
 
 

@@ -138,12 +138,7 @@ def residual_expr(u: Expr, spec: PdeSpec) -> Expr:
     return total
 
 
-def check_residual(
-    u: Expr,
-    spec: PdeSpec,
-    dom: SampleDomain,
-    fd_step: float = DEFAULT_FD_STEP,
-) -> ResidualReport:
+def check_residual(u: Expr, spec: PdeSpec, dom: SampleDomain) -> ResidualReport:
     """Decide the residual on its normal form, then bound it on samples twice.
 
     The first route evaluates the residual's normal form (the exact residual
@@ -155,7 +150,7 @@ def check_residual(
         raise ValueError("sample domain and equation dimension disagree")
     _require_dimension(u, spec.n)
     points = dom.samples()
-    partials = _fd_partials(u, points, sorted({k for k, _ in spec.terms()}), fd_step)
+    partials = _fd_partials(u, points, sorted({k for k, _ in spec.terms()}), DEFAULT_FD_STEP)
     return _residual_report(u, expand(u, spec.n), spec, points, partials)
 
 
@@ -366,8 +361,6 @@ def check_system(u: Expr | LinearForm, n: int, dom: SampleDomain) -> SystemRepor
     )
 
 
-def verify_mean_system(n: int, dom: SampleDomain | None = None) -> SystemReport:
+def verify_mean_system(n: int) -> SystemReport:
     """The arithmetic mean solves the full system in any even dimension."""
-    if dom is None:
-        dom = SampleDomain(n=n, radius=2.0, seed=0, count=200)
-    return check_system(arithmetic_mean(n), n, dom)
+    return check_system(arithmetic_mean(n), n, SampleDomain(n=n, radius=2.0, seed=0, count=200))

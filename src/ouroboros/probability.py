@@ -105,11 +105,9 @@ class ExpectationReport:
         }
 
 
-def check_expectation_ouroboros(
-    x: DiscreteRandomVariable, tol: float = MASS_TOL
-) -> ExpectationReport:
+def check_expectation_ouroboros(x: DiscreteRandomVariable) -> ExpectationReport:
     """Check E[E[X]] = E[X] by actually recomposing the constant variable."""
     e = expected_value(x)
     recomposed = expected_value(as_constant_rv(e))
     deviation = abs(recomposed - e)
-    return ExpectationReport(e, recomposed, deviation, deviation <= tol)
+    return ExpectationReport(e, recomposed, deviation, deviation <= MASS_TOL)

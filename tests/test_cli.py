@@ -2,6 +2,7 @@
 
 import argparse
 import csv
+import dataclasses
 import json
 import os
 import subprocess
@@ -15,6 +16,7 @@ import pytest
 from ouroboros import cli
 from ouroboros.cli import build_parser, main, parse_fractions
 from ouroboros.core import SampleDomain
+from ouroboros.explorer import ExplorationConfig
 from ouroboros.expr import MAX_DEPTH
 from ouroboros.pde import DEFAULT_FD_STEP
 from test_acceptance import DETERMINISM_COMMANDS
@@ -326,6 +328,16 @@ class TestExploreCommand:
         assert len(rows) == 3
         assert rows[0]["classification"] == "mean_like"
         assert rows[0]["solver_status"] in {"1", "2", "3", "4"}
+        assert "init" not in rows[0]
+
+    @pytest.mark.parametrize("where", ["config", "run"])
+    def test_the_schema_refuses_a_start_setting(self, capsys, where):
+        code, doc = run_main(capsys, ["explore", "--n", "2", "--degree", "1", "--starts", "1"])
+        assert code == 0
+        assert_valid(doc)
+        target = doc["result"]["config"] if where == "config" else doc["result"]["runs"][0]
+        target["init"] = "random"
+        assert not VALIDATOR.is_valid(doc)
 
     def test_every_degree_reports_the_exact_solution_set(self, capsys):
         code, doc = run_main(
@@ -340,13 +352,11 @@ class TestExploreCommand:
     def test_odd_dimension_exits_two(self, capsys):
         assert main(["explore", "--n", "3", "--degree", "1"]) == 2
 
-    @pytest.mark.parametrize("flag, value", [
-        ("--weight-eq1", "nan"), ("--weight-ouroboros", "inf"), ("--tol", "nan"), ("--tol", "inf"),
-    ])
-    def test_non_finite_weights_and_tol_are_bad_input(self, capsys, flag, value):
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_tol_is_bad_input(self, capsys, value):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            code = main(["explore", "--n", "2", "--degree", "1", "--starts", "1", flag, value])
+            code = main(["explore", "--n", "2", "--degree", "1", "--starts", "1", "--tol", value])
         assert code == 2
         assert [str(w.message) for w in caught] == []
         captured = capsys.readouterr()
@@ -356,6 +366,12 @@ class TestExploreCommand:
     def test_requires_dimension_and_degree(self, capsys):
         assert main(["explore", "--degree", "1"]) == 2
         assert main(["explore", "--n", "2"]) == 2
+
+    def test_options_are_the_config_fields_and_carry_no_defaults(self):
+        """Each explore setting is declared once: its default lives in ExplorationConfig."""
+        names = [opt.name for opt in cli._EXPLORE_OPTIONS if opt.name != "csv"]
+        assert names == [field.name for field in dataclasses.fields(ExplorationConfig)]
+        assert [opt.default for opt in cli._EXPLORE_OPTIONS] == [None] * len(cli._EXPLORE_OPTIONS)
 
 
 class TestConfigMerging:
@@ -380,6 +396,15 @@ class TestConfigMerging:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"bogus": 1}))
         assert main(["check", "--expr", "x1", "--config", str(cfg)]) == 2
+
+    @pytest.mark.parametrize("values", [{"weight_eq1": 2}, {"init": "mean"}, {"init": "sideways"}])
+    def test_removed_explore_settings_are_unknown_keys(self, capsys, tmp_path, values):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(values))
+        assert main(["explore", "--n", "2", "--degree", "1", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: unknown config keys: {next(iter(values))}\n"
 
     def test_unreadable_or_malformed_files_exit_two(self, capsys, tmp_path):
         assert main(["check", "--expr", "x1", "--config", str(tmp_path / "nope.json")]) == 2
@@ -427,7 +452,6 @@ class TestConfigMerging:
         (["check"], {"coeffs": [0.5, 0.5]}),
         (["check", "--expr", "(x1 + x2)/2"], {"seed": 1.5}),
         (["check", "--expr", "(x1 + x2)/2"], {"seed": True}),
-        (["explore", "--n", "2", "--degree", "1"], {"init": "sideways"}),
     ])
     def test_a_value_its_flag_would_refuse_is_bad_input(self, capsys, tmp_path, argv, values):
         cfg = tmp_path / "cfg.json"
@@ -479,6 +503,26 @@ class TestTolerance:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "tolerance must be finite and non-negative" in captured.err
+
+
+class TestNegativeNumbers:
+    """A negative number in exponent form is a value for its flag, not a flag."""
+
+    @pytest.mark.parametrize("argv", [
+        ["check", "--expr", "x1", "--tol", "-1e-3"],
+        ["pde", "--expr", "x1", "--equation", "II", "--n", "1", "--radius", "-1e-3"],
+    ])
+    def test_reaches_the_value_check(self, capsys, argv):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
+        assert captured.err.rstrip().endswith("got -0.001")
+
+    @pytest.mark.parametrize("text", ["-1e-3", "-.5e2", "-1E+2", "-2.", "-3", "-inf", "-Infinity"])
+    def test_parses_as_the_flag_value(self, text):
+        args = build_parser().parse_args(["explore", "--tol", text])
+        assert args.tol == float(text)
 
 
 class TestEnvelope:

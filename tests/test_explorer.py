@@ -78,26 +78,19 @@ class TestConfig:
         with pytest.raises(ValueError):
             ExplorationConfig(n=2, degree=0)
         with pytest.raises(ValueError):
-            ExplorationConfig(n=2, degree=1, init="sideways")
-        with pytest.raises(ValueError):
-            ExplorationConfig(n=2, degree=1, weight_eq2=0.0)
-        with pytest.raises(ValueError):
             ExplorationConfig(n=2, degree=1, starts=0)
 
-    @pytest.mark.parametrize(
-        "field, value",
-        [
-            ("weight_eq1", math.nan),
-            ("weight_eq2", math.inf),
-            ("weight_ouroboros", math.inf),
-            ("tol", math.nan),
-            ("tol", math.inf),
-            ("tol", 0.0),
-        ],
-    )
-    def test_weights_and_tol_must_be_positive_and_finite(self, field, value):
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0])
+    def test_tol_must_be_positive_and_finite(self, tol):
         with pytest.raises(ValueError):
-            ExplorationConfig(n=2, degree=1, **{field: value})
+            ExplorationConfig(n=2, degree=1, tol=tol)
+
+    def test_to_dict_is_every_field_with_the_sample_budget_resolved(self):
+        config = ExplorationConfig(n=4, degree=3, seed=5)
+        assert config.to_dict() == {
+            "n": 4, "degree": 3, "samples": 350, "radius": 2.0, "seed": 5,
+            "starts": 20, "max_iterations": 100, "tol": 1e-15,
+        }
 
     def test_default_sample_budget_scales_with_the_basis(self):
         assert ExplorationConfig(n=2, degree=2).resolved_samples == 200
@@ -209,11 +202,9 @@ class TestObjective:
 
 def unreduced_stack(problem, phi):
     """Residuals and Jacobian with both linear blocks at full height, 3N rows."""
-    cfg, count = problem.config, problem.points.shape[0]
+    count = problem.points.shape[0]
     theta = problem.embed(phi)
-    r1, r2, *_ = problem.residual_parts(theta)
-    lin = np.vstack([math.sqrt(cfg.weight_eq1 / count) * problem.a1,
-                     math.sqrt(cfg.weight_eq2 / count) * problem.a2])
+    lin = np.vstack([problem.a1, problem.a2]) / math.sqrt(count)
     r_lin = lin @ theta
     jac_lin = lin[:, problem.free] - lin[:, -1:]
     # the defect block is the same in both forms: the last N rows
@@ -267,12 +258,6 @@ class TestExplore:
             assert run.converged
             assert run.objective <= 1e-10
             assert run.distance_to_mean <= 1e-3
-
-    def test_mean_start_stays_put(self):
-        report = explore(ExplorationConfig(n=2, degree=2, seed=1, starts=2, init="mean"))
-        for run in report.runs:
-            assert run.classification is Classification.MEAN_LIKE
-            assert run.distance_to_mean <= 1e-6
 
     def test_reports_are_deterministic(self):
         a = explore(ExplorationConfig(n=2, degree=2, seed=42, starts=4))

@@ -243,11 +243,6 @@ class TestDimension:
     def test_constants_have_dimension_zero(self):
         assert dimension(Const(3.0)) == 0
 
-    def test_hint_extends_but_never_shrinks(self):
-        e = parse("x2")
-        assert dimension(e, n_hint=4) == 4
-        assert dimension(e, n_hint=1) == 2
-
 
 class TestSimplification:
     def test_smart_constructors_fold_neutral_elements(self):
