@@ -31,14 +31,13 @@ flag means: {"n": "4"} is --n 4, a value the flag would refuse, such as
 
 Start-up, not the check, sets a command's wall time: the checks take
 2-6 ms. Each handler imports what it needs. ``check --coeffs``, ``expect``
-and ``version`` import no numpy and take about 0.13 s in a fresh process;
-``check --expr`` and ``pde`` import numpy for their sample clouds and take
-about 0.3 s; ``explore`` also imports scipy and takes about 0.9 s
-(medians of 7 fresh processes per command, 2-CPU VM, Python 3.11,
-numpy 2.4, scipy 1.17). These numbers are taken with ``__pycache__``
-present: without written bytecode (``PYTHONDONTWRITEBYTECODE=1`` on a
-fresh checkout) every run compiles the package again, and ``version``
-takes about 0.132 s instead of 0.113 s.
+and ``version`` import no numpy and take about 0.057 s in a fresh process;
+``check --expr``, ``pde`` and ``explore`` import numpy for their sample
+clouds and take about 0.11 s, ``explore --n 2 --degree 1`` 0.12 s
+(medians of 15 fresh processes per command, 2-CPU VM, Python 3.11,
+numpy 2.4). These numbers are taken with ``__pycache__`` present: without
+written bytecode (``PYTHONDONTWRITEBYTECODE=1`` on a fresh checkout) every
+run compiles the package again, and ``version`` takes about 0.065 s.
 """
 
 from __future__ import annotations
@@ -80,7 +79,7 @@ class Option(NamedTuple):
 _CHECK_OPTIONS = (
     Option("coeffs", str, None, "comma-separated coefficients of a linear form, fractions allowed"),
     Option("expr", str, None, "expression in x1..xn, e.g. '(x1 + x2)/2'"),
-    Option("n", int, None, "dimension; defaults to the largest variable index"),
+    Option("n", int, None, "dimension, at least the --coeffs length; defaults to it or the largest variable index"),
     Option("samples", int, 200, "sample count for expression checks"),
     Option("radius", float, 2.0, "half-width of the sampling box"),
     Option("seed", int, 0, "sampling seed"),
@@ -91,7 +90,7 @@ _PDE_OPTIONS = (
     Option("expr", str, None, "expression in x1..xn"),
     Option("equation", str, None, "which check to run", ("I", "II", "system")),
     Option("beta", int, None, "head length for equation I (1..n)"),
-    Option("n", int, None, "dimension; defaults to the largest variable index"),
+    Option("n", int, None, "dimension, at least the --coeffs length; defaults to it or the largest variable index"),
     Option("samples", int, 200, "sample count for residual bounds"),
     Option("radius", float, 2.0, "half-width of the sampling box"),
     Option("seed", int, 0, "sampling seed"),
@@ -242,12 +241,16 @@ class Candidate(NamedTuple):
 
     @property
     def n(self) -> int:
-        """--n, by default the form's length or the largest variable index (check's exact route ignores it)."""
+        """--n, by default the form's length or the largest variable index."""
         n = self.n_given
         if n is None:
             n = len(self.fracs) if self.fracs is not None else dimension(self.expr)
-        if n < 1:
-            raise InputError("the expression has no variables; give --n explicitly")
+            if n < 1:
+                raise InputError("the expression has no variables; give --n explicitly")
+        elif n < 1:
+            raise InputError(f"--n must be at least 1, got {n}")
+        elif self.fracs is not None and n < len(self.fracs):
+            raise InputError(f"--n {n} is below the {len(self.fracs)} entries of --coeffs")
         return n
 
 
@@ -271,10 +274,10 @@ def _run_check(args: argparse.Namespace) -> int:
     if u.form is not None:
         tol = EXACT_TOL if opts["tol"] is None else opts["tol"]
         report = check_linear_exact(u.form, tol=tol)
-        config = {"coeffs": [str(f) for f in u.fracs], "tol": tol}
+        config = {"coeffs": [str(f) for f in u.fracs], "n": u.n, "tol": tol}
         result = {
             "mode": "exact",
-            "n": len(u.fracs),
+            "n": u.n,
             "coefficients": [float(f) for f in u.fracs],
             "coefficient_sum": u.form.coefficient_sum(),
             "coefficient_sum_exact": str(sum(u.fracs)),

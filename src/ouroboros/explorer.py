@@ -83,9 +83,9 @@ class ExplorationConfig:
 
     ``samples = None`` resolves to max(200, 10 * basis size), enough points
     to make a spurious sampled zero of the polynomial defect improbable.
-    Randomness is fully seeded: the sample cloud uses ``seed`` and the
-    Gaussian start vectors ``seed + 1``, so identical configs give
-    bit-identical reports.
+    Randomness is fully seeded: the sample cloud draws from the Philox key
+    ``seed`` (which is ``[seed, 0]``), the Gaussian start vectors from
+    ``[seed, 1]``, so identical configs give bit-identical reports.
     """
 
     n: int
@@ -135,19 +135,6 @@ class ExplorationProblem:
     and the analytic gradient is exact. The normalisation is handled by
     eliminating theta[0] (= 0) and the last slot (= 1 - sum of the others),
     which at degree 1 is precisely the unit-coefficient-sum parametrisation.
-
-    The stacked form handed to the Gauss-Newton solver carries the two
-    linear blocks reduced to their R-factor. The scaled stack
-    S = [a1; a2] / sqrt(N) is fixed, and with S = QR,
-    S^T S = R^T R, so R @ theta (size rows) stands in for S @ theta (2N
-    rows): the cost, gradient and Gauss-Newton matrix the solver sees are
-    those of the full 3N rows in exact arithmetic, while the Jacobian it
-    takes SVDs of has N + size rows. The reduced rows are computed as
-    Q^T @ (S @ theta), which equals R @ theta: each entry of R sums over
-    all 2N rows, and evaluating R @ theta directly raises the objective's
-    round-off floor about a hundredfold, which lengthens the solver's
-    tails. ``a1``, ``a2`` and ``objective_full`` keep the unreduced
-    definition; reported residuals come from them.
     """
 
     def __init__(self, config: ExplorationConfig, points: np.ndarray):
@@ -168,14 +155,13 @@ class ExplorationProblem:
         self.a1, self.a2 = (
             sum(weight * partials[k - 1] for k, weight in spec.terms()) for spec in system_specs(n)
         )
-        self.grade = _grade_matrix(self.exponents)
+        # degree aggregation: row g sums the theta slots of total degree g
+        self.grade = np.zeros((config.degree + 1, self.size))
+        self.grade[[sum(alpha) for alpha in self.exponents], np.arange(self.size)] = 1.0
         self.free = np.arange(1, self.size - 1)  # eliminated: slot 0 and the last
-        scale = math.sqrt(1.0 / count)
-        stacked = np.vstack([scale * self.a1, scale * self.a2])
-        q, r = np.linalg.qr(stacked)
-        self.linear_stack, self.linear_q = stacked, q
-        self.linear_jacobian = r[:, self.free] - r[:, -1:]
-        self.defect_scale = scale
+        # the linear blocks' share of the Gauss-Newton matrix is constant
+        linear = self._over_free(np.vstack([self.a1, self.a2]))
+        self.linear_gauss_newton = (linear.T @ linear) / count
 
     # -- constraint handling -------------------------------------------------
 
@@ -188,66 +174,53 @@ class ExplorationProblem:
     def reduce(self, theta: np.ndarray) -> np.ndarray:
         return np.asarray(theta, dtype=float)[self.free]
 
+    def _over_free(self, jac: np.ndarray) -> np.ndarray:
+        """A Jacobian over theta (last axis) as one over the free coordinates."""
+        return jac[..., self.free] - jac[..., -1:]
+
     # -- objective -----------------------------------------------------------
 
     def residual_parts(self, theta: np.ndarray):
-        theta = np.asarray(theta, dtype=float)
-        return (self.a1 @ theta, self.a2 @ theta, *self._defect_parts(theta))
+        """r1, r2, then y = u(x), the powers of y, s and the defect o = p(y) - y.
 
-    def _defect_parts(self, theta: np.ndarray):
+        With s_g the sum of u's degree-g coefficients, p(t) = sum_g s_g t^g
+        is u on the diagonal, so o = u(u(x), ..., u(x)) - u(x).
+        """
+        theta = np.asarray(theta, dtype=float)
         y = self.phi_matrix @ theta
         s = self.grade @ theta
-        powers, o = _self_defect(y, s)
-        return y, powers, s, o
+        powers = np.vander(y, len(s), increasing=True)
+        return self.a1 @ theta, self.a2 @ theta, y, powers, s, powers @ s - y
+
+    def objective(self, theta: np.ndarray) -> float:
+        """The objective alone, from the residuals: no Jacobian is formed."""
+        r1, r2, *_, o = self.residual_parts(theta)
+        return _mean_squares(r1, r2, o)
 
     def objective_full(self, theta: np.ndarray) -> tuple[float, np.ndarray]:
         """Objective and exact gradient with respect to the full theta."""
-        count = self.points.shape[0]
-        r1, r2, y, powers, s, o = self.residual_parts(theta)
-        jac_o = self._defect_jacobian(y, powers, s)
-        grad = (2.0 / count) * (self.a1.T @ r1 + self.a2.T @ r2 + jac_o.T @ o)
-        return float(np.mean(r1**2) + np.mean(r2**2) + np.mean(o**2)), grad
+        value, half_gradient, _ = self._gradient_parts(theta)
+        return value, 2.0 * half_gradient
 
-    def _defect_jacobian(self, y, powers, s) -> np.ndarray:
+    def normal_equations(self, phi: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+        """Objective, J^T r and J^T J over the free coordinates, r = [r1; r2; o] / sqrt(N)."""
+        value, half_gradient, jac_o = self._gradient_parts(self.embed(phi))
+        jac_o = self._over_free(jac_o)
+        return value, self._over_free(half_gradient), self.linear_gauss_newton + (jac_o.T @ jac_o) / len(jac_o)
+
+    def _gradient_parts(self, theta: np.ndarray):
+        """Objective, J^T r over the full theta, and the defect's Jacobian."""
+        r1, r2, y, powers, s, o = self.residual_parts(theta)
         # d o_i / d theta_j = y_i^deg(j) + (p'(y_i) - 1) * phi_ij
         degree = self.config.degree
         dp = powers[:, : degree] @ (np.arange(1, degree + 1) * s[1:])
-        return powers @ self.grade + ((dp - 1.0)[:, None] * self.phi_matrix)
-
-    # -- stacked form for the Gauss-Newton solver ----------------------------
-
-    def stacked_residuals(self, phi: np.ndarray) -> np.ndarray:
-        """R @ theta, then the scaled defect: min(2N, size) + N entries."""
-        theta = self.embed(phi)
-        *_, o = self._defect_parts(theta)
-        return np.concatenate([self.linear_q.T @ (self.linear_stack @ theta), self.defect_scale * o])
-
-    def stacked_jacobian(self, phi: np.ndarray) -> np.ndarray:
-        """Jacobian of :meth:`stacked_residuals` over the free coordinates."""
-        y, powers, s, _ = self._defect_parts(self.embed(phi))
-        jac_o = self._defect_jacobian(y, powers, s)
-        return np.vstack([
-            self.linear_jacobian,
-            self.defect_scale * (jac_o[:, self.free] - jac_o[:, -1:]),
-        ])
+        jac_o = powers @ self.grade + ((dp - 1.0)[:, None] * self.phi_matrix)
+        half_gradient = (self.a1.T @ r1 + self.a2.T @ r2 + jac_o.T @ o) / len(o)
+        return _mean_squares(r1, r2, o), half_gradient, jac_o
 
 
-def _grade_matrix(exponents) -> np.ndarray:
-    """Degree aggregation: row g sums the theta slots of total degree g."""
-    degrees = [sum(alpha) for alpha in exponents]
-    grade = np.zeros((max(degrees) + 1, len(exponents)))
-    grade[degrees, np.arange(len(exponents))] = 1.0
-    return grade
-
-
-def _self_defect(y: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Powers of y and the defect o = p(y) - y, where p(t) = sum_g s_g t^g.
-
-    With s_g the sum of u's degree-g coefficients, p is u on the diagonal,
-    so at y = u(x) the defect is u(u(x), ..., u(x)) - u(x).
-    """
-    powers = np.vander(y, len(s), increasing=True)
-    return powers, powers @ s - y
+def _mean_squares(r1: np.ndarray, r2: np.ndarray, o: np.ndarray) -> float:
+    return float(np.mean(r1**2) + np.mean(r2**2) + np.mean(o**2))
 
 
 class Classification(str, Enum):
@@ -270,7 +243,7 @@ class StartRecord:
     converged: bool
     n_evaluations: int
     n_jacobian_evaluations: int
-    solver_status: int  # scipy's least_squares status: 0 hit max_nfev, 1-4 met a tolerance
+    solver_status: int  # 0 spent max_iterations; 1, 2, 3 met tol on the gradient, decrease, step
 
     def to_dict(self) -> dict:
         return {
@@ -327,47 +300,29 @@ class ExplorationReport:
 def explore(config: ExplorationConfig) -> ExplorationReport:
     """Run the multi-start search and label every run against the exact set.
 
-    Gauss-Newton (scipy's trust-region least squares with the analytic
-    Jacobian) minimises the stacked residual vector from each start, in the
-    reduced form of :class:`ExplorationProblem`: N + size rows, the two
-    linear blocks as their R-factor. Each run is then measured against
-    :func:`solution_set`: it is non_converged when its theta lies farther
-    than SET_DISTANCE_TOL from the set, otherwise mean_like when it lies
-    that close to the mean's theta, else other_candidate. ``converged``
-    separately records objective <= 1e-10. Exhausting the iteration cap is
-    an outcome, not an error; each run records the solver's status and
-    Jacobian count, so a run that hit the cap is told apart from one that
-    stopped on a tolerance.
+    From each start, a damped Gauss-Newton loop (:func:`_levenberg_marquardt`)
+    minimises the objective over the free coordinates. Each run is then
+    measured against :func:`solution_set`: it is non_converged when its
+    theta lies farther than SET_DISTANCE_TOL from the set, otherwise
+    mean_like when it lies that close to the mean's theta, else
+    other_candidate. ``converged`` separately records objective <= 1e-10.
+    Exhausting the evaluation cap is an outcome, not an error: each run
+    records why the loop stopped and how many Jacobians it formed.
     """
-    # imported here, and looked up at each call, so the other commands
-    # never load scipy
-    from scipy.optimize import least_squares
-
     dom = SampleDomain(
         n=config.n, radius=config.radius, seed=config.seed, count=config.resolved_samples
     )
     problem = ExplorationProblem(config, dom.samples())
     exact = solution_set(config.n, config.degree)
     target = mean_theta(config.n, config.degree)
-    init_rng = np.random.Generator(np.random.Philox(key=config.seed + 1))
-    free_count = problem.size - 2
-    init_vectors = init_rng.standard_normal((config.starts, free_count))
+    init_rng = np.random.Generator(np.random.Philox(key=np.array([config.seed, 1], dtype=np.uint64)))
+    init_vectors = init_rng.standard_normal((config.starts, problem.size - 2))
 
     runs = []
     for s in range(config.starts):
-        result = least_squares(
-            problem.stacked_residuals,
-            init_vectors[s],
-            jac=problem.stacked_jacobian,
-            method="trf",
-            ftol=config.tol,
-            xtol=config.tol,
-            gtol=config.tol,
-            max_nfev=config.max_iterations,
-        )
-        theta = problem.embed(result.x)
-        value, _ = problem.objective_full(theta)
-        r1, r2, _, _, _, o = problem.residual_parts(theta)
+        phi, value, n_evaluations, n_jacobians, status = _levenberg_marquardt(problem, init_vectors[s])
+        theta = problem.embed(phi)
+        r1, r2, *_, o = problem.residual_parts(theta)
         distance = float(np.linalg.norm(theta - target))
         distance_to_set = exact.distance(theta)
         if distance_to_set > SET_DISTANCE_TOL:
@@ -388,11 +343,49 @@ def explore(config: ExplorationConfig) -> ExplorationReport:
             distance_to_solution_set=distance_to_set,
             classification=label,
             converged=value <= OBJECTIVE_ZERO_TOL,
-            n_evaluations=int(result.nfev),
-            n_jacobian_evaluations=int(result.njev),
-            solver_status=int(result.status),
+            n_evaluations=n_evaluations,
+            n_jacobian_evaluations=n_jacobians,
+            solver_status=status,
         ))
     return ExplorationReport(config=config, runs=tuple(runs), solution_set=exact)
+
+
+def _levenberg_marquardt(problem: ExplorationProblem, phi: np.ndarray):
+    """Levenberg-Marquardt from ``phi``: (phi, objective, evaluations, Jacobians, status).
+
+    Each step solves (H + lam * diag(H)) step = -g with H and g from
+    :meth:`ExplorationProblem.normal_equations` (More 1978). A trial point
+    evaluates residuals only; an accepted one forms the Jacobian and divides
+    lam, a rejected one multiplies it. Status 1, 2 and 3: ``tol`` bounded
+    the gradient, the relative decrease, the step; 0: the evaluations ran out.
+    """
+    tol = problem.config.tol
+    value, gradient, gauss_newton = problem.normal_equations(phi)
+    evaluations = jacobians = 1
+    damping = 1e-3
+    while True:
+        if np.abs(gradient).max() <= tol:
+            return phi, value, evaluations, jacobians, 1
+        if evaluations >= problem.config.max_iterations:
+            return phi, value, evaluations, jacobians, 0
+        step = np.linalg.solve(gauss_newton + damping * np.diag(np.diag(gauss_newton)), -gradient)
+        trial_value = problem.objective(problem.embed(phi + step))
+        evaluations += 1
+        small_step = np.linalg.norm(step) <= tol * (tol + np.linalg.norm(phi))
+        if trial_value < value:
+            small_decrease = value - trial_value <= tol * value
+            phi = phi + step
+            value, gradient, gauss_newton = problem.normal_equations(phi)
+            jacobians += 1
+            # H is singular along the solution set; the floor keeps lam * diag(H)
+            # above its rounding there, so the damped matrix stays invertible
+            damping = max(damping / 10.0, 1e-10)
+            if small_decrease:
+                return phi, value, evaluations, jacobians, 2
+        else:
+            damping *= 10.0
+        if small_step:
+            return phi, value, evaluations, jacobians, 3
 
 
 # ---------------------------------------------------------------------------

@@ -114,6 +114,31 @@ class TestCheckCommand:
         code, doc = run_main(capsys, ["check", "--expr", "3", "--n", "2"][:5])
         assert code == 0
 
+    def test_coefficients_are_checked_in_the_given_dimension(self, capsys):
+        code, doc = run_main(capsys, ["check", "--coeffs", "1/2,1/2", "--n", "5"])
+        assert code == 0
+        assert_valid(doc)
+        assert doc["result"]["n"] == 5 and doc["manifest"]["config"]["n"] == 5
+        code, doc = run_main(capsys, ["check", "--coeffs", "1/2,1/2"])
+        assert doc["result"]["n"] == 2
+
+    @pytest.mark.parametrize("command", [["check"], ["pde", "--equation", "II"]])
+    @pytest.mark.parametrize("n,message", [
+        ("0", "error: --n must be at least 1, got 0"),
+        ("-3", "error: --n must be at least 1, got -3"),
+        ("1", "error: --n 1 is below the 2 entries of --coeffs"),
+    ])
+    def test_a_dimension_the_form_does_not_fit_is_bad_input(self, capsys, command, n, message):
+        assert main([*command, "--coeffs", "1/2,1/2", f"--n={n}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.strip() == message
+
+    @pytest.mark.parametrize("command", [["check"], ["pde", "--equation", "II"]])
+    def test_a_dimension_below_one_is_named_for_an_expression(self, capsys, command):
+        assert main([*command, "--expr", "3", "--n", "0"]) == 2
+        assert capsys.readouterr().err.strip() == "error: --n must be at least 1, got 0"
+
 
 class TestPdeCommand:
     def test_equation_one_with_beta(self, capsys):
@@ -327,7 +352,7 @@ class TestExploreCommand:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 3
         assert rows[0]["classification"] == "mean_like"
-        assert rows[0]["solver_status"] in {"1", "2", "3", "4"}
+        assert rows[0]["solver_status"] in {"1", "2", "3"}
         assert "init" not in rows[0]
 
     @pytest.mark.parametrize("where", ["config", "run"])
@@ -562,8 +587,8 @@ class TestInstalledEntryPoints:
         assert proc.returncode == 0
         assert_valid(json.loads(proc.stdout))
 
-    def test_commands_other_than_explore_never_load_scipy(self):
-        """scipy is imported by explore's least squares only; the exact solution set needs none."""
+    def test_no_command_loads_scipy(self):
+        """No subcommand, explore's search included, and not the exact solution set, imports scipy."""
         script = (
             "import sys, ouroboros, ouroboros.cli\n"
             "assert 'scipy' not in sys.modules, 'import'\n"
@@ -572,7 +597,8 @@ class TestInstalledEntryPoints:
             "from ouroboros.cli import main\n"
             "for argv in (['check', '--coeffs', '1/2,1/2'], ['check', '--expr', 'x1'],\n"
             "             ['pde', '--coeffs', '1/2,1/2', '--equation', 'system'],\n"
-            "             ['expect', '--values', '1,2', '--probs', '1/2,1/2'], ['version']):\n"
+            "             ['expect', '--values', '1,2', '--probs', '1/2,1/2'], ['version'],\n"
+            "             ['explore', '--n', '4', '--degree', '2', '--starts', '2']):\n"
             "    assert main(argv) == 0, argv\n"
             "    assert 'scipy' not in sys.modules, argv\n"
         )

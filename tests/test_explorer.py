@@ -126,26 +126,28 @@ class TestObjective:
             fd = (problem.objective_full(up)[0] - problem.objective_full(down)[0]) / (2 * h)
             assert grad[j] == pytest.approx(fd, rel=1e-5, abs=1e-5)
 
-    def test_stacked_residuals_square_to_the_objective(self):
+    def test_normal_equations_carry_the_objective(self):
         cfg, problem = make_problem()
         rng = np.random.default_rng(5)
         phi = rng.standard_normal(problem.size - 2)
-        r = problem.stacked_residuals(phi)
-        value, _ = problem.objective_full(problem.embed(phi))
-        assert float(r @ r) == pytest.approx(value, rel=1e-12)
+        value, _, _ = problem.normal_equations(phi)
+        assert value == pytest.approx(problem.objective_full(problem.embed(phi))[0], rel=1e-12)
+        assert value == pytest.approx(problem.objective(problem.embed(phi)), rel=1e-12)
 
-    def test_stacked_jacobian_matches_finite_differences(self):
+    def test_free_gradient_matches_finite_differences(self):
+        """J^T r is half the objective's gradient over the free coordinates."""
         cfg, problem = make_problem(count=20)
         rng = np.random.default_rng(8)
         phi = rng.standard_normal(problem.size - 2)
-        jac = problem.stacked_jacobian(phi)
+        _, gradient, _ = problem.normal_equations(phi)
         h = 1e-6
+        fd = np.empty_like(phi)
         for j in range(phi.size):
             up, down = phi.copy(), phi.copy()
             up[j] += h
             down[j] -= h
-            col = (problem.stacked_residuals(up) - problem.stacked_residuals(down)) / (2 * h)
-            assert np.abs(col - jac[:, j]).max() <= 1e-5 * (1 + np.abs(col).max())
+            fd[j] = (problem.objective(problem.embed(up)) - problem.objective(problem.embed(down))) / (4 * h)
+        assert np.abs(fd - gradient).max() <= 1e-5 * (1 + np.abs(fd).max())
 
     @given(st.lists(st.floats(min_value=-2, max_value=2, allow_nan=False), min_size=4, max_size=4))
     @settings(max_examples=50, deadline=None)
@@ -201,19 +203,27 @@ class TestObjective:
 
 
 def unreduced_stack(problem, phi):
-    """Residuals and Jacobian with both linear blocks at full height, 3N rows."""
+    """Residuals and Jacobian over the free coordinates, all 3N rows, from the definitions.
+
+    r = [a1 theta; a2 theta; o] / sqrt(N), and d o / d theta_j is
+    y^deg(j) + (p'(y) - 1) * phi_j with p(t) = sum_g s_g t^g.
+    """
     count = problem.points.shape[0]
     theta = problem.embed(phi)
-    lin = np.vstack([problem.a1, problem.a2]) / math.sqrt(count)
-    r_lin = lin @ theta
-    jac_lin = lin[:, problem.free] - lin[:, -1:]
-    # the defect block is the same in both forms: the last N rows
-    r, jac = problem.stacked_residuals(phi), problem.stacked_jacobian(phi)
-    return r_lin, jac_lin, r[-count:], jac[-count:]
+    y = problem.phi_matrix @ theta
+    s = np.array([sum(t for t, alpha in zip(theta, problem.exponents) if sum(alpha) == g)
+                  for g in range(problem.config.degree + 1)])
+    o = np.polynomial.polynomial.polyval(y, s) - y
+    slope = np.polynomial.polynomial.polyval(y, np.polynomial.polynomial.polyder(s))
+    degrees = np.array([sum(alpha) for alpha in problem.exponents])
+    jac_o = y[:, None] ** degrees[None, :] + (slope - 1.0)[:, None] * problem.phi_matrix
+    r = np.concatenate([problem.a1 @ theta, problem.a2 @ theta, o]) / math.sqrt(count)
+    jac = np.vstack([problem.a1, problem.a2, jac_o]) / math.sqrt(count)
+    return r, jac[:, problem.free] - jac[:, -1:]
 
 
-class TestReducedStack:
-    """The R-factor stands in for the two linear blocks without changing the least-squares problem."""
+class TestNormalEquations:
+    """One Levenberg-Marquardt step needs J^T r and J^T J; they are those of the 3N residual rows."""
 
     @pytest.mark.parametrize("n,degree", [(4, 2), (6, 3)])
     def test_normal_equations_match_the_unreduced_form(self, n, degree):
@@ -224,30 +234,27 @@ class TestReducedStack:
         rng = np.random.default_rng(n * 10 + degree)
         for scale in (1.0, 1e-3):
             phi = problem.reduce(mean_theta(n, degree)) + scale * rng.standard_normal(problem.size - 2)
-            r, jac = problem.stacked_residuals(phi), problem.stacked_jacobian(phi)
-            r_lin, jac_lin, r_o, jac_o = unreduced_stack(problem, phi)
-            full_r, full_jac = np.concatenate([r_lin, r_o]), np.vstack([jac_lin, jac_o])
-            red_r, red_jac = r[:-count], jac[:-count]
-            for reduced, unreduced in (
-                (jac.T @ jac, full_jac.T @ full_jac),
-                (jac.T @ r, full_jac.T @ full_r),
-                (r @ r, full_r @ full_r),
-                # the linear blocks alone, where the reduction happens
-                (red_jac.T @ red_jac, jac_lin.T @ jac_lin),
-                (red_jac.T @ red_r, jac_lin.T @ r_lin),
-                (red_r @ red_r, r_lin @ r_lin),
+            value, gradient, gauss_newton = problem.normal_equations(phi)
+            r, jac = unreduced_stack(problem, phi)
+            linear = jac[: 2 * count]
+            for ours, unreduced in (
+                (gauss_newton, jac.T @ jac),
+                (gradient, jac.T @ r),
+                (value, r @ r),
+                # the linear blocks alone, the share formed once
+                (problem.linear_gauss_newton, linear.T @ linear),
             ):
-                assert np.abs(reduced - unreduced).max() <= 1e-12 * np.abs(unreduced).max()
+                assert np.abs(ours - unreduced).max() <= 1e-12 * np.abs(unreduced).max()
 
-    def test_jacobian_has_n_plus_size_rows(self):
+    def test_normal_equations_are_square_in_the_free_coordinates(self):
         for n, degree in ((2, 1), (4, 2), (4, 3), (6, 3)):
             cfg = ExplorationConfig(n=n, degree=degree, seed=0)
             dom = SampleDomain(n=n, radius=cfg.radius, seed=0, count=cfg.resolved_samples)
             problem = ExplorationProblem(cfg, dom.samples())
-            phi = problem.reduce(mean_theta(n, degree))
-            shape = (cfg.resolved_samples + problem.size, problem.size - 2)
-            assert problem.stacked_jacobian(phi).shape == shape
-            assert problem.stacked_residuals(phi).shape == shape[:1]
+            _, gradient, gauss_newton = problem.normal_equations(problem.reduce(mean_theta(n, degree)))
+            assert gradient.shape == (problem.size - 2,)
+            assert gauss_newton.shape == (problem.size - 2, problem.size - 2)
+            assert np.array_equal(gauss_newton, gauss_newton.T)
 
 
 class TestExplore:
@@ -299,9 +306,34 @@ class TestExplore:
             assert run.n_evaluations == 3
         finished = explore(ExplorationConfig(n=2, degree=2, seed=42, starts=4))
         for run in finished.runs:
-            assert run.solver_status in (1, 2, 3, 4)  # a tolerance
+            assert run.solver_status in (1, 2, 3)  # a tolerance
             assert 1 <= run.n_jacobian_evaluations <= run.n_evaluations
             assert run.to_dict()["solver_status"] == run.solver_status
+
+    @pytest.mark.parametrize("n,degree,starts", [(2, 3, 8), (4, 3, 10), (6, 3, 3)])
+    def test_no_run_ends_above_its_start(self, n, degree, starts):
+        """Only a step that lowers the objective is taken, so no run ends worse than it began."""
+        config = ExplorationConfig(n=n, degree=degree, seed=1, starts=starts)
+        report = explore(config)
+        dom = SampleDomain(n=n, radius=config.radius, seed=1, count=config.resolved_samples)
+        problem = ExplorationProblem(config, dom.samples())
+        # the start stream: Philox key [seed, 1], one standard normal per free coordinate
+        rng = np.random.Generator(np.random.Philox(key=np.array([config.seed, 1], dtype=np.uint64)))
+        for run, phi in zip(report.runs, rng.standard_normal((starts, problem.size - 2))):
+            assert run.objective <= problem.objective(problem.embed(phi))
+
+    @pytest.mark.parametrize("seed", [3, 2**64 - 1])
+    def test_starts_draw_from_their_own_philox_key(self, seed):
+        """A run capped at one evaluation stays at its start: Philox [seed, 1], not the cloud's [seed, 0]."""
+        config = ExplorationConfig(n=4, degree=2, seed=seed, starts=4, max_iterations=1)
+        report = explore(config)
+        dom = SampleDomain(n=4, radius=2.0, seed=seed, count=config.resolved_samples)
+        problem = ExplorationProblem(config, dom.samples())
+        key = np.array([seed, 1], dtype=np.uint64)
+        starts = np.random.Generator(np.random.Philox(key=key)).standard_normal((4, problem.size - 2))
+        for run, phi in zip(report.runs, starts):
+            assert run.solver_status == 0 and run.n_evaluations == 1
+            assert run.theta == tuple(problem.embed(phi))
 
     def test_counts_add_up_and_notes_are_present(self):
         report = explore(ExplorationConfig(n=2, degree=1, seed=9, starts=5))
@@ -317,6 +349,15 @@ class TestExplore:
                 assert run.objective <= 1e-10
             if not run.converged:
                 assert run.classification is Classification.NON_CONVERGED
+
+    def test_a_run_stopped_short_of_the_set_is_non_converged(self):
+        """Capped at 15 evaluations, some runs reach the mean and some stop short; only the distance decides."""
+        report = explore(ExplorationConfig(n=2, degree=3, seed=0, starts=8, max_iterations=15))
+        assert report.counts["mean_like"] and report.counts["non_converged"]
+        for run in report.runs:
+            on_set = run.distance_to_solution_set <= SET_DISTANCE_TOL
+            assert (run.classification is Classification.MEAN_LIKE) is on_set
+            assert run.objective <= 1e-10 or not on_set
 
 
 def exact_residuals(theta, n, degree):
