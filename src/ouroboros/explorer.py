@@ -24,8 +24,10 @@ exactly this nonconstant reading, and reports record it.
 
 from __future__ import annotations
 
+import ctypes
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from enum import Enum
 from fractions import Fraction
@@ -246,21 +248,7 @@ class StartRecord:
     solver_status: int  # 0 spent max_iterations; 1, 2, 3 met tol on the gradient, decrease, step
 
     def to_dict(self) -> dict:
-        return {
-            "start": self.start,
-            "theta": list(self.theta),
-            "objective": self.objective,
-            "residual_eq1": self.residual_eq1,
-            "residual_eq2": self.residual_eq2,
-            "residual_ouroboros": self.residual_ouroboros,
-            "distance_to_mean": self.distance_to_mean,
-            "distance_to_solution_set": self.distance_to_solution_set,
-            "classification": self.classification.value,
-            "converged": self.converged,
-            "n_evaluations": self.n_evaluations,
-            "n_jacobian_evaluations": self.n_jacobian_evaluations,
-            "solver_status": self.solver_status,
-        }
+        return {**asdict(self), "theta": list(self.theta), "classification": self.classification.value}
 
 
 @dataclass(frozen=True)
@@ -297,6 +285,27 @@ class ExplorationReport:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2)
 
 
+@contextmanager
+def _one_blas_thread():
+    """Run the block with numpy's OpenBLAS, where found, on one thread (process-wide).
+
+    On matrices of this size a second thread adds CPU, not speed, and stalls
+    while the other core is busy. numpy's LAPACK module links its BLAS, so its
+    handle resolves OpenBLAS's names in numpy 2's wheels, numpy 1's or plain.
+    """
+    lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+    names = ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads64_", "openblas_{}_num_threads")
+    name = next((name for name in names if hasattr(lib, name.format("set"))), None)
+    set_threads = getattr(lib, name.format("set")) if name else lambda threads: None
+    threads = getattr(lib, name.format("get"))() if name else None
+    set_threads(1)
+    try:
+        yield
+    finally:
+        set_threads(threads)
+
+
+@_one_blas_thread()
 def explore(config: ExplorationConfig) -> ExplorationReport:
     """Run the multi-start search and label every run against the exact set.
 
@@ -307,7 +316,8 @@ def explore(config: ExplorationConfig) -> ExplorationReport:
     mean_like when it lies that close to the mean's theta, else
     other_candidate. ``converged`` separately records objective <= 1e-10.
     Exhausting the evaluation cap is an outcome, not an error: each run
-    records why the loop stopped and how many Jacobians it formed.
+    records why the loop stopped and how many Jacobians it formed. Meanwhile
+    numpy's OpenBLAS runs on one thread, process-wide (:func:`_one_blas_thread`).
     """
     dom = SampleDomain(
         n=config.n, radius=config.radius, seed=config.seed, count=config.resolved_samples

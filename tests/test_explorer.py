@@ -1,5 +1,6 @@
 """Exact solution set and multi-start search: objective machinery, classification."""
 
+import ctypes
 import math
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ouroboros import explorer
 from ouroboros.core import SampleDomain, check_sampled
 from ouroboros.expr import evaluate, evaluate_many, parse
 from ouroboros.explorer import (
@@ -358,6 +360,24 @@ class TestExplore:
             on_set = run.distance_to_solution_set <= SET_DISTANCE_TOL
             assert (run.classification is Classification.MEAN_LIKE) is on_set
             assert run.objective <= 1e-10 or not on_set
+
+    def test_search_runs_blas_on_one_thread_and_restores_the_count(self, monkeypatch):
+        lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+        names = ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads64_", "openblas_{}_num_threads")
+        name = next((name for name in names if hasattr(lib, name.format("get"))), None)
+        if name is None:
+            pytest.skip("numpy's BLAS is not an OpenBLAS with thread control")
+        get_threads = getattr(lib, name.format("get"))
+        before, seen = get_threads(), []
+
+        def recording(problem, phi):
+            seen.append(get_threads())
+            raise ZeroDivisionError
+
+        monkeypatch.setattr(explorer, "_levenberg_marquardt", recording)
+        with pytest.raises(ZeroDivisionError):
+            explore(ExplorationConfig(n=2, degree=1, starts=1))
+        assert seen == [1] and get_threads() == before
 
 
 def exact_residuals(theta, n, degree):
