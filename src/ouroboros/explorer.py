@@ -1,10 +1,11 @@
 """Polynomial solutions of the overdetermined system at even n: exact, and searched.
 
 The system is equation I (with beta = n), equation II and the
-self-application identity. For a polynomial candidate of degree <= d every
-one of its conditions is linear in the coefficients, so
-:func:`solution_set` computes all nonconstant solutions of that degree
-exactly, as the arithmetic mean plus a rational null space. The search
+self-application identity. Its solutions are the functions of the linear
+forms both equations leave unchanged that reduce to the mean on the
+diagonal, so :func:`solution_set` writes all nonconstant polynomial
+solutions of degree <= d in closed form, as the arithmetic mean plus the
+span of products of those forms. The search
 (:func:`explore`) minimises a least-squares objective from many
 starts and labels each run by its distance to that set: it is a numerical
 cross-check of the exact answer, and every run is reported verbatim.
@@ -37,7 +38,7 @@ import numpy as np
 
 from .core import SampleDomain
 from .pde import system_specs
-from .poly import combine, derivative, monomial_exponents, monomial_values
+from .poly import derivative, monomial_exponents, monomial_values, times
 
 __all__ = [
     "Classification",
@@ -406,7 +407,9 @@ class SolutionSet:
     """All nonconstant solutions of degree <= ``degree``: particular + span(basis).
 
     Vectors are theta over the graded basis, in exact rationals; the
-    particular solution is the arithmetic mean.
+    particular solution is the arithmetic mean, and each basis vector the
+    expansion of one product of invariant forms (:func:`solution_set`),
+    so its entries are integers.
     """
 
     n: int
@@ -444,74 +447,37 @@ class SolutionSet:
 def solution_set(n: int, degree: int) -> SolutionSet:
     """Every nonconstant polynomial solution of the system up to ``degree``, exactly.
 
-    For u = sum(theta_j * x^alpha_j) each condition is linear in theta.
-    Equations I (beta = n) and II send the degree-g coefficients to degree
-    g - 1. Self-application holds for a nonconstant u iff the diagonal
-    section u(t, ..., t) = sum_g s_g t^g equals t, s_g being the sum of the
-    degree-g coefficients; row g of that condition reads degree g only. So
-    the homogeneous system splits into one block per degree, each solved by
-    exact rational elimination. The dimension is 0 at n = 2 and
-    C(n - 2 + d, d) - (d + 1) for n >= 4.
+    By characteristics, equations I (beta = n) and II hold exactly for the
+    functions of the linear forms they leave unchanged: s = x1 + ... + xn
+    and, for n >= 4, the n - 3 differences x_i - x_j of equal parity that
+    leave out xn. On the diagonal the differences vanish and s = n * t, so
+    the mean plus h is a solution iff h is a function of these forms that
+    vanishes there. Within degree <= d, h is spanned by the expansions of
+    s^k * prod(xi_j^a_j) with a != 0 and k + |a| <= d: the basis. The
+    dimension is 0 at n = 2 and C(n - 2 + d, d) - (d + 1) for n >= 4.
     """
     if n < 2 or n % 2 != 0:
         raise ValueError(f"an even dimension of at least 2 is required, got n={n}")
     if degree < 1:
         raise ValueError("degree must be at least 1")
     exponents = monomial_exponents(n, degree)
-    specs = system_specs(n)
-    blocks: dict[int, list[int]] = {}
-    for j, alpha in enumerate(exponents):
-        blocks.setdefault(sum(alpha), []).append(j)
-    basis = []
-    for columns in blocks.values():
-        # one row per (equation, lowered monomial): that coefficient of the residual
-        rows: dict[tuple, dict[int, int]] = {}
-        for j in columns:
-            for e, spec in enumerate(specs):
-                residual = combine((weight, derivative({exponents[j]: 1}, k)) for k, weight in spec.terms())
-                for lowered, c in residual.items():
-                    rows.setdefault((e, lowered), {})[j] = c
-        diagonal = dict.fromkeys(columns, 1)  # s_g, zero in the homogeneous part
-        for vector in _null_space([diagonal, *rows.values()], columns):
-            basis.append(tuple(vector.get(j, Fraction(0)) for j in range(len(exponents))))
-    particular = tuple(Fraction(int(sum(alpha) == 1), n) for alpha in exponents)
-    return SolutionSet(n=n, degree=degree, particular=particular, basis=tuple(basis))
-
-
-def _null_space(rows, columns) -> list[dict[int, Fraction]]:
-    """Basis of {v : row . v = 0 for every row}, rows and vectors sparse.
-
-    Gauss-Jordan elimination: every kept row has a 1 in its pivot column and
-    0 in every other pivot column, so each free column gives one vector.
-    """
-    reduced: dict[int, dict[int, Fraction]] = {}
-    for row in rows:
-        row = {j: Fraction(c) for j, c in row.items()}
-        for pivot, kept in reduced.items():
-            _eliminate(row, kept, pivot)
-        if not row:
-            continue
-        pivot = min(row)
-        lead = row[pivot]
-        row = {j: c / lead for j, c in row.items()}
-        for kept in reduced.values():
-            _eliminate(kept, row, pivot)
-        reduced[pivot] = row
-    return [
-        {free: Fraction(1), **{p: -kept[free] for p, kept in reduced.items() if free in kept}}
-        for free in columns
-        if free not in reduced
+    units = exponents[1 : n + 1]
+    forms = [dict.fromkeys(units, 1)] + [
+        {units[first]: 1, units[j]: -1} for first in (0, 1) for j in range(first + 2, n - 1, 2)
     ]
-
-
-def _eliminate(row: dict[int, Fraction], kept: dict[int, Fraction], pivot: int) -> None:
-    """Subtract the multiple of ``kept`` (1 at ``pivot``) that zeroes row[pivot], in place."""
-    factor = row.get(pivot)
-    if not factor:
-        return
-    for j, c in kept.items():
-        value = row.get(j, 0) - factor * c
-        if value:
-            row[j] = value
+    # each power's expansion is a lower one times one form, the lowest power first
+    expansions = {}
+    for power in monomial_exponents(len(forms), degree):
+        i = next((i for i, a in enumerate(power) if a), None)
+        if i is None:
+            expansions[power] = {exponents[0]: 1}
         else:
-            del row[j]
+            expansions[power] = times(expansions[power[:i] + (power[i] - 1,) + power[i + 1 :]], forms[i])
+    zero = Fraction(0)  # one shared object: most entries are zero
+    basis = tuple(
+        tuple(Fraction(p[alpha]) if alpha in p else zero for alpha in exponents)
+        for power, p in expansions.items()
+        if any(power[1:])
+    )
+    particular = tuple(Fraction(int(sum(alpha) == 1), n) for alpha in exponents)
+    return SolutionSet(n=n, degree=degree, particular=particular, basis=basis)

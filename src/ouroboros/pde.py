@@ -307,14 +307,13 @@ class SystemReport:
     zero_at_origin: bool
     ouroboros: OuroborosReport
 
+    def passes(self, tol: float = RESIDUAL_TOL) -> bool:
+        """Both residuals pass at ``tol``, u(0) = 0, and self-application holds."""
+        return self.eq1.passes(tol) and self.eq2.passes(tol) and self.zero_at_origin and self.ouroboros.holds
+
     @property
     def all_hold(self) -> bool:
-        return (
-            self.eq1.symbolic_zero
-            and self.eq2.symbolic_zero
-            and self.zero_at_origin
-            and self.ouroboros.holds
-        )
+        return self.passes()
 
     def to_dict(self) -> dict:
         return {

@@ -61,6 +61,16 @@ def combine(pairs) -> Poly:
     return {alpha: c for alpha, c in out.items() if c != 0.0}
 
 
+def times(p: Poly, q: Poly) -> Poly:
+    """p * q, like terms collected in order; exact on ints and Fractions."""
+    out: Poly = {}
+    for a, c in p.items():
+        for b, d in q.items():
+            key = tuple(map(operator.add, a, b))
+            out[key] = out.get(key, 0) + c * d
+    return {alpha: c for alpha, c in out.items() if c != 0.0}
+
+
 def derivative(p: Poly, k: int) -> Poly:
     """Exact partial derivative with respect to ``xk`` (1-based)."""
     return {
@@ -84,16 +94,11 @@ def expand(e: Expr, n: int) -> Poly | None:
     one = {(0,) * n: 1.0}
     units = [tuple(int(i == j) for i in range(n)) for j in range(n)]
 
-    def times(p: Poly, q: Poly) -> Poly:
+    def product(p: Poly, q: Poly) -> Poly:
         budget[0] -= len(p) * len(q)
         if budget[0] < 0:
             raise _NoNormalForm
-        out: Poly = {}
-        for a, c in p.items():
-            for b, d in q.items():
-                key = tuple(map(operator.add, a, b))
-                out[key] = out.get(key, 0.0) + c * d
-        return {alpha: c for alpha, c in out.items() if c != 0.0}
+        return times(p, q)
 
     def walk(e: Expr) -> Poly:
         if isinstance(e, Const):
@@ -109,7 +114,7 @@ def expand(e: Expr, n: int) -> Poly | None:
             for sign, factor in e.factors[1:]:
                 p = walk(factor)
                 if sign > 0:
-                    result = times(result, p)
+                    result = product(result, p)
                     continue
                 if p.keys() != one.keys():
                     raise _NoNormalForm
@@ -122,10 +127,10 @@ def expand(e: Expr, n: int) -> Poly | None:
             base, k, result = walk(e.base), e.exponent, one
             while k:
                 if k & 1:
-                    result = times(result, base)
+                    result = product(result, base)
                 k >>= 1
                 if k:
-                    base = times(base, base)
+                    base = product(base, base)
             return result
         raise TypeError(f"not an expression node: {e!r}")
 

@@ -51,6 +51,58 @@ class TestFractionParsing:
         with pytest.raises(InputError):
             parse_fractions("pi", "test")
 
+    @pytest.mark.parametrize("text", ["inf", "Infinity", "-inf", "nan", "1_", "_1", "1__0"])
+    def test_what_python_numbers_refuse_is_rejected(self, text):
+        """Non-finite words and stray underscores are not numbers."""
+        from ouroboros.cli import InputError
+        with pytest.raises(InputError, match="cannot read"):
+            parse_fractions(text, "test")
+
+    @pytest.mark.parametrize("argv", [
+        ["check", "--coeffs", "inf,1"],
+        ["check", "--coeffs", "Infinity,1"],
+        ["expect", "--values", "inf,1", "--probs", "1/2,1/2"],
+    ])
+    def test_infinity_is_bad_input(self, capsys, argv):
+        assert main(argv) == 2
+        assert "cannot read" in capsys.readouterr().err
+
+    def test_exponents_of_four_digits_read_exactly(self):
+        from fractions import Fraction
+        got = parse_fractions("1e9999, 1e-9999, 1e0000000000000002, 1_0e1_0", "test")
+        assert got == [Fraction(10**9999), Fraction(1, 10**9999), Fraction(100), Fraction(10**11)]
+
+    @pytest.mark.parametrize("text", ["1e10000", "1e-10000", "2.5E+123456", "1e1_0000", "1e999999999999"])
+    def test_an_exponent_of_five_digits_is_rejected(self, text):
+        from ouroboros.cli import InputError
+        with pytest.raises(InputError, match="more than four digits"):
+            parse_fractions(f"1/2,{text}", "test")
+
+    def test_a_huge_exponent_is_bad_input_without_a_stall(self, tmp_path):
+        """Every reader of exact numbers refuses it at once; a stall fails within the timeout."""
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"values": "1,1e999999999999"}))
+        script = (
+            "from ouroboros.cli import main\n"
+            "for argv in (['check', '--coeffs', '1e999999999999,1'],\n"
+            "             ['check', '--coeffs', '1e-999999999999,1'],\n"
+            "             ['pde', '--coeffs', '1e999999999999,1', '--equation', 'II'],\n"
+            "             ['expect', '--values', '1e-999999999999,1', '--probs', '1/2,1/2'],\n"
+            "             ['expect', '--values', '0,1', '--probs', '1e999999999999,1'],\n"
+            f"             ['expect', '--probs', '1/2,1/2', '--config', {str(config)!r}]):\n"
+            "    assert main(argv) == 2, argv\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == ""
+        assert proc.stderr.count("more than four digits") == 6
+
 
 class TestCheckCommand:
     def test_exact_fractions_hold_with_exit_zero(self, capsys):
@@ -169,6 +221,27 @@ class TestPdeCommand:
         assert_valid(doc)
         assert doc["result"]["report"]["all_hold"] is True
         assert doc["result"]["report"]["ouroboros"]["verdict"] == "holds_exact"
+
+    @pytest.mark.parametrize("difference, code", [("x1-x3", 0), ("x1-x2", 1)])
+    def test_a_non_polynomial_solution_passes_the_system(self, capsys, difference, code):
+        """mean + xi * H(mean) solves the system for an invariant difference xi, x1 - x3 at n = 4;
+        it has no polynomial normal form, so only the sampled bounds decide."""
+        expr = f"(x1+x2+x3+x4)/4 + ({difference})/(1+((x1+x2+x3+x4)/4)^2)"
+        got, doc = run_main(capsys, ["pde", "--equation", "system", "--n", "4", "--expr", expr])
+        assert_valid(doc)
+        assert doc["result"]["report"]["eq1"]["symbolic_zero"] is False
+        assert doc["result"]["passes"] is (code == 0)
+        assert got == code
+
+    @pytest.mark.parametrize("equation", [["I", "--beta", "2"], ["system"]])
+    @pytest.mark.parametrize("tol, code", [([], 0), (["--tol", "1e-15"], 1)])
+    def test_the_verdict_reads_tol(self, capsys, equation, tol, code):
+        """A residual of 2e-10 passes the default 1e-9 and fails 1e-15, in both modes."""
+        argv = ["pde", "--expr", "(x1+x2)/2 + 0.0000000001*(x1 - x2)", "--n", "2", "--equation", *equation, *tol]
+        got, doc = run_main(capsys, argv)
+        assert_valid(doc)
+        assert doc["result"]["passes"] is (code == 0)
+        assert got == code
 
     def test_cancelling_residual_is_symbolically_zero(self, capsys):
         code, doc = run_main(capsys, ["pde", "--expr", "(x1+x2)^2", "--equation", "II"])

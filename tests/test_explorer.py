@@ -390,12 +390,102 @@ def exact_residuals(theta, n, degree):
     return e1, e2, sums
 
 
+# -- the elimination route: the oracle for solution_set's closed-form basis ---
+
+def eliminated_basis(n, degree):
+    """The homogeneous solutions of degree <= ``degree`` by exact elimination.
+
+    For u = sum(theta_j * x^alpha_j) each condition is linear in theta.
+    Equations I (beta = n) and II send the degree-g coefficients to degree
+    g - 1, and the diagonal-sum row of degree g reads degree g only, so the
+    system splits into one block per degree.
+    """
+    exponents = monomial_exponents(n, degree)
+    specs = system_specs(n)
+    blocks: dict[int, list[int]] = {}
+    for j, alpha in enumerate(exponents):
+        blocks.setdefault(sum(alpha), []).append(j)
+    basis = []
+    for columns in blocks.values():
+        # one row per (equation, lowered monomial): that coefficient of the residual
+        rows: dict[tuple, dict[int, int]] = {}
+        for j in columns:
+            for e, spec in enumerate(specs):
+                residual = combine((weight, derivative({exponents[j]: 1}, k)) for k, weight in spec.terms())
+                for lowered, c in residual.items():
+                    rows.setdefault((e, lowered), {})[j] = c
+        diagonal = dict.fromkeys(columns, 1)  # s_g, zero in the homogeneous part
+        for vector in _null_space([diagonal, *rows.values()], columns):
+            basis.append(tuple(vector.get(j, Fraction(0)) for j in range(len(exponents))))
+    return basis
+
+
+def _null_space(rows, columns) -> list[dict[int, Fraction]]:
+    """Basis of {v : row . v = 0 for every row}, rows and vectors sparse.
+
+    Gauss-Jordan elimination: every kept row has a 1 in its pivot column and
+    0 in every other pivot column, so each free column gives one vector.
+    """
+    reduced: dict[int, dict[int, Fraction]] = {}
+    for row in rows:
+        row = {j: Fraction(c) for j, c in row.items()}
+        for pivot, kept in reduced.items():
+            _eliminate(row, kept, pivot)
+        if not row:
+            continue
+        pivot = min(row)
+        lead = row[pivot]
+        row = {j: c / lead for j, c in row.items()}
+        for kept in reduced.values():
+            _eliminate(kept, row, pivot)
+        reduced[pivot] = row
+    return [
+        {free: Fraction(1), **{p: -kept[free] for p, kept in reduced.items() if free in kept}}
+        for free in columns
+        if free not in reduced
+    ]
+
+
+def _eliminate(row: dict[int, Fraction], kept: dict[int, Fraction], pivot: int) -> None:
+    """Subtract the multiple of ``kept`` (1 at ``pivot``) that zeroes row[pivot], in place."""
+    factor = row.get(pivot)
+    if not factor:
+        return
+    for j, c in kept.items():
+        value = row.get(j, 0) - factor * c
+        if value:
+            row[j] = value
+        else:
+            del row[j]
+
+
+def exact_rank(vectors):
+    """Rank of equal-length rational vectors: their length minus the null space of them as rows."""
+    if not vectors:
+        return 0
+    size = len(vectors[0])
+    return size - len(_null_space([{j: c for j, c in enumerate(v) if c} for v in vectors], range(size)))
+
+
+SOLUTION_GRID = [(n, degree) for n in (2, 4, 6, 8) for degree in (1, 2, 3)] + [(4, 4), (6, 4)]
+
+
 class TestSolutionSet:
     @pytest.mark.parametrize("n", [2, 4, 6, 8])
     @pytest.mark.parametrize("degree", [1, 2, 3])
     def test_dimension_is_the_characteristics_count(self, n, degree):
         expected = 0 if n == 2 else math.comb(n - 2 + degree, degree) - (degree + 1)
         assert solution_set(n, degree).dimension == expected
+
+    @pytest.mark.parametrize("n,degree", SOLUTION_GRID)
+    def test_basis_spans_exactly_the_eliminated_null_space(self, n, degree):
+        """Full rank, the characteristics count, and the oracle's span, all in Fractions."""
+        basis = list(solution_set(n, degree).basis)
+        oracle = eliminated_basis(n, degree)
+        expected = 0 if n == 2 else math.comb(n - 2 + degree, degree) - (degree + 1)
+        assert len(basis) == len(oracle) == expected
+        assert exact_rank(basis) == exact_rank(oracle) == expected
+        assert exact_rank(basis + oracle) == expected
 
     @pytest.mark.parametrize("n,degree", [(2, 3), (4, 3), (6, 2), (8, 2)])
     def test_basis_and_particular_satisfy_the_system_exactly(self, n, degree):
