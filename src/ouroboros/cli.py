@@ -49,6 +49,7 @@ import math
 import re
 import sys
 from datetime import datetime, timezone
+from decimal import Decimal
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -149,6 +150,12 @@ def _to_floats(fracs: list[Fraction], what: str) -> tuple[float, ...]:
         return tuple(float(f) for f in fracs)  # raises rather than round to inf
     except OverflowError as exc:
         raise InputError(f"{what} holds a number too large for a float") from exc
+
+
+def _exact_text(value: Fraction) -> str:
+    """``str(value)`` at any length: Decimal prints integers past the interpreter's 4300-digit limit."""
+    numerator, denominator = (str(Decimal(part)) for part in value.as_integer_ratio())
+    return numerator if denominator == "1" else f"{numerator}/{denominator}"
 
 
 def _load_config_file(path: str | None) -> dict:
@@ -275,13 +282,13 @@ def _run_check(args: argparse.Namespace) -> int:
     if u.form is not None:
         tol = EXACT_TOL if opts["tol"] is None else opts["tol"]
         report = check_linear_exact(u.form, tol=tol)
-        config = {"coeffs": [str(f) for f in u.fracs], "n": u.n, "tol": tol}
+        config = {"coeffs": [_exact_text(f) for f in u.fracs], "n": u.n, "tol": tol}
         result = {
             "mode": "exact",
             "n": u.n,
             "coefficients": [float(f) for f in u.fracs],
             "coefficient_sum": u.form.coefficient_sum(),
-            "coefficient_sum_exact": str(sum(u.fracs)),
+            "coefficient_sum_exact": _exact_text(sum(u.fracs)),
             "report": report.to_dict(),
         }
         _emit(_envelope("check", config, None, result))
@@ -337,7 +344,7 @@ def _run_pde(args: argparse.Namespace) -> int:
             "mode": "system",
             "n": n,
             "expression": to_string(u.expr),
-            "report": report.to_dict(),
+            "report": report.to_dict(tol),
             "passes": report.passes(tol),
         }
         _emit(_envelope("pde", config, dom.seed, result))
@@ -381,11 +388,11 @@ def _run_expect(args: argparse.Namespace) -> int:
         probs=_to_floats(probs, "--probs"),
     )
     report = check_expectation_ouroboros(rv)
-    config = {"values": [str(v) for v in values], "probs": [str(p) for p in probs]}
+    config = {"values": [_exact_text(v) for v in values], "probs": [_exact_text(p) for p in probs]}
     result = {
         "values": [float(v) for v in values],
         "probabilities": [float(p) for p in probs],
-        "probability_sum_exact": str(sum(probs)),
+        "probability_sum_exact": _exact_text(sum(probs)),
         "report": report.to_dict(),
     }
     _emit(_envelope("expect", config, None, result))

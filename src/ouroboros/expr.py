@@ -475,8 +475,92 @@ def _eval_array(e: Expr, pts: np.ndarray, np) -> np.ndarray:
 
 
 def _spare(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
-    """An operand the result may overwrite: one that is no view of the points."""
+    """An operand the result may overwrite: one that is no view (of the points or of shifted columns)."""
     return a if a.base is None else b if b.base is None else None
+
+
+def _evaluate_shifts(e: Expr, pts: np.ndarray, ks: Sequence[int], h: float) -> list[np.ndarray]:
+    """``e`` at ``pts`` + h*e_k and at ``pts`` - h*e_k, in that order for each k in ``ks``.
+
+    Bit for bit what :func:`evaluate_many` gives on the stacked shifted
+    copies, but a subtree that reads no shifted x_k is evaluated once, at the
+    unshifted rows, and shared by those shifts. A zero divisor raises
+    :class:`EvaluationError` with the first offending row of the first shift
+    (in the order above) that meets one.
+    """
+    import numpy as np
+
+    keys = [(k, sign) for k in ks for sign in (1, -1)]
+    # one copy of each shifted column, shared by every Var that reads it; as
+    # views they are never written to in place (see _spare)
+    shifted = np.empty((len(keys), pts.shape[0]))
+    columns: dict[int, dict] = {}
+    for row, (k, sign) in enumerate(keys):
+        (np.add if sign > 0 else np.subtract)(pts[:, k - 1], h, out=shifted[row])
+        columns.setdefault(k, {})[(k, sign)] = shifted[row]
+    with np.errstate(over="ignore", invalid="ignore"):
+        base, values = _eval_shifted(e, pts, columns, keys, np)
+    return [values.get(key, base) for key in keys]
+
+
+def _eval_shifted(e: Expr, pts: np.ndarray, columns: dict, keys: list, np) -> tuple:
+    """``e`` at the unshifted rows and at each shift (k, sign) of ``keys`` whose x_k it reads.
+
+    Returns (unshifted values, {key: values}); a key left out has the
+    unshifted values, which are None when no key is left out. An array that
+    is no view belongs to its one slot, so a step may overwrite it.
+    """
+    if isinstance(e, Const):
+        return np.full(pts.shape[0], e.value), {}
+    if isinstance(e, Var):
+        if e.index > pts.shape[1]:
+            raise ValueError(f"points of width {pts.shape[1]} are too short for x{e.index}")
+        values = dict(columns.get(e.index, {}))
+        return (None if len(values) == len(keys) else pts[:, e.index - 1]), values
+    if isinstance(e, (Add, Mul)):
+        if isinstance(e, Add):
+            entries, ufuncs = e.terms, (np.add, np.subtract)
+        else:
+            entries, ufuncs = e.factors, (np.multiply, np.divide)
+        base, values = _eval_shifted(entries[0][1], pts, columns, keys, np)
+        for sign, child in entries[1:]:
+            child_base, child_values = _eval_shifted(child, pts, columns, keys, np)
+            if sign < 0 and isinstance(e, Mul):
+                _require_nonzero(child_base, child_values, keys, np)
+            op = ufuncs[0] if sign > 0 else ufuncs[1]
+            base, values = _combine(op, base, values, child_base, child_values, keys)
+        return base, values
+    if isinstance(e, Neg):
+        base, values = _eval_shifted(e.operand, pts, columns, keys, np)
+        return (None if base is None else np.negative(base, out=base if base.base is None else None),
+                {key: np.negative(v, out=v if v.base is None else None) for key, v in values.items()})
+    if isinstance(e, Pow):
+        base, values = _eval_shifted(e.base, pts, columns, keys, np)
+        return (None if base is None else _pow_repeated(base, e.exponent),
+                {key: _pow_repeated(v, e.exponent) for key, v in values.items()})
+    raise TypeError(f"not an expression node: {e!r}")
+
+
+def _combine(op, base, values: dict, other_base, other_values: dict, keys: list) -> tuple:
+    """``op`` of two operands of :func:`_eval_shifted`, at every key either one reads and then unshifted."""
+    combined = {}
+    for key in {**values, **other_values}:
+        a, b = values.get(key), other_values.get(key)
+        spare = a if a is not None and a.base is None else b if b is not None and b.base is None else None
+        combined[key] = op(base if a is None else a, other_base if b is None else b, out=spare)
+    if len(combined) == len(keys):
+        return None, combined
+    return op(base, other_base, out=_spare(base, other_base)), combined
+
+
+def _require_nonzero(base, values: dict, keys: list, np) -> None:
+    """Raise at the first zero divisor, key by key in order, as the stacked rows would."""
+    if not any((v == 0.0).any() for v in ([] if base is None else [base]) + list(values.values())):
+        return
+    for key in keys:
+        zeros = np.flatnonzero(values.get(key, base) == 0.0)
+        if zeros.size:
+            raise EvaluationError("division by zero", sample_index=int(zeros[0]))
 
 
 # ---------------------------------------------------------------------------

@@ -18,8 +18,11 @@ normal form (a non-constant divisor, or too large to expand) the report says
 the bound is sampled only. Sampled residual maxima are computed twice,
 residual normal form vs finite differences of u's tree: the normal form (the
 derivative tree for a u without one) evaluated at the samples, and central
-differences of u, with all shifts of a block of samples in one evaluation.
-The two routes cross-check each other.
+differences of u. A small cloud evaluates all shifts of a block of samples in
+one stacked evaluation; a large one with several shifted variables evaluates
+each subtree once per shift of a variable it reads and once unshifted for the
+shifts it does not read, with the same bits. The two routes cross-check each
+other.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ import numpy as np
 from .core import RESIDUAL_TOL, LinearForm, OuroborosReport, SampleDomain, _check_sampled_at, check_linear_exact
 from .core import _require_tolerance
 from .expr import Const, EvaluationError, Expr, differentiate, dimension, evaluate, evaluate_many, mul, sub
+from .expr import _evaluate_shifts
 from .expr import add as expr_add
 from .families import arithmetic_mean
 from .poly import Poly, combine, derivative, expand, monomial_values
@@ -58,7 +62,10 @@ SYMBOLIC_ZERO_TOL = 1e-12
 DEFAULT_FD_STEP = 1e-5
 # rows per evaluate_many call in _fd_partials and per monomial table in
 # _poly_values; at 1e5 points, 16384 beat 1024, 4096 and the whole stacked
-# cloud (2-CPU VM)
+# cloud (2-CPU VM). From this many samples and two shifted variables on,
+# _fd_partials evaluates shift-aware blocks of BLOCK_ROWS // 4 samples; on
+# small clouds per-node dispatch outweighs the subtrees it skips (2.0 to 2.6
+# times slower than one stacked block of 200 samples, 2-CPU VM)
 BLOCK_ROWS = 16384
 # cells (rows times n) per stacked block in _fd_partials: BLOCK_ROWS rows
 # up to n = 8, fewer beyond, and always at least one sample's shifts
@@ -199,28 +206,41 @@ def _poly_values(p: Poly, points: np.ndarray) -> np.ndarray:
 def _fd_partials(u: Expr, points: np.ndarray, ks: list[int], h: float) -> dict[int, np.ndarray]:
     """Central differences of u along x_k at every point, for each k in ``ks``.
 
-    Each evaluate_many call takes a block of points at all 2*len(ks) shifts
+    With at least BLOCK_ROWS points and two or more ks, blocks of
+    BLOCK_ROWS // 4 points go to the shift-aware evaluator, which evaluates
+    a subtree that reads no x_k once for both shifts of x_k. Otherwise each
+    evaluate_many call takes a block of points at all 2*len(ks) shifts
     stacked, about BLOCK_ROWS rows and at most BLOCK_CELLS cells, or one
-    sample's shifts where those exceed it. A zero divisor met at a shift is
-    reported with the index of the sample that was shifted.
+    sample's shifts where those exceed it. Both give the same bits. A zero
+    divisor met at a shift is reported with the index of the sample that was
+    shifted.
     """
     count, n = points.shape
-    shifts = 2 * len(ks)
-    step = max(1, min(BLOCK_ROWS // shifts, BLOCK_CELLS // (shifts * n)))
+    if count >= BLOCK_ROWS and len(ks) >= 2:
+        step = BLOCK_ROWS // 4
+
+        def shifted(block: np.ndarray):
+            return _evaluate_shifts(u, block, ks, h)
+    else:
+        shifts = 2 * len(ks)
+        step = max(1, min(BLOCK_ROWS // shifts, BLOCK_CELLS // (shifts * n)))
+
+        def shifted(block: np.ndarray):
+            stacked = np.repeat(block[None], shifts, axis=0)
+            for i, k in enumerate(ks):
+                stacked[2 * i, :, k - 1] += h
+                stacked[2 * i + 1, :, k - 1] -= h
+            return evaluate_many(u, stacked.reshape(-1, n)).reshape(shifts, len(block))
     partials = np.empty((len(ks), count))
     for start in range(0, count, step):
         block = points[start:start + step]
-        stacked = np.repeat(block[None], shifts, axis=0)
-        for i, k in enumerate(ks):
-            stacked[2 * i, :, k - 1] += h
-            stacked[2 * i + 1, :, k - 1] -= h
         try:
-            values = evaluate_many(u, stacked.reshape(-1, n))
+            values = shifted(block)
         except EvaluationError as exc:
             raise EvaluationError(exc.message, start + exc.sample_index % len(block)) from None
-        up, down = values.reshape(len(ks), 2, len(block)).transpose(1, 0, 2)
         with np.errstate(over="ignore", invalid="ignore"):
-            partials[:, start:start + len(block)] = (up - down) / (2.0 * h)
+            for i in range(len(ks)):
+                partials[i, start:start + len(block)] = (values[2 * i] - values[2 * i + 1]) / (2.0 * h)
     return dict(zip(ks, partials))
 
 
@@ -315,14 +335,15 @@ class SystemReport:
     def all_hold(self) -> bool:
         return self.passes()
 
-    def to_dict(self) -> dict:
+    def to_dict(self, tol: float = RESIDUAL_TOL) -> dict:
+        """The report as JSON-ready data, ``all_hold`` judged at ``tol``."""
         return {
             "eq1": self.eq1.to_dict(),
             "eq2": self.eq2.to_dict(),
             "origin_value": self.origin_value,
             "zero_at_origin": self.zero_at_origin,
             "ouroboros": self.ouroboros.to_dict(),
-            "all_hold": self.all_hold,
+            "all_hold": self.passes(tol),
         }
 
 

@@ -103,6 +103,34 @@ class TestFractionParsing:
         assert proc.stdout == ""
         assert proc.stderr.count("more than four digits") == 6
 
+    def test_exact_sums_past_the_integer_printing_limit_are_printed_in_full(self):
+        """Past 4300 digits str() of an int raises; the interpreter's limit is left as it was."""
+        script = (
+            "import json, sys\n"
+            "from ouroboros.cli import main\n"
+            "limit = sys.get_int_max_str_digits()\n"
+            "for argv in (['check', '--coeffs', '1e-5000,1'],\n"
+            "             ['expect', '--values', '1e-5000,1', '--probs', '1/2,1/2']):\n"
+            "    assert main(argv) == 0, argv\n"
+            "    assert sys.get_int_max_str_digits() == limit\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")},
+        )
+        assert proc.returncode == 0, proc.stderr
+        decoder, text = json.JSONDecoder(), proc.stdout
+        check, end = decoder.raw_decode(text)
+        expect, _ = decoder.raw_decode(text, end + 1)
+        power = "1" + "0" * 5000  # 10^5000
+        assert check["result"]["coefficient_sum_exact"] == f"{'1' + '0' * 4999 + '1'}/{power}"
+        assert check["manifest"]["config"]["coeffs"] == [f"1/{power}", "1"]
+        assert expect["manifest"]["config"]["values"] == [f"1/{power}", "1"]
+        assert expect["result"]["probability_sum_exact"] == "1"
+
 
 class TestCheckCommand:
     def test_exact_fractions_hold_with_exit_zero(self, capsys):
@@ -241,6 +269,8 @@ class TestPdeCommand:
         got, doc = run_main(capsys, argv)
         assert_valid(doc)
         assert doc["result"]["passes"] is (code == 0)
+        if "system" in equation:
+            assert doc["result"]["report"]["all_hold"] is (code == 0)
         assert got == code
 
     def test_cancelling_residual_is_symbolically_zero(self, capsys):

@@ -227,42 +227,86 @@ class TestResidualRoutes:
         PdeSpec(PdeKind.EQ_II, n=2),
         PdeSpec(PdeKind.EQ_I, n=3, beta=3),  # k = 3 is listed twice
         PdeSpec(PdeKind.EQ_I, n=4, beta=2),
+        PdeSpec(PdeKind.EQ_I, n=8, beta=8),
+        PdeSpec(PdeKind.EQ_II, n=8),
     ], ids=str)
     def test_blocked_differences_equal_the_per_shift_loop(self, spec):
-        """Bit for bit, on clouds spanning several blocks with a ragged last one."""
+        """Bit for bit, on clouds spanning several blocks with a ragged last one: stacked
+        blocks below BLOCK_ROWS samples, shift-aware ones from there on."""
         u = parse("x1^3*x2 - 2*x1*x2^2/3 + 1/(3 + x1^2) + x2*x" + str(spec.n))
         ks = sorted({k for k, _ in spec.terms()})
-        rows = BLOCK_ROWS // (2 * len(ks))
-        dom = SampleDomain(n=spec.n, radius=2.0, seed=9, count=3 * rows + 7)
-        points = dom.samples()
         h = DEFAULT_FD_STEP
+        for count in (3 * (BLOCK_ROWS // (2 * len(ks))) + 7, BLOCK_ROWS + BLOCK_ROWS // 4 + 7):
+            dom = SampleDomain(n=spec.n, radius=2.0, seed=9, count=count)
+            points = dom.samples()
 
-        def per_shift(k):
-            up, down = points.copy(), points.copy()
-            up[:, k - 1] += h
-            down[:, k - 1] -= h
-            return (evaluate_many(u, up) - evaluate_many(u, down)) / (2.0 * h)
+            def per_shift(k):
+                up, down = points.copy(), points.copy()
+                up[:, k - 1] += h
+                down[:, k - 1] -= h
+                return (evaluate_many(u, up) - evaluate_many(u, down)) / (2.0 * h)
 
-        blocked = _fd_partials(u, points, ks, h)
-        assert sorted(blocked) == ks
-        for k in ks:
-            assert np.array_equal(blocked[k], per_shift(k))
-        fd = sum(weight * per_shift(k) for k, weight in spec.terms())
-        assert check_residual(u, spec, dom).max_abs_residual_fd == np.abs(fd).max()
+            blocked = _fd_partials(u, points, ks, h)
+            assert sorted(blocked) == ks
+            for k in ks:
+                assert np.array_equal(blocked[k], per_shift(k))
+            fd = sum(weight * per_shift(k) for k, weight in spec.terms())
+            assert check_residual(u, spec, dom).max_abs_residual_fd == np.abs(fd).max()
 
     @pytest.mark.parametrize("k,sign", [(1, 1), (1, -1), (2, 1), (2, -1)])
     def test_zero_divisor_at_a_shift_names_the_shifted_sample(self, k, sign):
-        """Hit only at x + h*e_k (or - h) of one sample in the third block."""
+        """Hit only at x + h*e_k (or - h) of one sample in the third block, of stacked blocks
+        and of the shift-aware blocks a cloud of BLOCK_ROWS samples takes."""
         spec = PdeSpec(PdeKind.EQ_II, n=2)
         rows = BLOCK_ROWS // 4
-        dom = SampleDomain(n=2, radius=2.0, seed=2, count=3 * rows + 7)
         sample = 2 * rows + 5
-        pole = float(dom.samples()[sample, k - 1] + sign * DEFAULT_FD_STEP)
-        u = parse(f"1/(x{k} - ({pole!r}))")
-        with pytest.raises(EvaluationError) as exc:
-            check_residual(u, spec, dom)
-        assert exc.value.sample_index == sample
-        assert str(exc.value) == f"division by zero (sample {sample})"
+        for count in (3 * rows + 7, BLOCK_ROWS + 7):
+            dom = SampleDomain(n=2, radius=2.0, seed=2, count=count)
+            pole = float(dom.samples()[sample, k - 1] + sign * DEFAULT_FD_STEP)
+            u = parse(f"1/(x{k} - ({pole!r}))")
+            with pytest.raises(EvaluationError) as exc:
+                check_residual(u, spec, dom)
+            assert exc.value.sample_index == sample
+            assert str(exc.value) == f"division by zero (sample {sample})"
+
+    @pytest.mark.parametrize("count, ks, stacked", [
+        (200, [1, 2, 3, 4], True),
+        (BLOCK_ROWS + 5, [1], True),
+        (BLOCK_ROWS - 1, [1, 2, 3, 4], True),
+        (BLOCK_ROWS, [1, 2], False),
+        (BLOCK_ROWS + 5, [1, 2, 3, 4], False),
+    ])
+    def test_large_clouds_with_several_shifts_skip_the_stacked_copies(self, monkeypatch, count, ks, stacked):
+        """Below BLOCK_ROWS samples, or with one shifted variable, each block is one stacked
+        evaluate_many call; otherwise blocks of BLOCK_ROWS // 4 samples are evaluated shift-aware."""
+        calls, shifted = [], []
+        evaluate_stacked, evaluate_shifts = pde.evaluate_many, pde._evaluate_shifts
+
+        def recording(u, points):
+            calls.append(len(points))
+            return evaluate_stacked(u, points)
+
+        def recording_shifts(u, points, ks, h):
+            shifted.append(len(points))
+            return evaluate_shifts(u, points, ks, h)
+
+        monkeypatch.setattr(pde, "evaluate_many", recording)
+        monkeypatch.setattr(pde, "_evaluate_shifts", recording_shifts)
+        u = parse("x1^2*x2 + x3/(2 + x4^2)")
+        points = SampleDomain(n=4, radius=2.0, seed=1, count=count).samples()
+        partials = _fd_partials(u, points, ks, DEFAULT_FD_STEP)
+        if stacked:
+            assert calls and not shifted and sum(calls) == 2 * len(ks) * count
+        else:
+            assert not calls and sum(shifted) == count
+            assert shifted[:-1] == [BLOCK_ROWS // 4] * (len(shifted) - 1)
+        monkeypatch.undo()
+        for k in ks:
+            up, down = points.copy(), points.copy()
+            up[:, k - 1] += DEFAULT_FD_STEP
+            down[:, k - 1] -= DEFAULT_FD_STEP
+            want = (evaluate_many(u, up) - evaluate_many(u, down)) / (2.0 * DEFAULT_FD_STEP)
+            assert np.array_equal(partials[k], want)
 
     @pytest.mark.parametrize("n", [1, 2, 5, 8, 9, 40, 600])
     def test_blocks_are_bounded_by_rows_and_by_cells(self, monkeypatch, n):
