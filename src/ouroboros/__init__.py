@@ -9,8 +9,10 @@ computes the exact polynomial solution set of the combined system, and
 searches numerically for its solutions as a cross-check.
 
 The names from :mod:`ouroboros.pde` and :mod:`ouroboros.explorer` load on
-first use (PEP 562), since both modules import numpy; the exact checks and
-the expectation check run without it.
+first use (PEP 562), so that a command needing neither skips both imports.
+The explorer imports numpy as it loads; the residual checks import it only
+to draw a sample cloud. The exact checks, the expectation check and the
+transport checks of linear forms run without numpy.
 """
 
 from importlib import import_module

@@ -30,14 +30,14 @@ flag means: {"n": "4"} is --n 4, a value the flag would refuse, such as
 {"seed": 1.5}, is unusable input, and null means not given.
 
 Start-up, not the check, sets a command's wall time: the checks take
-2-6 ms. Each handler imports what it needs. ``check --coeffs``, ``expect``
-and ``version`` import no numpy and take about 0.057 s in a fresh process;
-``check --expr``, ``pde`` and ``explore`` import numpy for their sample
-clouds and take about 0.11 s, ``explore --n 2 --degree 1`` 0.12 s
-(medians of 15 fresh processes per command, 2-CPU VM, Python 3.11,
-numpy 2.4). These numbers are taken with ``__pycache__`` present: without
-written bytecode (``PYTHONDONTWRITEBYTECODE=1`` on a fresh checkout) every
-run compiles the package again, and ``version`` takes about 0.065 s.
+2-6 ms. Each handler imports what it needs. ``check --coeffs``,
+``pde --coeffs``, ``expect`` and ``version`` import no numpy and take about
+0.14 s in a fresh process; ``check --expr``, ``pde --expr`` and ``explore``
+import numpy for their sample clouds and take about 0.27 s (medians of 15
+fresh processes per command, 2-CPU VM, Python 3.11.7, numpy 2.4.6). These
+numbers are taken with ``__pycache__`` present: without written bytecode
+(``PYTHONDONTWRITEBYTECODE=1`` on a fresh checkout) every run compiles the
+package again, which adds about 0.01-0.05 s.
 """
 
 from __future__ import annotations
@@ -336,10 +336,11 @@ def _run_pde(args: argparse.Namespace) -> int:
         "tol": tol,
     }
 
+    candidate = u.form if u.form is not None else u.expr  # a linear form is decided on its coefficients
     if equation == "system":
         if opts["beta"] is not None:
             raise InputError("--beta does not apply to the system check")
-        report = _evaluated(check_system, u.form if u.form is not None else u.expr, n, dom)
+        report = _evaluated(check_system, candidate, n, dom)
         result = {
             "mode": "system",
             "n": n,
@@ -357,7 +358,7 @@ def _run_pde(args: argparse.Namespace) -> int:
         if opts["beta"] is not None:
             raise InputError("--beta only applies to equation I")
         spec = PdeSpec(PdeKind.EQ_II, n=n)
-    report = _evaluated(check_residual, u.expr, spec, dom)
+    report = _evaluated(check_residual, candidate, spec, dom)
     result = {
         "mode": "residual",
         "equation": equation,

@@ -66,11 +66,7 @@ class LinearForm:
 
     def coefficient_sum(self) -> float:
         """The exact sum rounded once to a float; -inf or inf past the float range."""
-        total = sum(map(Fraction, self.coeffs))
-        try:
-            return float(total)
-        except OverflowError:
-            return math.inf if total > 0 else -math.inf
+        return _rounded(_exact_sums((1, c) for c in self.coeffs)[0])
 
     def evaluate(self, point: Sequence[float]) -> float:
         if len(point) < self.n:
@@ -139,6 +135,31 @@ class OuroborosReport:
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True)
+
+
+def _exact_sums(pairs) -> tuple[Fraction, Fraction]:
+    """sum(w * c) and sum(|w * c|) over (integer w, float c) pairs, both exact.
+
+    Every float is an integer over a power of two, so both sums are integers
+    over the largest such denominator: one integer addition per pair.
+    """
+    ratios = [(weight * numerator, denominator)
+              for weight, c in pairs for numerator, denominator in (c.as_integer_ratio(),)]
+    common = max((denominator for _, denominator in ratios), default=1)
+    total = size = 0
+    for numerator, denominator in ratios:
+        numerator *= common // denominator
+        total += numerator
+        size += abs(numerator)
+    return Fraction(total, common), Fraction(size, common)
+
+
+def _rounded(value: Fraction) -> float:
+    """``value`` rounded once to a float; -inf or inf past the float range."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
 
 
 def _require_tolerance(tol: float) -> None:

@@ -23,6 +23,13 @@ one stacked evaluation; a large one with several shifted variables evaluates
 each subtree once per shift of a variable it reads and once unshifted for the
 shifts it does not read, with the same bits. The two routes cross-check each
 other.
+
+A linear form u = sum(c_k * x_k) (:class:`~ouroboros.core.LinearForm`) has
+the constant residual sum(w_k * c_k). It is decided exactly on the
+coefficients by the same 1e-12 rule, with no samples and no finite
+differences, and the alternating-balance criterion sums its coefficients
+exactly too. numpy is imported only by the functions that make arrays, so
+linear forms are checked without loading it.
 """
 
 from __future__ import annotations
@@ -31,12 +38,11 @@ import math
 import sys
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
-
-import numpy as np
+from fractions import Fraction
+from typing import TYPE_CHECKING, Sequence
 
 from .core import RESIDUAL_TOL, LinearForm, OuroborosReport, SampleDomain, _check_sampled_at, check_linear_exact
-from .core import _require_tolerance
+from .core import _exact_sums, _require_tolerance, _rounded
 from .expr import Const, EvaluationError, Expr, differentiate, dimension, evaluate, evaluate_many, mul, sub
 from .expr import _evaluate_shifts
 from .expr import add as expr_add
@@ -58,6 +64,9 @@ __all__ = [
     "verify_mean_system",
 ]
 
+if TYPE_CHECKING:
+    import numpy as np
+
 SYMBOLIC_ZERO_TOL = 1e-12
 DEFAULT_FD_STEP = 1e-5
 # rows per evaluate_many call in _fd_partials and per monomial table in
@@ -70,6 +79,8 @@ BLOCK_ROWS = 16384
 # cells (rows times n) per stacked block in _fd_partials: BLOCK_ROWS rows
 # up to n = 8, fewer beyond, and always at least one sample's shifts
 BLOCK_CELLS = 8 * BLOCK_ROWS
+# the note of every linear-form residual report
+LINEAR_NOTE = "linear form: residual decided exactly on its coefficients; no samples drawn"
 
 
 class PdeKind(str, Enum):
@@ -145,16 +156,19 @@ def residual_expr(u: Expr, spec: PdeSpec) -> Expr:
     return total
 
 
-def check_residual(u: Expr, spec: PdeSpec, dom: SampleDomain) -> ResidualReport:
+def check_residual(u: Expr | LinearForm, spec: PdeSpec, dom: SampleDomain) -> ResidualReport:
     """Decide the residual on its normal form, then bound it on samples twice.
 
     The first route evaluates the residual's normal form (the exact residual
     expression when u has none); the second rebuilds the residual from
-    central finite differences of u's tree alone.
+    central finite differences of u's tree alone. A linear form is decided
+    exactly on its coefficients instead, and ``dom`` is not sampled.
     Raises EvaluationError when u has no value at a sample.
     """
     if dom.n != spec.n:
         raise ValueError("sample domain and equation dimension disagree")
+    if isinstance(u, LinearForm):
+        return _linear_residual(u, spec)
     _require_dimension(u, spec.n)
     points = dom.samples()
     partials = _fd_partials(u, points, sorted({k for k, _ in spec.terms()}), DEFAULT_FD_STEP)
@@ -166,6 +180,27 @@ def _require_dimension(u: Expr, n: int) -> None:
         raise ValueError(f"u uses x{dimension(u)} but the equation has n={n}")
 
 
+def _linear_residual(u: LinearForm, spec: PdeSpec) -> ResidualReport:
+    """check_residual of u = sum(c_k * x_k), whose residual is the constant sum(w_k * c_k).
+
+    The residual and its sign-free size are summed exactly (c_k = 0 past
+    u.n) and decided by :func:`_negligible`'s rule; samples would only
+    repeat the constant, so none are drawn and there is no difference bound.
+    """
+    if u.n > spec.n:
+        raise ValueError(f"u uses x{u.n} but the equation has n={spec.n}")
+    residual, size = _exact_sums((weight, u.coeffs[k - 1]) for k, weight in spec.terms() if k <= u.n)
+    constant = _rounded(residual)
+    return ResidualReport(
+        symbolic_zero=_negligible_exact(residual, size),
+        residual_constant=constant,
+        max_abs_residual=abs(constant),
+        max_abs_residual_fd=math.nan,
+        samples_used=0,
+        note=LINEAR_NOTE,
+    )
+
+
 def _residual_report(
     u: Expr,
     form: Poly | None,
@@ -174,6 +209,8 @@ def _residual_report(
     partials: dict[int, np.ndarray],
 ) -> ResidualReport:
     """check_residual at ``points`` once u is expanded to ``form`` (None: no normal form) and differenced."""
+    import numpy as np
+
     symbolic_zero, residual_constant, note, residual = _decide_residual(form, spec)
     if residual is None:
         values = evaluate_many(residual_expr(u, spec), points)
@@ -195,6 +232,8 @@ def _residual_report(
 
 def _poly_values(p: Poly, points: np.ndarray) -> np.ndarray:
     """p at every point, from monomial tables of at most BLOCK_ROWS rows."""
+    import numpy as np
+
     exponents, coeffs = list(p), np.array(list(p.values()))
     with np.errstate(over="ignore", invalid="ignore"):  # as evaluate_many: inf and nan, no warning
         return np.concatenate([
@@ -215,6 +254,8 @@ def _fd_partials(u: Expr, points: np.ndarray, ks: list[int], h: float) -> dict[i
     divisor met at a shift is reported with the index of the sample that was
     shifted.
     """
+    import numpy as np
+
     count, n = points.shape
     if count >= BLOCK_ROWS and len(ks) >= 2:
         step = BLOCK_ROWS // 4
@@ -269,9 +310,17 @@ def _negligible(value: float, size: float) -> bool:
     """Whether ``value``, a sum whose terms total ``size`` in magnitude, is round-off.
 
     Only cancellation down to round-off counts, however large or small the
-    terms are; below the smallest normal float round-off is absolute.
+    terms are; below the smallest normal float round-off is absolute. A
+    value that overflowed is never round-off, and a size that overflowed
+    counts as the largest float, which the true size exceeds.
     """
-    return abs(value) <= SYMBOLIC_ZERO_TOL * size + sys.float_info.min
+    bound = SYMBOLIC_ZERO_TOL * min(size, sys.float_info.max) + sys.float_info.min
+    return math.isfinite(value) and abs(value) <= bound
+
+
+def _negligible_exact(value: Fraction, size: Fraction) -> bool:
+    """:func:`_negligible`'s rule on exact sums, with no rounding anywhere."""
+    return abs(value) <= Fraction(SYMBOLIC_ZERO_TOL) * size + Fraction(sys.float_info.min)
 
 
 def finite_difference(u: Expr, k: int, x: Sequence[float], h: float = DEFAULT_FD_STEP) -> float:
@@ -298,18 +347,22 @@ class AlternatingBalanceReport:
 def check_alternating_balance(coeffs) -> AlternatingBalanceReport:
     """u = sum(c_k x_k) solves equation II iff odd- and even-indexed sums agree.
 
-    Indices are 1-based: c_1 is odd. Requires an even number of coefficients.
+    Indices are 1-based: c_1 is odd. Requires an even number of finite
+    coefficients. Both sums and their difference are exact; each sum is
+    reported rounded once, -inf or inf past the float range.
     """
     coeffs = tuple(float(c) for c in coeffs)
     n = len(coeffs)
     if n < 2 or n % 2 != 0:
         raise ValueError(f"an even dimension of at least 2 is required, got n={n}")
-    odd_sum = math.fsum(coeffs[0::2])
-    even_sum = math.fsum(coeffs[1::2])
+    if not all(map(math.isfinite, coeffs)):
+        raise ValueError("coefficients must be finite")
+    odd_sum, odd_size = _exact_sums((1, c) for c in coeffs[0::2])
+    even_sum, even_size = _exact_sums((1, c) for c in coeffs[1::2])
     return AlternatingBalanceReport(
-        holds=_negligible(odd_sum - even_sum, math.fsum(map(abs, coeffs))),
-        odd_sum=odd_sum,
-        even_sum=even_sum,
+        holds=_negligible_exact(odd_sum - even_sum, odd_size + even_size),
+        odd_sum=_rounded(odd_sum),
+        even_sum=_rounded(even_sum),
     )
 
 
@@ -356,18 +409,20 @@ def check_system(u: Expr | LinearForm, n: int, dom: SampleDomain) -> SystemRepor
         raise ValueError(f"the system needs an even dimension of at least 2, got n={n}")
     if dom.n != n:
         raise ValueError("sample domain and system dimension disagree")
-    points = dom.samples()
     if isinstance(u, LinearForm):
-        expr = u.to_expr()
+        # decided on the coefficients; dom is never sampled
+        eq1, eq2 = (_linear_residual(u, spec) for spec in system_specs(n))
         ouro = check_linear_exact(u)
+        expr = u.to_expr()
     else:
-        expr = u
+        points = dom.samples()
         ouro = _check_sampled_at(u, dom, points)
-    _require_dimension(expr, n)
-    # one expansion and one set of differences serve both equations: each uses k = 1..n
-    form = expand(expr, n)
-    partials = _fd_partials(expr, points, list(range(1, n + 1)), DEFAULT_FD_STEP)
-    eq1, eq2 = (_residual_report(expr, form, spec, points, partials) for spec in system_specs(n))
+        _require_dimension(u, n)
+        # one expansion and one set of differences serve both equations: each uses k = 1..n
+        form = expand(u, n)
+        partials = _fd_partials(u, points, list(range(1, n + 1)), DEFAULT_FD_STEP)
+        eq1, eq2 = (_residual_report(u, form, spec, points, partials) for spec in system_specs(n))
+        expr = u
     try:
         origin = evaluate(expr, (0.0,) * n)
     except EvaluationError as exc:

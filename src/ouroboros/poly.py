@@ -1,17 +1,20 @@
 """Sparse polynomial normal form: a dict from exponent tuple to float coefficient.
 
 Exact zeros are never stored, so like terms cancel; callers decide with a
-tolerance whether float round-off is zero. Also the graded monomial basis.
+tolerance whether float round-off is zero. Also the graded monomial basis;
+only its values on a point cloud import numpy.
 """
 
 from __future__ import annotations
 
 import itertools
 import operator
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .expr import Add, Const, Expr, Mul, Neg, Pow, Var, _pow_repeated
+
+if TYPE_CHECKING:
+    import numpy as np
 
 Poly = dict[tuple[int, ...], float]
 
@@ -43,6 +46,8 @@ def monomial_values(points: np.ndarray, exponents) -> np.ndarray:
     out, so column j equals, bit for bit, ``evaluate_many`` of the tree
     ``x1^a1*x2^a2*...`` (factors in index order, zero exponents omitted).
     """
+    import numpy as np
+
     points = np.asarray(points, dtype=float)
     exps = np.asarray(exponents, dtype=int).reshape(-1, points.shape[1])
     values = np.ones((exps.shape[0], points.shape[0]))  # one row per monomial

@@ -292,6 +292,30 @@ class TestPdeCommand:
         assert doc["result"]["report"]["residual_constant"] is None
         assert got == code
 
+    @pytest.mark.parametrize("expr, n", [
+        ("1e308*x1-1e308*x2", "2"),  # residual -2e308, a constant past the float range
+        ("1e308*x1^2-1e308*x2^2", "2"),  # residual -2e308*(x1 + x2)
+        ("1e308*x1+1e308*x2+1e300*x3", "4"),  # residual -1e300, its sign-free size past the range
+    ])
+    def test_an_overflowing_residual_is_not_round_off(self, capsys, expr, n):
+        code, doc = run_main(capsys, ["pde", "--expr", expr, "--equation", "II", "--n", n])
+        assert_valid(doc)
+        assert doc["result"]["report"]["symbolic_zero"] is False
+        assert code == 1
+
+    @pytest.mark.parametrize("argv, code, constant", [
+        (["--coeffs", "1e308,1e308", "--equation", "I", "--beta", "2"], 0, 0.0),  # residual 0
+        (["--coeffs", "1e308,-1e308", "--equation", "II"], 1, None),  # residual -2e308, printed as null
+    ])
+    def test_linear_forms_past_the_float_range_are_decided_exactly(self, capsys, argv, code, constant):
+        got, doc = run_main(capsys, ["pde", *argv])
+        assert_valid(doc)
+        report = doc["result"]["report"]
+        assert report["symbolic_zero"] is (code == 0)
+        assert report["residual_constant"] == constant
+        assert (report["samples_used"], report["max_abs_residual_fd"]) == (0, None)
+        assert got == code
+
     def test_quotient_residual_is_sampled_only(self, capsys):
         code, doc = run_main(capsys, ["pde", "--expr", "x1/x2", "--equation", "II"])
         assert code == 1
@@ -360,7 +384,7 @@ class TestDeepInputs:
         ["check", "--expr", " + ".join(f"x{k % 2 + 1}/1200" for k in range(1200))],
         ["check", "--expr", "x1" + "*2/2" * 600],
         ["pde", "--expr", " + ".join(f"x{k % 2 + 1}/600" for k in range(600)), "--equation", "II"],
-        # 5 samples: each finite-difference block is 15000 rows by 1500 columns at any sample count
+        # decided on the coefficients: no sample cloud, no finite differences, no normal form
         ["pde", "--coeffs", ",".join(["1/1500"] * 1500), "--equation", "II", "--samples", "5"],
     ], ids=["check-1200-term-sum", "check-1201-factor-product", "pde-600-term-sum", "pde-1500-coeffs"])
     def test_long_inputs_get_an_answer(self, capsys, argv):

@@ -16,6 +16,10 @@ EXACT_COMMANDS = (
     (["check", "--coeffs", "1/2,1/3,1/6"], 0),
     (["check", "--coeffs", "0.6,0.6"], 1),
     (["check", "--coeffs", "1e308,1e308,-1e308"], 1),
+    (["pde", "--coeffs", "1/4,1/4,1/4,1/4", "--equation", "I", "--beta", "4"], 0),
+    (["pde", "--coeffs", "0.7,0.3,0.1,0.5", "--equation", "II"], 0),
+    (["pde", "--coeffs", "1/2,1/2", "--equation", "system"], 0),
+    (["pde", "--coeffs", "1/2,1/2", "--equation", "system", "--n", "4"], 1),  # zero-padded: fails I
     (["expect", "--values", "1,2,3", "--probs", "1/5,3/10,1/2"], 0),
     (["version"], 0),
 )
@@ -31,8 +35,8 @@ for argv, code in {EXACT_COMMANDS!r}:
         assert main(argv) == code, argv
     after(argv)
 from ouroboros import (
-    DiscreteRandomVariable, LinearForm, check_expectation_ouroboros, check_linear_exact,
-    differentiate, evaluate, parse, to_string,
+    DiscreteRandomVariable, LinearForm, PdeKind, PdeSpec, SampleDomain, check_expectation_ouroboros,
+    check_linear_exact, check_residual, differentiate, evaluate, parse, to_string, verify_mean_system,
 )
 e = parse('x1^0 + 3*x2^2/(x1 - 4) - -x1')
 assert to_string(parse(to_string(e))) == to_string(e)
@@ -41,6 +45,12 @@ assert evaluate(differentiate(e, 2), [2.0, 1.0]) == -3.0
 assert check_linear_exact(LinearForm((0.5, 0.25, 0.25))).holds
 assert not check_linear_exact(LinearForm((1e308, 1e308))).holds
 assert check_expectation_ouroboros(DiscreteRandomVariable((1.0, 3.0), (0.5, 0.5))).holds
+assert verify_mean_system(4).all_hold
+head = check_residual(
+    LinearForm((0.5, 0.25, 0.375)), PdeSpec(PdeKind.EQ_I, n=3, beta=2),
+    SampleDomain(n=3, radius=2.0, seed=0, count=200),
+)
+assert head.symbolic_zero and head.samples_used == 0
 after('api')
 """
 

@@ -2,6 +2,7 @@
 
 import math
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -33,6 +34,7 @@ from ouroboros.poly import expand
 DOM = SampleDomain(n=2, radius=2.0, seed=0, count=64)
 
 coeff_values = st.floats(min_value=-3, max_value=3, allow_nan=False)
+finite_floats = st.floats(allow_nan=False, allow_infinity=False)
 
 
 class TestPdeSpec:
@@ -159,6 +161,110 @@ class TestCheckResidual:
         report = check_residual(sol.to_expr(), PdeSpec(PdeKind.EQ_I, n=n, beta=beta), dom)
         assert report.symbolic_zero
         assert report.max_abs_residual <= 1e-12
+
+
+def equation_specs(n: int):
+    """Equation II and equation I at every beta, in dimension n."""
+    return st.sampled_from([PdeSpec(PdeKind.EQ_II, n=n)] + [
+        PdeSpec(PdeKind.EQ_I, n=n, beta=beta) for beta in range(1, n + 1)
+    ])
+
+
+def forms_and_specs():
+    """(coefficients, spec, balance): n in 1..10 coefficients and an equation in dimension n."""
+    return st.integers(min_value=1, max_value=10).flatmap(
+        lambda n: st.tuples(
+            st.lists(coeff_values, min_size=n, max_size=n), equation_specs(n), st.booleans()
+        )
+    )
+
+
+class TestLinearRoute:
+    """A linear form's residual is the constant sum(w_k * c_k), decided on the coefficients."""
+
+    @given(forms_and_specs())
+    @example(([1e-320, 3e-321, 1e-320], PdeSpec(PdeKind.EQ_II, n=3), False))  # subnormal
+    @example(([1.0, 2.0], PdeSpec(PdeKind.EQ_I, n=2, beta=1), True))
+    @settings(max_examples=300, deadline=None)
+    def test_the_exact_route_agrees_with_the_normal_form(self, case):
+        coeffs, spec, balance = case
+        first = sum(weight for k, weight in spec.terms() if k == 1)
+        if balance and first:  # cancel the residual through c_1, up to round-off
+            coeffs[0] -= math.fsum(weight * coeffs[k - 1] for k, weight in spec.terms()) / first
+        form = LinearForm(tuple(coeffs))
+        dom = SampleDomain(n=spec.n, radius=2.0, seed=4, count=16)
+        exact = check_residual(form, spec, dom)
+        normal = check_residual(form.to_expr(), spec, dom)
+        terms = [weight * Fraction(coeffs[k - 1]) for k, weight in spec.terms()]
+        residual, size = sum(terms), sum(map(abs, terms))
+        slack = 4 * sys.float_info.epsilon * size
+        assert abs(exact.residual_constant - normal.residual_constant) <= slack
+        assert (exact.samples_used, exact.note) == (0, pde.LINEAR_NOTE)
+        assert math.isnan(exact.max_abs_residual_fd)
+        assert exact.max_abs_residual == abs(exact.residual_constant)
+        threshold = Fraction(pde.SYMBOLIC_ZERO_TOL) * size + Fraction(sys.float_info.min)
+        if abs(abs(residual) - threshold) > slack:
+            assert exact.symbolic_zero == normal.symbolic_zero
+        if abs(abs(residual) - Fraction(pde.RESIDUAL_TOL)) > slack:
+            assert exact.passes() == normal.passes()
+
+    def test_dom_is_never_sampled_nor_u_expanded(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a linear form took the sampled route")
+
+        monkeypatch.setattr(SampleDomain, "samples", refuse)
+        monkeypatch.setattr(pde, "expand", refuse)
+        dom = SampleDomain(n=4, radius=2.0, seed=0, count=200)
+        assert check_residual(arithmetic_mean(4), PdeSpec(PdeKind.EQ_I, n=4, beta=4), dom).symbolic_zero
+        assert check_system(arithmetic_mean(4), 4, dom).all_hold
+
+    def test_a_short_form_is_padded_with_zeros(self):
+        dom = SampleDomain(n=4, radius=2.0, seed=0, count=8)
+        form = LinearForm((0.5, 0.5))
+        assert check_residual(form, PdeSpec(PdeKind.EQ_II, n=4), dom).symbolic_zero
+        head = check_residual(form, PdeSpec(PdeKind.EQ_I, n=4, beta=4), dom)
+        assert (head.symbolic_zero, head.residual_constant) == (False, 1.0)
+        report = check_system(form, 4, dom)
+        assert report.eq2.symbolic_zero and report.ouroboros.holds and report.zero_at_origin
+        assert not report.all_hold
+
+    def test_a_long_form_is_rejected(self):
+        with pytest.raises(ValueError, match="x3"):
+            check_residual(LinearForm((0.5, 0.25, 0.25)), PdeSpec(PdeKind.EQ_II, n=2), DOM)
+
+    @pytest.mark.parametrize("coeffs, spec, zero, constant", [
+        ((1e308, 1e308), PdeSpec(PdeKind.EQ_I, n=2, beta=2), True, 0.0),
+        ((1e308, -1e308), PdeSpec(PdeKind.EQ_II, n=2), False, -math.inf),
+        ((1e308, 1e308, 1e300, 0.0), PdeSpec(PdeKind.EQ_II, n=4), False, -1e300),
+        ((1e308, 1e308, 1e308, 1e308), PdeSpec(PdeKind.EQ_II, n=4), True, 0.0),
+    ])
+    def test_sums_past_the_float_range_are_exact(self, coeffs, spec, zero, constant):
+        dom = SampleDomain(n=spec.n, radius=2.0, seed=0, count=8)
+        report = check_residual(LinearForm(coeffs), spec, dom)
+        assert (report.symbolic_zero, report.residual_constant) == (zero, constant)
+        assert report.passes() is zero
+
+    def test_long_forms_cost_no_normal_form(self):
+        """1500 coefficients: the exact sums, not a 1500-variable normal form."""
+        form = LinearForm((1 / 1500,) * 1500)
+        dom = SampleDomain(n=1500, radius=2.0, seed=0, count=5)
+        assert check_residual(form, PdeSpec(PdeKind.EQ_II, n=1500), dom).symbolic_zero
+        assert check_system(form, 1500, dom).all_hold
+
+
+class TestNegligible:
+    @pytest.mark.parametrize("value, size, expected", [
+        (math.inf, math.inf, False),
+        (-math.inf, math.inf, False),
+        (math.nan, 1.0, False),
+        (0.0, math.inf, True),
+        (1e296, math.inf, True),  # below 1e-12 times the largest float, which the true size exceeds
+        (1e300, math.inf, False),
+        (1e-13, 1.0, True),
+        (1e-11, 1.0, False),
+    ])
+    def test_only_finite_round_off_is_negligible(self, value, size, expected):
+        assert pde._negligible(value, size) is expected
 
 
 def powers_of_linear_forms():
@@ -348,10 +454,38 @@ class TestAlternatingBalance:
         with pytest.raises(ValueError):
             check_alternating_balance((1.0, 2.0, 3.0))
 
+    @pytest.mark.parametrize("coeffs", [(math.inf, 0.0), (math.nan, 1.0), (math.inf, math.inf)])
+    def test_non_finite_coefficients_are_rejected(self, coeffs):
+        """(inf, 0) once held: inf - 0 passed as round-off of a sum of size inf."""
+        with pytest.raises(ValueError, match="finite"):
+            check_alternating_balance(coeffs)
+
     def test_tiny_imbalance_is_not_round_off(self):
         """1e-13*x1 does not solve equation II, however small its residual."""
         assert not check_alternating_balance((1e-13, 0.0)).holds
         assert check_alternating_balance((1e-13, 1e-13)).holds
+
+    @pytest.mark.parametrize("coeffs, holds, odd_sum, even_sum", [
+        ((1e308, 1e308), True, 1e308, 1e308),
+        ((1e308, -1e308), False, 1e308, -1e308),
+        ((1e308, 1e308, 1e308, 1e308), True, math.inf, math.inf),
+        ((-1e308, 0.0, -1e308, 0.0), False, -math.inf, 0.0),
+    ])
+    def test_sums_past_the_float_range_do_not_crash(self, coeffs, holds, odd_sum, even_sum):
+        report = check_alternating_balance(coeffs)
+        assert (report.holds, report.odd_sum, report.even_sum) == (holds, odd_sum, even_sum)
+
+    @given(st.lists(st.tuples(finite_floats, finite_floats), min_size=1, max_size=4))
+    @settings(max_examples=200, deadline=None)
+    def test_sums_are_rounded_as_fsum_rounds_them(self, pairs):
+        """Bit for bit equal to math.fsum wherever fsum answers."""
+        report = check_alternating_balance([c for pair in pairs for c in pair])
+        for got, column in ((report.odd_sum, 0), (report.even_sum, 1)):
+            try:
+                expected = math.fsum(pair[column] for pair in pairs)
+            except OverflowError:
+                continue
+            assert got == expected and math.copysign(1, got) == math.copysign(1, expected)
 
     @given(
         st.integers(min_value=1, max_value=3).flatmap(
