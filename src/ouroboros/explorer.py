@@ -307,6 +307,7 @@ def _one_blas_thread():
 
 
 @_one_blas_thread()
+@np.errstate(over="ignore", invalid="ignore")
 def explore(config: ExplorationConfig) -> ExplorationReport:
     """Run the multi-start search and label every run against the exact set.
 
@@ -319,6 +320,8 @@ def explore(config: ExplorationConfig) -> ExplorationReport:
     Exhausting the evaluation cap is an outcome, not an error: each run
     records why the loop stopped and how many Jacobians it formed. Meanwhile
     numpy's OpenBLAS runs on one thread, process-wide (:func:`_one_blas_thread`).
+    A run whose values overflow keeps its inf and nan silently: its objective
+    reads inf (null in JSON) and it is labelled like any other run.
     """
     dom = SampleDomain(
         n=config.n, radius=config.radius, seed=config.seed, count=config.resolved_samples

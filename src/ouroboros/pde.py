@@ -17,12 +17,11 @@ slack absorbs round-off in the cancellation, at any scale of u. Without a
 normal form (a non-constant divisor, or too large to expand) the report says
 the bound is sampled only. Sampled residual maxima are computed twice,
 residual normal form vs finite differences of u's tree: the normal form (the
-derivative tree for a u without one) evaluated at the samples, and central
-differences of u. A small cloud evaluates all shifts of a block of samples in
-one stacked evaluation; a large one with several shifted variables evaluates
-each subtree once per shift of a variable it reads and once unshifted for the
-shifts it does not read, with the same bits. The two routes cross-check each
-other.
+derivative tree for a u without one) evaluated at the samples, and one central
+difference of u along the equation's direction w (:meth:`PdeSpec.direction`),
+since the residual sum(w_k * du/dx_k) is the derivative of u along w. The
+shifts x + h*w and x - h*w of a block of samples go to one stacked
+evaluation. The two routes cross-check each other.
 
 A linear form u = sum(c_k * x_k) (:class:`~ouroboros.core.LinearForm`) has
 the constant residual sum(w_k * c_k). It is decided exactly on the
@@ -44,7 +43,6 @@ from typing import TYPE_CHECKING, Sequence
 from .core import RESIDUAL_TOL, LinearForm, OuroborosReport, SampleDomain, _check_sampled_at, check_linear_exact
 from .core import _exact_sums, _require_tolerance, _rounded
 from .expr import Const, EvaluationError, Expr, differentiate, dimension, evaluate, evaluate_many, mul, sub
-from .expr import _evaluate_shifts
 from .expr import add as expr_add
 from .families import arithmetic_mean
 from .poly import Poly, combine, derivative, expand, monomial_values
@@ -71,10 +69,7 @@ SYMBOLIC_ZERO_TOL = 1e-12
 DEFAULT_FD_STEP = 1e-5
 # rows per evaluate_many call in _fd_partials and per monomial table in
 # _poly_values; at 1e5 points, 16384 beat 1024, 4096 and the whole stacked
-# cloud (2-CPU VM). From this many samples and two shifted variables on,
-# _fd_partials evaluates shift-aware blocks of BLOCK_ROWS // 4 samples; on
-# small clouds per-node dispatch outweighs the subtrees it skips (2.0 to 2.6
-# times slower than one stacked block of 200 samples, 2-CPU VM)
+# cloud (2-CPU VM)
 BLOCK_ROWS = 16384
 # cells (rows times n) per stacked block in _fd_partials: BLOCK_ROWS rows
 # up to n = 8, fewer beyond, and always at least one sample's shifts
@@ -112,6 +107,13 @@ class PdeSpec:
         if self.kind is PdeKind.EQ_I:
             return [(k, 1) for k in range(1, self.beta + 1)] + [(self.n, -self.beta)]
         return [(k, (-1) ** k) for k in range(1, self.n + 1)]
+
+    def direction(self) -> list[float]:
+        """w with residual = du/dw = sum(w_k * du/dx_k): the weights of :meth:`terms` summed per k."""
+        w = [0.0] * self.n
+        for k, weight in self.terms():
+            w[k - 1] += weight
+        return w
 
 
 def system_specs(n: int) -> tuple[PdeSpec, PdeSpec]:
@@ -160,8 +162,8 @@ def check_residual(u: Expr | LinearForm, spec: PdeSpec, dom: SampleDomain) -> Re
     """Decide the residual on its normal form, then bound it on samples twice.
 
     The first route evaluates the residual's normal form (the exact residual
-    expression when u has none); the second rebuilds the residual from
-    central finite differences of u's tree alone. A linear form is decided
+    expression when u has none); the second is one central difference of
+    u's tree along the equation's direction. A linear form is decided
     exactly on its coefficients instead, and ``dom`` is not sampled.
     Raises EvaluationError when u has no value at a sample.
     """
@@ -171,8 +173,8 @@ def check_residual(u: Expr | LinearForm, spec: PdeSpec, dom: SampleDomain) -> Re
         return _linear_residual(u, spec)
     _require_dimension(u, spec.n)
     points = dom.samples()
-    partials = _fd_partials(u, points, sorted({k for k, _ in spec.terms()}), DEFAULT_FD_STEP)
-    return _residual_report(u, expand(u, spec.n), spec, points, partials)
+    (fd,) = _fd_partials(u, points, [spec.direction()], DEFAULT_FD_STEP)
+    return _residual_report(u, expand(u, spec.n), spec, points, fd)
 
 
 def _require_dimension(u: Expr, n: int) -> None:
@@ -206,9 +208,9 @@ def _residual_report(
     form: Poly | None,
     spec: PdeSpec,
     points: np.ndarray,
-    partials: dict[int, np.ndarray],
+    fd: np.ndarray,
 ) -> ResidualReport:
-    """check_residual at ``points`` once u is expanded to ``form`` (None: no normal form) and differenced."""
+    """check_residual at ``points`` once u is expanded to ``form`` (None: no normal form) and differenced (``fd``)."""
     import numpy as np
 
     symbolic_zero, residual_constant, note, residual = _decide_residual(form, spec)
@@ -216,15 +218,11 @@ def _residual_report(
         values = evaluate_many(residual_expr(u, spec), points)
     else:
         values = _poly_values(residual, points)
-    max_abs = float(np.abs(values).max())
-    with np.errstate(over="ignore", invalid="ignore"):
-        fd = sum(weight * partials[k] for k, weight in spec.terms())
-    max_abs_fd = float(np.abs(fd).max())
     return ResidualReport(
         symbolic_zero=symbolic_zero,
         residual_constant=residual_constant,
-        max_abs_residual=max_abs,
-        max_abs_residual_fd=max_abs_fd,
+        max_abs_residual=float(np.abs(values).max()),
+        max_abs_residual_fd=float(np.abs(fd).max()),
         samples_used=len(points),
         note=note,
     )
@@ -242,47 +240,32 @@ def _poly_values(p: Poly, points: np.ndarray) -> np.ndarray:
         ])
 
 
-def _fd_partials(u: Expr, points: np.ndarray, ks: list[int], h: float) -> dict[int, np.ndarray]:
-    """Central differences of u along x_k at every point, for each k in ``ks``.
+def _fd_partials(u: Expr, points: np.ndarray, directions: list[list[float]], h: float) -> np.ndarray:
+    """Central differences of u along each direction w, one row per w.
 
-    With at least BLOCK_ROWS points and two or more ks, blocks of
-    BLOCK_ROWS // 4 points go to the shift-aware evaluator, which evaluates
-    a subtree that reads no x_k once for both shifts of x_k. Otherwise each
-    evaluate_many call takes a block of points at all 2*len(ks) shifts
-    stacked, about BLOCK_ROWS rows and at most BLOCK_CELLS cells, or one
-    sample's shifts where those exceed it. Both give the same bits. A zero
-    divisor met at a shift is reported with the index of the sample that was
-    shifted.
+    Row i holds (u(x + h*w) - u(x - h*w)) / (2h) at every point x, the
+    derivative of u along w = directions[i]. Each evaluate_many call takes a
+    block of points at all 2*len(directions) shifts stacked, about
+    BLOCK_ROWS rows and at most BLOCK_CELLS cells, or one sample's shifts
+    where those exceed it. A zero divisor met at a shift is reported with
+    the index of the sample that was shifted.
     """
     import numpy as np
 
     count, n = points.shape
-    if count >= BLOCK_ROWS and len(ks) >= 2:
-        step = BLOCK_ROWS // 4
-
-        def shifted(block: np.ndarray):
-            return _evaluate_shifts(u, block, ks, h)
-    else:
-        shifts = 2 * len(ks)
-        step = max(1, min(BLOCK_ROWS // shifts, BLOCK_CELLS // (shifts * n)))
-
-        def shifted(block: np.ndarray):
-            stacked = np.repeat(block[None], shifts, axis=0)
-            for i, k in enumerate(ks):
-                stacked[2 * i, :, k - 1] += h
-                stacked[2 * i + 1, :, k - 1] -= h
-            return evaluate_many(u, stacked.reshape(-1, n)).reshape(shifts, len(block))
-    partials = np.empty((len(ks), count))
+    hw = h * np.asarray(directions, dtype=float)
+    offsets = np.stack([hw, -hw], axis=1).reshape(-1, n)  # +h*w, then -h*w, for each w
+    step = max(1, min(BLOCK_ROWS // len(offsets), BLOCK_CELLS // (len(offsets) * n)))
+    differences = np.empty((len(hw), count))
     for start in range(0, count, step):
         block = points[start:start + step]
         try:
-            values = shifted(block)
+            values = evaluate_many(u, (block + offsets[:, None]).reshape(-1, n)).reshape(len(hw), 2, len(block))
         except EvaluationError as exc:
             raise EvaluationError(exc.message, start + exc.sample_index % len(block)) from None
         with np.errstate(over="ignore", invalid="ignore"):
-            for i in range(len(ks)):
-                partials[i, start:start + len(block)] = (values[2 * i] - values[2 * i + 1]) / (2.0 * h)
-    return dict(zip(ks, partials))
+            differences[:, start:start + len(block)] = (values[:, 0] - values[:, 1]) / (2.0 * h)
+    return differences
 
 
 def _decide_residual(
@@ -413,20 +396,22 @@ def check_system(u: Expr | LinearForm, n: int, dom: SampleDomain) -> SystemRepor
         # decided on the coefficients; dom is never sampled
         eq1, eq2 = (_linear_residual(u, spec) for spec in system_specs(n))
         ouro = check_linear_exact(u)
-        expr = u.to_expr()
+        # the float u.to_expr() takes at the origin: it keeps the nonzero terms,
+        # each c_k * 0.0, so it reads -0.0 when all of them are negative
+        origin = -0.0 if any(u.coeffs) and all(c <= 0.0 for c in u.coeffs) else 0.0
     else:
         points = dom.samples()
         ouro = _check_sampled_at(u, dom, points)
         _require_dimension(u, n)
-        # one expansion and one set of differences serve both equations: each uses k = 1..n
+        # one expansion and one stacked evaluation of the shifts along both directions
         form = expand(u, n)
-        partials = _fd_partials(u, points, list(range(1, n + 1)), DEFAULT_FD_STEP)
-        eq1, eq2 = (_residual_report(u, form, spec, points, partials) for spec in system_specs(n))
-        expr = u
-    try:
-        origin = evaluate(expr, (0.0,) * n)
-    except EvaluationError as exc:
-        raise EvaluationError(f"{exc} at the origin") from exc
+        specs = system_specs(n)
+        fds = _fd_partials(u, points, [spec.direction() for spec in specs], DEFAULT_FD_STEP)
+        eq1, eq2 = (_residual_report(u, form, spec, points, fd) for spec, fd in zip(specs, fds))
+        try:
+            origin = evaluate(u, (0.0,) * n)
+        except EvaluationError as exc:
+            raise EvaluationError(f"{exc} at the origin") from exc
     return SystemReport(
         eq1=eq1,
         eq2=eq2,

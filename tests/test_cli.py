@@ -482,6 +482,16 @@ class TestExploreCommand:
         assert rows[0]["solver_status"] in {"1", "2", "3"}
         assert "init" not in rows[0]
 
+    def test_an_overflowing_search_reports_without_warnings(self, capsys):
+        """At degree 30 the objective overflows to inf and nan; numpy raises no RuntimeWarning
+        (an error under the test settings) and the run reads not converged, objective null."""
+        code, doc = run_main(capsys, ["explore", "--n", "2", "--degree", "30", "--starts", "1"])
+        assert code == 0
+        (run,) = doc["result"]["runs"]
+        assert run["classification"] == "non_converged"
+        assert run["solver_status"] == 0
+        assert run["objective"] is None
+
     @pytest.mark.parametrize("where", ["config", "run"])
     def test_the_schema_refuses_a_start_setting(self, capsys, where):
         code, doc = run_main(capsys, ["explore", "--n", "2", "--degree", "1", "--starts", "1"])

@@ -19,7 +19,6 @@ from ouroboros.expr import (
     Pow,
     Var,
     add,
-    _evaluate_shifts,
     differentiate,
     dimension,
     evaluate,
@@ -235,72 +234,6 @@ class TestEvaluation:
     def test_zero_to_the_zero_is_one(self):
         assert evaluate(Pow(Const(0.0), 0), ()) == 1.0
         assert evaluate_many(Pow(Var(1), 0), np.zeros((2, 1))).tolist() == [1.0, 1.0]
-
-
-def stacked_shifts(e, pts, ks, h):
-    """evaluate_many on the copies of pts shifted by +h and -h along each x_k, stacked in that order."""
-    copies = []
-    for k in ks:
-        up, down = pts.copy(), pts.copy()
-        up[:, k - 1] += h
-        down[:, k - 1] -= h
-        copies += [up, down]
-    return evaluate_many(e, np.concatenate(copies)).reshape(len(copies), len(pts))
-
-
-class TestShiftedEvaluation:
-    """_evaluate_shifts against evaluate_many on the stacked shifted copies, bit for bit."""
-
-    @pytest.mark.parametrize("text", [
-        "x1*x1 + x1",  # one variable read twice
-        "2*x1*x2 - 3*x3",  # a leading constant factor; x3 is never shifted
-        "(x1 + x2)^0 + x2^1*x1^1 + (x1 - x3)^1",
-        "-x1*x2 - -(x3 + 1) + -(x1 + x2)^2",
-        "x1/(2 + x2)*x3/(x3^2 + 1)",  # divided factors
-        "x3^2 + 4 + x1",  # a subtree that reads no shifted variable
-        "x3*(x3 + 1)",  # no shifted variable at all
-    ])
-    @pytest.mark.parametrize("ks", [[1, 2], [1, 2, 3], [2]])
-    def test_in_place_steps_overwrite_no_shared_array(self, text, ks):
-        pts = np.random.default_rng(3).uniform(-2, 2, size=(50, 3))
-        before = pts.copy()
-        e = parse(text)
-        got = _evaluate_shifts(e, pts, ks, 1e-5)
-        assert np.array_equal(pts, before)
-        want = stacked_shifts(e, pts, ks, 1e-5)
-        assert [row.tobytes() for row in got] == [row.tobytes() for row in want]
-        assert [row.tobytes() for row in _evaluate_shifts(e, pts, ks, 1e-5)] == [row.tobytes() for row in got]
-
-    @given(
-        expr_strategy(),
-        st.integers(min_value=0, max_value=2**32 - 1),
-        st.sampled_from([[1], [1, 2], [1, 3], [1, 2, 3]]),
-    )
-    @settings(max_examples=150)
-    def test_matches_the_stacked_copies(self, e, seed, ks):
-        """Values bit for bit, inf and nan included; a zero divisor at the same shift and row."""
-        pts = np.random.default_rng(seed).uniform(-3, 3, size=(6, 3))
-        try:
-            want = stacked_shifts(e, pts, ks, 0.5)
-        except EvaluationError as exc:
-            with pytest.raises(EvaluationError) as got:
-                _evaluate_shifts(e, pts, ks, 0.5)
-            assert got.value.sample_index == exc.sample_index % len(pts)
-            return
-        got = _evaluate_shifts(e, pts, ks, 0.5)
-        assert [row.tobytes() for row in got] == [row.tobytes() for row in want]
-
-    def test_a_zero_divisor_is_named_at_the_first_shift_in_order(self):
-        """Zero at x - h*e_1 of row 4 and at x + h*e_2 of row 1: the x1 shifts come first."""
-        pts = np.random.default_rng(0).uniform(-2, 2, size=(6, 2))
-        h = 0.25
-        e = parse(f"1/((x1 - ({float(pts[4, 0] - h)!r}))*(x2 - ({float(pts[1, 1] + h)!r})))")
-        with pytest.raises(EvaluationError) as stacked:
-            stacked_shifts(e, pts, [1, 2], h)
-        with pytest.raises(EvaluationError) as got:
-            _evaluate_shifts(e, pts, [1, 2], h)
-        assert stacked.value.sample_index == len(pts) + 4
-        assert got.value.sample_index == 4
 
 
 class TestDimension:

@@ -57,6 +57,12 @@ class TestPdeSpec:
         assert PdeSpec(PdeKind.EQ_I, n=2, beta=2).terms() == [(1, 1), (2, 1), (2, -2)]
         assert PdeSpec(PdeKind.EQ_II, n=4).terms() == [(1, -1), (2, 1), (3, -1), (4, 1)]
 
+    def test_direction_sums_the_weights_per_variable(self):
+        assert PdeSpec(PdeKind.EQ_I, n=4, beta=2).direction() == [1.0, 1.0, 0.0, -2.0]
+        assert PdeSpec(PdeKind.EQ_I, n=3, beta=3).direction() == [1.0, 1.0, -2.0]
+        assert PdeSpec(PdeKind.EQ_I, n=1, beta=1).direction() == [0.0]
+        assert PdeSpec(PdeKind.EQ_II, n=4).direction() == [-1.0, 1.0, -1.0, 1.0]
+
 
 class TestResidualExpr:
     def test_left_minus_right_sign_for_equation_one(self):
@@ -329,95 +335,62 @@ class TestResidualRoutes:
         tree = evaluate_many(residual_expr(u, spec), DOM.samples())
         assert report.max_abs_residual == np.abs(tree).max()
 
-    @pytest.mark.parametrize("spec", [
-        PdeSpec(PdeKind.EQ_II, n=2),
-        PdeSpec(PdeKind.EQ_I, n=3, beta=3),  # k = 3 is listed twice
-        PdeSpec(PdeKind.EQ_I, n=4, beta=2),
-        PdeSpec(PdeKind.EQ_I, n=8, beta=8),
-        PdeSpec(PdeKind.EQ_II, n=8),
-    ], ids=str)
-    def test_blocked_differences_equal_the_per_shift_loop(self, spec):
-        """Bit for bit, on clouds spanning several blocks with a ragged last one: stacked
-        blocks below BLOCK_ROWS samples, shift-aware ones from there on."""
-        u = parse("x1^3*x2 - 2*x1*x2^2/3 + 1/(3 + x1^2) + x2*x" + str(spec.n))
-        ks = sorted({k for k, _ in spec.terms()})
+    @pytest.mark.parametrize("specs", [
+        [PdeSpec(PdeKind.EQ_II, n=2)],
+        [PdeSpec(PdeKind.EQ_I, n=3, beta=3)],  # k = 3 is listed twice
+        [PdeSpec(PdeKind.EQ_I, n=4, beta=2)],
+        list(system_specs(2)),
+        list(system_specs(8)),
+    ], ids=lambda specs: "+".join(map(str, specs)))
+    def test_blocked_differences_equal_the_per_shift_loop(self, specs):
+        """Bit for bit, on clouds spanning several blocks with a ragged last one: one
+        direction (2 shifts, as check_residual takes it) and two (4, as check_system)."""
+        n = specs[0].n
+        u = parse("x1^3*x2 - 2*x1*x2^2/3 + 1/(3 + x1^2) + x2*x" + str(n))
+        directions = [spec.direction() for spec in specs]
         h = DEFAULT_FD_STEP
-        for count in (3 * (BLOCK_ROWS // (2 * len(ks))) + 7, BLOCK_ROWS + BLOCK_ROWS // 4 + 7):
-            dom = SampleDomain(n=spec.n, radius=2.0, seed=9, count=count)
-            points = dom.samples()
+        count = 3 * (BLOCK_ROWS // (2 * len(directions))) + 7
+        dom = SampleDomain(n=n, radius=2.0, seed=9, count=count)
+        points = dom.samples()
+        blocked = _fd_partials(u, points, directions, h)
+        assert blocked.shape == (len(directions), count)
+        for w, got in zip(directions, blocked):
+            step = h * np.array(w)
+            want = (evaluate_many(u, points + step) - evaluate_many(u, points - step)) / (2.0 * h)
+            assert np.array_equal(got, want)
+        for spec, got in zip(specs, blocked):
+            assert check_residual(u, spec, dom).max_abs_residual_fd == np.abs(got).max()
+        if len(specs) == 2:
+            report = check_system(u, n, dom)
+            assert [report.eq1.max_abs_residual_fd, report.eq2.max_abs_residual_fd] == list(np.abs(blocked).max(axis=1))
 
-            def per_shift(k):
-                up, down = points.copy(), points.copy()
-                up[:, k - 1] += h
-                down[:, k - 1] -= h
-                return (evaluate_many(u, up) - evaluate_many(u, down)) / (2.0 * h)
-
-            blocked = _fd_partials(u, points, ks, h)
-            assert sorted(blocked) == ks
-            for k in ks:
-                assert np.array_equal(blocked[k], per_shift(k))
-            fd = sum(weight * per_shift(k) for k, weight in spec.terms())
-            assert check_residual(u, spec, dom).max_abs_residual_fd == np.abs(fd).max()
-
-    @pytest.mark.parametrize("k,sign", [(1, 1), (1, -1), (2, 1), (2, -1)])
-    def test_zero_divisor_at_a_shift_names_the_shifted_sample(self, k, sign):
-        """Hit only at x + h*e_k (or - h) of one sample in the third block, of stacked blocks
-        and of the shift-aware blocks a cloud of BLOCK_ROWS samples takes."""
-        spec = PdeSpec(PdeKind.EQ_II, n=2)
-        rows = BLOCK_ROWS // 4
-        sample = 2 * rows + 5
-        for count in (3 * rows + 7, BLOCK_ROWS + 7):
-            dom = SampleDomain(n=2, radius=2.0, seed=2, count=count)
-            pole = float(dom.samples()[sample, k - 1] + sign * DEFAULT_FD_STEP)
-            u = parse(f"1/(x{k} - ({pole!r}))")
-            with pytest.raises(EvaluationError) as exc:
-                check_residual(u, spec, dom)
-            assert exc.value.sample_index == sample
-            assert str(exc.value) == f"division by zero (sample {sample})"
-
-    @pytest.mark.parametrize("count, ks, stacked", [
-        (200, [1, 2, 3, 4], True),
-        (BLOCK_ROWS + 5, [1], True),
-        (BLOCK_ROWS - 1, [1, 2, 3, 4], True),
-        (BLOCK_ROWS, [1, 2], False),
-        (BLOCK_ROWS + 5, [1, 2, 3, 4], False),
+    @pytest.mark.parametrize("system, k, weight", [
+        (False, 1, 1), (False, 1, -1), (False, 2, 1), (False, 2, -1),
+        (True, 4, -3),  # x + h*v1 in x4, v1 = (1, 1, 1, -3)
     ])
-    def test_large_clouds_with_several_shifts_skip_the_stacked_copies(self, monkeypatch, count, ks, stacked):
-        """Below BLOCK_ROWS samples, or with one shifted variable, each block is one stacked
-        evaluate_many call; otherwise blocks of BLOCK_ROWS // 4 samples are evaluated shift-aware."""
-        calls, shifted = [], []
-        evaluate_stacked, evaluate_shifts = pde.evaluate_many, pde._evaluate_shifts
+    def test_zero_divisor_at_a_shift_names_the_shifted_sample(self, system, k, weight):
+        """Hit only at one shift of one sample in the third block: x + h*w or x - h*w,
+        w = (-1, 1), of check_residual's two shifts, or x + h*v1 of check_system's four."""
+        n, shifts = (4, 4) if system else (2, 2)
+        rows = BLOCK_ROWS // shifts
+        sample = 2 * rows + 5
+        dom = SampleDomain(n=n, radius=2.0, seed=2, count=3 * rows + 7)
+        pole = float(dom.samples()[sample, k - 1] + weight * DEFAULT_FD_STEP)
+        u = parse(f"1/(x{k} - ({pole!r}))")
+        with pytest.raises(EvaluationError) as exc:
+            if system:
+                check_system(u, n, dom)
+            else:
+                check_residual(u, PdeSpec(PdeKind.EQ_II, n=n), dom)
+        assert exc.value.sample_index == sample
+        assert str(exc.value) == f"division by zero (sample {sample})"
 
-        def recording(u, points):
-            calls.append(len(points))
-            return evaluate_stacked(u, points)
-
-        def recording_shifts(u, points, ks, h):
-            shifted.append(len(points))
-            return evaluate_shifts(u, points, ks, h)
-
-        monkeypatch.setattr(pde, "evaluate_many", recording)
-        monkeypatch.setattr(pde, "_evaluate_shifts", recording_shifts)
-        u = parse("x1^2*x2 + x3/(2 + x4^2)")
-        points = SampleDomain(n=4, radius=2.0, seed=1, count=count).samples()
-        partials = _fd_partials(u, points, ks, DEFAULT_FD_STEP)
-        if stacked:
-            assert calls and not shifted and sum(calls) == 2 * len(ks) * count
-        else:
-            assert not calls and sum(shifted) == count
-            assert shifted[:-1] == [BLOCK_ROWS // 4] * (len(shifted) - 1)
-        monkeypatch.undo()
-        for k in ks:
-            up, down = points.copy(), points.copy()
-            up[:, k - 1] += DEFAULT_FD_STEP
-            down[:, k - 1] -= DEFAULT_FD_STEP
-            want = (evaluate_many(u, up) - evaluate_many(u, down)) / (2.0 * DEFAULT_FD_STEP)
-            assert np.array_equal(partials[k], want)
-
-    @pytest.mark.parametrize("n", [1, 2, 5, 8, 9, 40, 600])
-    def test_blocks_are_bounded_by_rows_and_by_cells(self, monkeypatch, n):
+    @pytest.mark.parametrize("equations", [1, 2])
+    @pytest.mark.parametrize("n", [1, 2, 5, 8, 9, 40, 600, 1500, 40000])
+    def test_blocks_are_bounded_by_rows_and_by_cells(self, monkeypatch, n, equations):
         """Up to n = 8 a block holds BLOCK_ROWS // shifts samples; wider ones stay within
-        BLOCK_CELLS, down to one sample's shifts."""
+        BLOCK_CELLS, down to one sample's shifts. Shifts are 2 per direction: 2 for
+        check_residual, 4 for check_system."""
         shapes = []
 
         def recording(u, stacked):
@@ -425,10 +398,11 @@ class TestResidualRoutes:
             return np.zeros(len(stacked))
 
         monkeypatch.setattr(pde, "evaluate_many", recording)
-        shifts = 2 * n
-        count = 3 * (BLOCK_ROWS // shifts) + 1
-        partials = _fd_partials(parse("x1"), np.zeros((count, n)), list(range(1, n + 1)), DEFAULT_FD_STEP)
-        assert sorted(partials) == list(range(1, n + 1))
+        directions = [spec.direction() for spec in system_specs(n)][:equations]
+        shifts = 2 * len(directions)
+        count = 3 * max(1, BLOCK_CELLS // (shifts * n)) + 1
+        fd = _fd_partials(parse("x1"), np.zeros((count, n)), directions, DEFAULT_FD_STEP)
+        assert fd.shape == (len(directions), count)
         samples = [rows // shifts for rows, _ in shapes]
         assert all(rows == shifts * s and width == n for (rows, width), s in zip(shapes, samples))
         assert sum(samples) == count and len(set(samples[:-1])) == 1
@@ -572,6 +546,24 @@ class TestSystem:
         report = check_system(arithmetic_mean(4), 4, dom)
         assert report.ouroboros.verdict is Verdict.HOLDS_EXACT
 
+    @given(st.integers(min_value=1, max_value=3).flatmap(
+        lambda half: st.lists(st.sampled_from([-2.0, -0.5, -0.0, 0.0, 0.5, 1.0]), min_size=2 * half, max_size=2 * half)
+    ))
+    @example([-0.5, -0.5])  # pde --coeffs=-1/2,-1/2 --equation system prints -0.0
+    @example([-1.0, 2.0])
+    @example([0.0, 0.0])
+    @example([-0.0, -0.0])
+    @example([-0.0, -2.0])
+    @settings(max_examples=100, deadline=None)
+    def test_linear_origin_value_is_the_expression_value_at_the_origin(self, coeffs):
+        """The same float as evaluating u.to_expr() at 0, sign of zero included."""
+        form = LinearForm(coeffs)
+        n = form.n
+        report = check_system(form, n, SampleDomain(n=n, radius=2.0, seed=0, count=8))
+        want = evaluate(form.to_expr(), (0.0,) * n)
+        assert want == 0.0 and report.origin_value == 0.0
+        assert math.copysign(1.0, report.origin_value) == math.copysign(1.0, want)
+
     def test_expression_input_uses_the_sampled_route(self):
         dom = SampleDomain(n=2, radius=2.0, seed=0, count=32)
         report = check_system(arithmetic_mean(2).to_expr(), 2, dom)
@@ -594,17 +586,17 @@ class TestSystem:
 
     @pytest.mark.parametrize("u", ["(x1 + x2 + x3 + x4)/4 + (x1 - x3)^2", "x1/(1 + x2^2)"])
     def test_both_equations_share_one_set_of_differences(self, monkeypatch, u):
-        """Equation I at beta = n and equation II both use k = 1..n: one _fd_partials call."""
+        """One _fd_partials call differences u along v1 (equation I at beta = n) and v2 (II)."""
         calls, fd_partials = [], pde._fd_partials
 
         def counted(*args):
-            calls.append(args[2])  # the ks differenced
+            calls.append(args[2])  # the directions differenced
             return fd_partials(*args)
 
         monkeypatch.setattr(pde, "_fd_partials", counted)
         dom = SampleDomain(n=4, radius=2.0, seed=0, count=32)
         report = check_system(parse(u), 4, dom)
-        assert calls == [[1, 2, 3, 4]]
+        assert calls == [[[1.0, 1.0, 1.0, -3.0], [-1.0, 1.0, -1.0, 1.0]]]
         monkeypatch.undo()
         for spec, got in zip(system_specs(4), (report.eq1, report.eq2)):
             assert got == check_residual(parse(u), spec, dom)
