@@ -30,6 +30,7 @@ from ouroboros.pde import (
     _poly_values,
 )
 from ouroboros.poly import expand
+from test_expr import expr_strategy
 
 DOM = SampleDomain(n=2, radius=2.0, seed=0, count=64)
 
@@ -411,6 +412,92 @@ class TestResidualRoutes:
         assert all(rows <= BLOCK_ROWS for rows, _ in shapes)
         assert all(rows * n <= BLOCK_CELLS or s == 1 for (rows, _), s in zip(shapes, samples))
         assert (samples[0] + 1) * shifts * n > min(BLOCK_CELLS, BLOCK_ROWS * n)  # no smaller than needed
+
+
+def per_direction_loop(u, points, directions, h):
+    """(evaluate_many(u, x + h*w) - evaluate_many(u, x - h*w)) / (2h), one row per w."""
+    rows = []
+    for w in directions:
+        step = h * np.array(w, dtype=float)
+        up, down = evaluate_many(u, points + step), evaluate_many(u, points - step)
+        with np.errstate(over="ignore", invalid="ignore"):
+            rows.append((up - down) / (2.0 * h))
+    return np.array(rows)
+
+
+class TestDirectionalDifferences:
+    """_fd_partials on one block against the per-direction loop and the derivative along w."""
+
+    @pytest.mark.parametrize("text", [
+        "x1*x1 + x1",  # one variable read twice
+        "2*x1*x2 - 3*x3",  # a leading constant factor
+        "(x1 + x2)^0 + x2^1*x1^1 + (x1 - x3)^1",
+        "-x1*x2 - -(x3 + 1) + -(x1 + x2)^2",
+        "x1/(2 + x2)*x3/(x3^2 + 1)",  # divided factors
+        "x3^2 + 4 + x2",  # a term in x2 alone, which w = (1, 0, -1) does not move
+        "x3*(x3 + 1)",  # one variable only
+    ])
+    @pytest.mark.parametrize("specs", [
+        [PdeSpec(PdeKind.EQ_II, n=3)],  # w = (-1, 1, -1)
+        [PdeSpec(PdeKind.EQ_I, n=3, beta=1)],  # w = (1, 0, -1)
+        list(system_specs(3)),  # v1 = (1, 1, -2), v2 = (-1, 1, -1)
+    ], ids=lambda specs: "+".join(map(str, specs)))
+    def test_differences_leave_the_points_alone_and_follow_w(self, text, specs):
+        """Bit for bit the loop's, the same again on a second call, and within
+        truncation and round-off of the residual sum(w_k * du/dx_k)."""
+        pts = np.random.default_rng(3).uniform(-1, 1, size=(50, 3))
+        before = pts.copy()
+        u = parse(text)
+        directions = [spec.direction() for spec in specs]
+        got = _fd_partials(u, pts, directions, DEFAULT_FD_STEP)
+        assert np.array_equal(pts, before)
+        assert got.tobytes() == per_direction_loop(u, pts, directions, DEFAULT_FD_STEP).tobytes()
+        assert _fd_partials(u, pts, directions, DEFAULT_FD_STEP).tobytes() == got.tobytes()
+        for spec, row in zip(specs, got):
+            exact = evaluate_many(residual_expr(u, spec), pts)
+            assert np.all(np.abs(row - exact) <= 1e-8 * (1.0 + np.abs(exact)))
+
+    @given(
+        expr_strategy(),
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.sampled_from([[[1.0, 1.0, -2.0]], [[-1.0, 1.0, -1.0]], [[1.0, 0.0, -1.0], [0.0, 1.0, 0.0]]]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_per_direction_loop(self, e, seed, directions):
+        """Values bit for bit, inf and nan included; where the loop meets a zero divisor,
+        so do the stacked shifts, at a sample one of whose shifts has it."""
+        pts = np.random.default_rng(seed).uniform(-3, 3, size=(6, 3))
+        h = 0.5
+        try:
+            want = per_direction_loop(e, pts, directions, h)
+        except EvaluationError:
+            with pytest.raises(EvaluationError) as got:
+                _fd_partials(e, pts, directions, h)
+            i = got.value.sample_index
+            hits = 0
+            for w in directions:
+                for sign in (1.0, -1.0):
+                    try:
+                        evaluate_many(e, pts[i:i + 1] + sign * h * np.array(w))
+                    except EvaluationError:
+                        hits += 1
+            assert hits > 0
+            return
+        assert _fd_partials(e, pts, directions, h).tobytes() == want.tobytes()
+
+    def test_a_zero_divisor_is_named_at_the_first_shift_in_order(self):
+        """Zero at x - h*w1 of row 4 and at x + h*w2 of row 1: both shifts along w1
+        come before those along w2, so row 4 is named."""
+        pts = np.random.default_rng(0).uniform(-2, 2, size=(6, 2))
+        h = 0.25
+        directions = [[1.0, 0.0], [0.0, 1.0]]
+        u = parse(f"1/((x1 - ({float(pts[4, 0] - h)!r}))*(x2 - ({float(pts[1, 1] + h)!r})))")
+        with pytest.raises(EvaluationError) as got:
+            _fd_partials(u, pts, directions, h)
+        assert got.value.sample_index == 4
+        with pytest.raises(EvaluationError) as swapped:
+            _fd_partials(u, pts, directions[::-1], h)
+        assert swapped.value.sample_index == 1
 
 
 class TestAlternatingBalance:
