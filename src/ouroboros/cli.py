@@ -243,7 +243,7 @@ class Candidate(NamedTuple):
 
     fracs: list[Fraction] | None  # the --coeffs entries, exactly; None for --expr
     form: LinearForm | None
-    expr: Expr
+    expr: Expr | None  # None for --coeffs, which is checked without a tree
     source: str  # the option's text
     n_given: int | None
 
@@ -268,7 +268,7 @@ def _read_candidate(opts: dict, command: str) -> Candidate:
     if opts["coeffs"] is not None:
         fracs = parse_fractions(opts["coeffs"], "--coeffs")
         form = LinearForm(_to_floats(fracs, "--coeffs"))
-        return Candidate(fracs, form, form.to_expr(), opts["coeffs"], opts["n"])
+        return Candidate(fracs, form, None, opts["coeffs"], opts["n"])
     return Candidate(None, None, _parse_expression(opts["expr"]), opts["expr"], opts["n"])
 
 
@@ -337,6 +337,7 @@ def _run_pde(args: argparse.Namespace) -> int:
     }
 
     candidate = u.form if u.form is not None else u.expr  # a linear form is decided on its coefficients
+    expression = to_string(u.expr if u.form is None else u.form.to_expr())
     if equation == "system":
         if opts["beta"] is not None:
             raise InputError("--beta does not apply to the system check")
@@ -344,7 +345,7 @@ def _run_pde(args: argparse.Namespace) -> int:
         result = {
             "mode": "system",
             "n": n,
-            "expression": to_string(u.expr),
+            "expression": expression,
             "report": report.to_dict(tol),
             "passes": report.passes(tol),
         }
@@ -364,7 +365,7 @@ def _run_pde(args: argparse.Namespace) -> int:
         "equation": equation,
         "n": n,
         "beta": spec.beta,
-        "expression": to_string(u.expr),
+        "expression": expression,
         "report": report.to_dict(),
         "passes": report.passes(tol),
     }

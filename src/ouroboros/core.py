@@ -13,12 +13,12 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from typing import TYPE_CHECKING, Sequence
 
-from .expr import Const, EvaluationError, Expr, Var, add, dimension, evaluate, evaluate_many, mul
+from .expr import Add, Const, EvaluationError, Expr, Var, dimension, evaluate, evaluate_many, mul
 
 __all__ = [
     "LinearForm",
@@ -35,6 +35,8 @@ if TYPE_CHECKING:
 
 EXACT_TOL = 1e-12
 SAMPLED_TOL = 1e-9
+# relative round-off bound of every exact residual decision (re-exported by pde)
+SYMBOLIC_ZERO_TOL = 1e-12
 # residual bound of the transport-equation checks (re-exported by pde)
 RESIDUAL_TOL = 1e-9
 
@@ -66,7 +68,7 @@ class LinearForm:
 
     def coefficient_sum(self) -> float:
         """The exact sum rounded once to a float; -inf or inf past the float range."""
-        return _rounded(_exact_sums((1, c) for c in self.coeffs)[0])
+        return _exact_sum((1, c) for c in self.coeffs)[1]
 
     def evaluate(self, point: Sequence[float]) -> float:
         if len(point) < self.n:
@@ -74,10 +76,11 @@ class LinearForm:
         return math.fsum(c * float(x) for c, x in zip(self.coeffs, point))
 
     def to_expr(self) -> Expr:
-        terms: Expr = mul(Const(self.coeffs[0]), Var(1))
-        for k in range(1, self.n):
-            terms = add(terms, mul(Const(self.coeffs[k]), Var(k + 1)))
-        return terms
+        """c_1*x_1 + ... + c_n*x_n as one flat Add of its nonzero terms (1*x_k as x_k); 0 when there are none."""
+        terms = [mul(Const(c), Var(k)) for k, c in enumerate(self.coeffs, 1) if c != 0.0]
+        if len(terms) < 2:
+            return terms[0] if terms else Const(0.0)
+        return Add(tuple((1, term) for term in terms))
 
 
 @dataclass(frozen=True)
@@ -137,29 +140,36 @@ class OuroborosReport:
         return json.dumps(self.to_dict(), sort_keys=True)
 
 
-def _exact_sums(pairs) -> tuple[Fraction, Fraction]:
-    """sum(w * c) and sum(|w * c|) over (integer w, float c) pairs, both exact.
+def _exact_sum(pairs) -> tuple[bool, float]:
+    """Whether R = sum(w * c) over (integer w, float c) pairs is round-off, and R rounded once.
 
-    Every float is an integer over a power of two, so both sums are integers
-    over the largest such denominator: one integer addition per pair.
+    R is round-off when |R| <= SYMBOLIC_ZERO_TOL * S + the smallest normal
+    float, S = sum(|w * c|). Every finite float is an integer over a power of
+    two, so R and S are integers over one common denominator, compared with
+    no rounding. R past the float range rounds to -inf or inf; a non-finite c
+    is never round-off, and R is then the floats' sum.
     """
-    ratios = [(weight * numerator, denominator)
-              for weight, c in pairs for numerator, denominator in (c.as_integer_ratio(),)]
-    common = max((denominator for _, denominator in ratios), default=1)
+    pairs = list(pairs)
+    try:
+        ratios = [(weight * numerator, denominator)
+                  for weight, c in pairs for numerator, denominator in (c.as_integer_ratio(),)]
+    except (OverflowError, ValueError):  # inf, nan
+        return False, sum(weight * c for weight, c in pairs)
+    common = max([denominator for _, denominator in ratios], default=1)
     total = size = 0
     for numerator, denominator in ratios:
         numerator *= common // denominator
         total += numerator
         size += abs(numerator)
-    return Fraction(total, common), Fraction(size, common)
-
-
-def _rounded(value: Fraction) -> float:
-    """``value`` rounded once to a float; -inf or inf past the float range."""
+    # |R| <= tol * S + min, times tol_d * min_d * common (R = total / common, S = size / common)
+    tol_n, tol_d = SYMBOLIC_ZERO_TOL.as_integer_ratio()
+    min_n, min_d = sys.float_info.min.as_integer_ratio()
+    excess = abs(total) * tol_d - tol_n * size
+    round_off = excess <= 0 or excess * min_d <= min_n * tol_d * common
     try:
-        return float(value)
+        return round_off, total / common  # int / int rounds once
     except OverflowError:
-        return math.inf if value > 0 else -math.inf
+        return round_off, math.inf if total > 0 else -math.inf
 
 
 def _require_tolerance(tol: float) -> None:
@@ -198,18 +208,18 @@ def check_sampled(f: Expr, dom: SampleDomain, tol: float = SAMPLED_TOL) -> Ourob
     is recorded as ``range_contained`` for information only; it does not
     enter the verdict.
     """
+    _require_tolerance(tol)
+    if dimension(f) > dom.n:
+        raise ValueError(f"expression uses x{dimension(f)} but the domain has n={dom.n}")
     return _check_sampled_at(f, dom, dom.samples(), tol)
 
 
 def _check_sampled_at(
     f: Expr, dom: SampleDomain, points: np.ndarray, tol: float = SAMPLED_TOL
 ) -> OuroborosReport:
-    """check_sampled on ``points``, the cloud that ``dom`` draws."""
+    """check_sampled on ``points``, the cloud that ``dom`` draws; the caller has checked ``tol`` and f's dimension."""
     import numpy as np
 
-    _require_tolerance(tol)
-    if dimension(f) > dom.n:
-        raise ValueError(f"expression uses x{dimension(f)} but the domain has n={dom.n}")
     try:
         y = evaluate_many(f, points)
         diagonal = np.broadcast_to(y[:, None], (dom.count, dom.n))  # a view, no copy

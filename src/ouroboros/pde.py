@@ -10,42 +10,43 @@ Equation II (n even in the interesting cases):
 
 Each equation is written once, as (k, weight) pairs (:meth:`PdeSpec.terms`).
 Residuals follow the left-minus-right convention, stated here once and
-recorded in every report. "Symbolically zero" means every coefficient of the
-residual's polynomial normal form (:mod:`ouroboros.poly`, where like terms
-cancel) is at most 1e-12 times the same coefficient summed without signs: the
-slack absorbs round-off in the cancellation, at any scale of u. Without a
-normal form (a non-constant divisor, or too large to expand) the report says
-the bound is sampled only. Sampled residual maxima are computed twice,
-residual normal form vs finite differences of u's tree: the normal form (the
-derivative tree for a u without one) evaluated at the samples, and one central
-difference of u along the equation's direction w (:meth:`PdeSpec.direction`),
-since the residual sum(w_k * du/dx_k) is the derivative of u along w. The
-shifts x + h*w and x - h*w of a block of samples go to one stacked
-evaluation. The two routes cross-check each other.
+recorded in every report. One exact round-off rule decides every residual
+(:func:`~ouroboros.core._exact_sum`): a residual coefficient R, a sum of
+integer weights times float coefficients of u, is zero when
+|R| <= 1e-12 * S + the smallest normal float, where S is the same sum
+without signs; both are summed exactly, so the slack absorbs round-off at
+any scale of u and no partial sum overflows. "Symbolically zero" means every
+coefficient of the residual's polynomial normal form (:mod:`ouroboros.poly`)
+is zero by this rule. Without a normal form (a non-constant divisor, or too
+large to expand) the report says the bound is sampled only. Sampled residual
+maxima are computed twice, residual normal form vs finite differences of u's
+tree: the normal form (the derivative tree for a u without one) evaluated at
+the samples, and one central difference of u along the equation's direction
+w (:meth:`PdeSpec.direction`), since the residual sum(w_k * du/dx_k) is the
+derivative of u along w. The step along w is h / max|w_k|, and the shifts of
+a block of samples go to one stacked evaluation. The two routes cross-check
+each other.
 
 A linear form u = sum(c_k * x_k) (:class:`~ouroboros.core.LinearForm`) has
-the constant residual sum(w_k * c_k). It is decided exactly on the
-coefficients by the same 1e-12 rule, with no samples and no finite
-differences, and the alternating-balance criterion sums its coefficients
-exactly too. numpy is imported only by the functions that make arrays, so
-linear forms are checked without loading it.
+the constant residual sum(w_k * c_k). It is decided on the coefficients by
+the same rule, with no samples and no finite differences, and so is the
+alternating-balance criterion. numpy is imported only by the functions that
+make arrays, so linear forms are checked without loading it.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from typing import TYPE_CHECKING, Sequence
 
-from .core import RESIDUAL_TOL, LinearForm, OuroborosReport, SampleDomain, _check_sampled_at, check_linear_exact
-from .core import _exact_sums, _require_tolerance, _rounded
+from .core import RESIDUAL_TOL, SYMBOLIC_ZERO_TOL, LinearForm, OuroborosReport, SampleDomain, check_linear_exact
+from .core import _check_sampled_at, _exact_sum, _require_tolerance
 from .expr import Const, EvaluationError, Expr, differentiate, dimension, evaluate, evaluate_many, mul, sub
 from .expr import add as expr_add
 from .families import arithmetic_mean
-from .poly import Poly, combine, derivative, expand, monomial_values
+from .poly import Poly, expand, monomial_values
 
 __all__ = [
     "AlternatingBalanceReport",
@@ -65,7 +66,6 @@ __all__ = [
 if TYPE_CHECKING:
     import numpy as np
 
-SYMBOLIC_ZERO_TOL = 1e-12
 DEFAULT_FD_STEP = 1e-5
 # rows per evaluate_many call in _fd_partials and per monomial table in
 # _poly_values; at 1e5 points, 16384 beat 1024, 4096 and the whole stacked
@@ -185,16 +185,15 @@ def _require_dimension(u: Expr, n: int) -> None:
 def _linear_residual(u: LinearForm, spec: PdeSpec) -> ResidualReport:
     """check_residual of u = sum(c_k * x_k), whose residual is the constant sum(w_k * c_k).
 
-    The residual and its sign-free size are summed exactly (c_k = 0 past
-    u.n) and decided by :func:`_negligible`'s rule; samples would only
-    repeat the constant, so none are drawn and there is no difference bound.
+    The residual is summed and decided exactly (c_k = 0 past u.n) by
+    :func:`~ouroboros.core._exact_sum`; samples would only repeat the
+    constant, so none are drawn and there is no difference bound.
     """
     if u.n > spec.n:
         raise ValueError(f"u uses x{u.n} but the equation has n={spec.n}")
-    residual, size = _exact_sums((weight, u.coeffs[k - 1]) for k, weight in spec.terms() if k <= u.n)
-    constant = _rounded(residual)
+    zero, constant = _exact_sum((weight, u.coeffs[k - 1]) for k, weight in spec.terms() if k <= u.n)
     return ResidualReport(
-        symbolic_zero=_negligible_exact(residual, size),
+        symbolic_zero=zero,
         residual_constant=constant,
         max_abs_residual=abs(constant),
         max_abs_residual_fd=math.nan,
@@ -243,8 +242,10 @@ def _poly_values(p: Poly, points: np.ndarray) -> np.ndarray:
 def _fd_partials(u: Expr, points: np.ndarray, directions: list[list[float]], h: float) -> np.ndarray:
     """Central differences of u along each direction w, one row per w.
 
-    Row i holds (u(x + h*w) - u(x - h*w)) / (2h) at every point x, the
-    derivative of u along w = directions[i]. Each evaluate_many call takes a
+    Row i holds (u(x + s*w) - u(x - s*w)) / (2s) at every point x, the
+    derivative of u along w = directions[i], with the step s = h / max|w_k|:
+    each shift moves no coordinate by more than h, so the truncation error
+    does not grow with |w|. Each evaluate_many call takes a
     block of points at all 2*len(directions) shifts stacked, about
     BLOCK_ROWS rows and at most BLOCK_CELLS cells, or one sample's shifts
     where those exceed it. A zero divisor met at a shift is reported with
@@ -253,18 +254,21 @@ def _fd_partials(u: Expr, points: np.ndarray, directions: list[list[float]], h: 
     import numpy as np
 
     count, n = points.shape
-    hw = h * np.asarray(directions, dtype=float)
-    offsets = np.stack([hw, -hw], axis=1).reshape(-1, n)  # +h*w, then -h*w, for each w
+    w = np.asarray(directions, dtype=float)
+    size = np.abs(w).max(axis=1, keepdims=True)
+    steps = h / np.where(size > 0, size, 1.0)  # one per direction; a zero w differences to 0 at any step
+    shifts = steps * w
+    offsets = np.stack([shifts, -shifts], axis=1).reshape(-1, n)  # +s*w, then -s*w, for each w
     step = max(1, min(BLOCK_ROWS // len(offsets), BLOCK_CELLS // (len(offsets) * n)))
-    differences = np.empty((len(hw), count))
+    differences = np.empty((len(w), count))
     for start in range(0, count, step):
         block = points[start:start + step]
         try:
-            values = evaluate_many(u, (block + offsets[:, None]).reshape(-1, n)).reshape(len(hw), 2, len(block))
+            values = evaluate_many(u, (block + offsets[:, None]).reshape(-1, n)).reshape(len(w), 2, len(block))
         except EvaluationError as exc:
             raise EvaluationError(exc.message, start + exc.sample_index % len(block)) from None
         with np.errstate(over="ignore", invalid="ignore"):
-            differences[:, start:start + len(block)] = (values[:, 0] - values[:, 1]) / (2.0 * h)
+            differences[:, start:start + len(block)] = (values[:, 0] - values[:, 1]) / (2.0 * steps)
     return differences
 
 
@@ -273,37 +277,26 @@ def _decide_residual(
 ) -> tuple[bool, float | None, str | None, Poly | None]:
     """symbolic_zero, residual_constant, note and the residual's normal form.
 
-    A residual coefficient counts as zero when it is :func:`_negligible`
-    against the same sum taken over |weight * coefficient|.
+    Each residual coefficient is the sum of weight * alpha_k * c_alpha over
+    the monomials alpha that d/dx_k lowers onto it; it is decided and rounded
+    once by :func:`~ouroboros.core._exact_sum`.
     """
     if form is None:
         return False, None, "u has no polynomial normal form; sampled bound only", None
-    partials = [(weight, derivative(form, k)) for k, weight in spec.terms()]
-    residual = combine(partials)
-    sign_free = combine((abs(weight), {a: abs(c) for a, c in p.items()}) for weight, p in partials)
-    zero = {a: _negligible(c, sign_free[a]) for a, c in residual.items()}
+    groups: dict[tuple[int, ...], list[tuple[int, float]]] = {}
+    for k, weight in spec.terms():
+        for alpha, c in form.items():
+            power = alpha[k - 1]
+            if power:
+                groups.setdefault(alpha[: k - 1] + (power - 1,) + alpha[k:], []).append((weight * power, c))
+    decided = {a: _exact_sum(pairs) for a, pairs in groups.items()}
+    residual = {a: value for a, (_, value) in decided.items() if value != 0.0}
     origin = (0,) * spec.n
-    if not all(is_zero for a, is_zero in zero.items() if a != origin):
+    if not all(zero for a, (zero, _) in decided.items() if a != origin):
         # wording kept verbatim: reports stay byte-identical across versions
         return False, None, "residual did not fold to a constant; sampled bound only", residual
-    return zero.get(origin, True), residual.get(origin, 0.0), None, residual
-
-
-def _negligible(value: float, size: float) -> bool:
-    """Whether ``value``, a sum whose terms total ``size`` in magnitude, is round-off.
-
-    Only cancellation down to round-off counts, however large or small the
-    terms are; below the smallest normal float round-off is absolute. A
-    value that overflowed is never round-off, and a size that overflowed
-    counts as the largest float, which the true size exceeds.
-    """
-    bound = SYMBOLIC_ZERO_TOL * min(size, sys.float_info.max) + sys.float_info.min
-    return math.isfinite(value) and abs(value) <= bound
-
-
-def _negligible_exact(value: Fraction, size: Fraction) -> bool:
-    """:func:`_negligible`'s rule on exact sums, with no rounding anywhere."""
-    return abs(value) <= Fraction(SYMBOLIC_ZERO_TOL) * size + Fraction(sys.float_info.min)
+    zero, constant = decided.get(origin, (True, 0.0))
+    return zero, constant, None, residual
 
 
 def finite_difference(u: Expr, k: int, x: Sequence[float], h: float = DEFAULT_FD_STEP) -> float:
@@ -340,12 +333,11 @@ def check_alternating_balance(coeffs) -> AlternatingBalanceReport:
         raise ValueError(f"an even dimension of at least 2 is required, got n={n}")
     if not all(map(math.isfinite, coeffs)):
         raise ValueError("coefficients must be finite")
-    odd_sum, odd_size = _exact_sums((1, c) for c in coeffs[0::2])
-    even_sum, even_size = _exact_sums((1, c) for c in coeffs[1::2])
+    odd, even = coeffs[0::2], coeffs[1::2]
     return AlternatingBalanceReport(
-        holds=_negligible_exact(odd_sum - even_sum, odd_size + even_size),
-        odd_sum=_rounded(odd_sum),
-        even_sum=_rounded(even_sum),
+        holds=_exact_sum([(1, c) for c in odd] + [(-1, c) for c in even])[0],
+        odd_sum=_exact_sum((1, c) for c in odd)[1],
+        even_sum=_exact_sum((1, c) for c in even)[1],
     )
 
 
@@ -400,9 +392,9 @@ def check_system(u: Expr | LinearForm, n: int, dom: SampleDomain) -> SystemRepor
         # each c_k * 0.0, so it reads -0.0 when all of them are negative
         origin = -0.0 if any(u.coeffs) and all(c <= 0.0 for c in u.coeffs) else 0.0
     else:
+        _require_dimension(u, n)
         points = dom.samples()
         ouro = _check_sampled_at(u, dom, points)
-        _require_dimension(u, n)
         # one expansion and one stacked evaluation of the shifts along both directions
         form = expand(u, n)
         specs = system_specs(n)

@@ -15,7 +15,7 @@ import pytest
 
 from ouroboros import cli
 from ouroboros.cli import build_parser, main, parse_fractions
-from ouroboros.core import SampleDomain
+from ouroboros.core import LinearForm, SampleDomain
 from ouroboros.explorer import ExplorationConfig
 from ouroboros.expr import MAX_DEPTH
 from ouroboros.pde import DEFAULT_FD_STEP
@@ -146,6 +146,15 @@ class TestCheckCommand:
         assert code == 0
         assert doc["result"]["coefficient_sum_exact"] == "1"
         assert doc["result"]["coefficient_sum"] == 0.9999999999999999
+
+    def test_coefficients_are_checked_without_a_tree(self, capsys, monkeypatch):
+        def refuse(form):
+            raise AssertionError("check --coeffs built an expression tree")
+
+        monkeypatch.setattr(LinearForm, "to_expr", refuse)
+        code, doc = run_main(capsys, ["check", "--coeffs", "1/2,1/3,1/6"])
+        assert code == 0
+        assert doc["result"]["report"]["verdict"] == "holds_exact"
 
     def test_failing_coefficients_exit_one(self, capsys):
         code, doc = run_main(capsys, ["check", "--coeffs", "0.6,0.6"])
@@ -302,6 +311,15 @@ class TestPdeCommand:
         assert_valid(doc)
         assert doc["result"]["report"]["symbolic_zero"] is False
         assert code == 1
+
+    @pytest.mark.parametrize("u", [["--expr", "1e308*x1+1e308*x2"], ["--coeffs", "1e308,1e308"]])
+    def test_a_residual_whose_float_sums_overflow_is_decided_exactly(self, capsys, u):
+        """The residual 1e308 + 1e308 - 2*1e308 is exactly 0, on the normal form as on the coefficients."""
+        code, doc = run_main(capsys, ["pde", *u, "--equation", "I", "--beta", "2", "--n", "2"])
+        assert_valid(doc)
+        report = doc["result"]["report"]
+        assert (report["symbolic_zero"], report["residual_constant"]) == (True, 0.0)
+        assert code == 0
 
     @pytest.mark.parametrize("argv, code, constant", [
         (["--coeffs", "1e308,1e308", "--equation", "I", "--beta", "2"], 0, 0.0),  # residual 0
@@ -482,15 +500,21 @@ class TestExploreCommand:
         assert rows[0]["solver_status"] in {"1", "2", "3"}
         assert "init" not in rows[0]
 
-    def test_an_overflowing_search_reports_without_warnings(self, capsys):
-        """At degree 30 the objective overflows to inf and nan; numpy raises no RuntimeWarning
-        (an error under the test settings) and the run reads not converged, objective null."""
-        code, doc = run_main(capsys, ["explore", "--n", "2", "--degree", "30", "--starts", "1"])
+    @pytest.mark.parametrize("argv, nulls", [
+        (["--degree", "30"], {"objective", "residual_ouroboros"}),
+        (["--degree", "3", "--radius", "1e120"], {"objective", "residual_eq1", "residual_eq2", "residual_ouroboros"}),
+    ])
+    def test_an_overflowing_search_reports_without_warnings(self, capsys, argv, nulls):
+        """The objective overflows to inf and nan; numpy raises no RuntimeWarning (an error
+        under the test settings), the run reads not converged, and the overflowed values
+        are null in a report the schema accepts."""
+        code, doc = run_main(capsys, ["explore", "--n", "2", "--starts", "1", *argv])
         assert code == 0
+        assert_valid(doc)
         (run,) = doc["result"]["runs"]
         assert run["classification"] == "non_converged"
         assert run["solver_status"] == 0
-        assert run["objective"] is None
+        assert {key for key, value in run.items() if value is None} == nulls
 
     @pytest.mark.parametrize("where", ["config", "run"])
     def test_the_schema_refuses_a_start_setting(self, capsys, where):

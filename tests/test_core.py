@@ -3,29 +3,87 @@
 import json
 import math
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ouroboros.core import (
     EXACT_TOL,
     SAMPLED_TOL,
+    SYMBOLIC_ZERO_TOL,
     LinearForm,
     SampleDomain,
     Verdict,
     check_linear_exact,
     check_sampled,
     diagonal_self_apply,
+    _exact_sum,
 )
-from ouroboros.expr import evaluate, parse
+from ouroboros.expr import Const, Var, add, evaluate, mul, parse
 
 finite_coeffs = st.lists(
     st.floats(min_value=-5, max_value=5, allow_nan=False),
     min_size=1,
     max_size=8,
 )
+
+
+OVERFLOWING = [(1, 1e308), (1, 1e308), (-2, 1e308)]  # float partial sums overflow; the exact sum is 0
+
+
+class TestExactSum:
+    """The one round-off rule: |R| <= SYMBOLIC_ZERO_TOL * S + the smallest normal float, on exact sums."""
+
+    @pytest.mark.parametrize("pairs, round_off, value", [
+        ([(1, math.inf)], False, math.inf),
+        ([(-1, math.inf), (1, 1.0)], False, -math.inf),
+        ([(1, math.nan), (1, 1.0)], False, math.nan),
+        (OVERFLOWING, True, 0.0),
+        (OVERFLOWING + [(1, 1e296)], True, 1e296),  # below 1e-12 times a size past the float range
+        (OVERFLOWING + [(1, 1e300)], False, 1e300),
+        ([(1, 0.5), (-1, 0.5 - 1e-13)], True, 0.5 - (0.5 - 1e-13)),  # 1e-13 against a size of 1
+        ([(1, 0.5), (-1, 0.5 - 1e-11)], False, 0.5 - (0.5 - 1e-11)),
+    ])
+    def test_only_finite_round_off_is_negligible(self, pairs, round_off, value):
+        got_round_off, got = _exact_sum(pairs)
+        assert got_round_off is round_off
+        assert got == value or (math.isnan(got) and math.isnan(value))
+
+    @pytest.mark.parametrize("pairs, value", [
+        ([(1, 1e308), (1, 1e308)], math.inf),
+        ([(-1, 1e308), (-1, 1e308)], -math.inf),
+        ([(3, 1e308), (-2, 1e308)], 1e308),
+        ([], 0.0),
+    ])
+    def test_the_sum_is_rounded_once_and_overflows_to_inf(self, pairs, value):
+        assert _exact_sum(pairs)[1] == value
+
+    @given(
+        st.lists(st.tuples(
+            st.integers(min_value=-(10**6), max_value=10**6),
+            st.floats(min_value=-1e308, max_value=1e308),  # subnormals included
+        ), max_size=8),
+        st.booleans(),
+        st.floats(min_value=-1e308, max_value=1e308),
+    )
+    @example([(1, 1.0)], True, 1e-12)
+    @example([(1, 5e-324)], False, 0.0)
+    @settings(max_examples=400, deadline=None)
+    def test_matches_the_fraction_reference(self, pairs, cancel, extra):
+        """Equal to the rule evaluated on Fractions; cancelled pairs plus a remainder reach the knife edge."""
+        if cancel:
+            pairs = pairs + [(-w, c) for w, c in pairs] + [(1, extra)]
+        terms = [Fraction(w) * Fraction(c) for w, c in pairs]
+        total, size = sum(terms, Fraction(0)), sum(map(abs, terms), Fraction(0))
+        try:
+            value = float(total)
+        except OverflowError:
+            value = math.inf if total > 0 else -math.inf
+        round_off = abs(total) <= Fraction(SYMBOLIC_ZERO_TOL) * size + Fraction(sys.float_info.min)
+        assert _exact_sum(pairs) == (round_off, value)
 
 
 class TestLinearForm:
@@ -59,6 +117,21 @@ class TestLinearForm:
     def test_coefficient_sum_past_the_float_range(self, coeffs, total):
         """No intermediate overflow: only a sum that is itself too large is infinite."""
         assert LinearForm(coeffs).coefficient_sum() == total
+
+    @given(st.lists(st.sampled_from([-2.5, -1.0, -0.0, 0.0, 0.5, 1.0]), min_size=1, max_size=8))
+    @example([0.0, 0.0, 0.0])
+    @example([-0.0, -0.0])
+    @example([1.0, 1.0])
+    @example([0.0, 2.5, -0.0])
+    @example([1.0])
+    @example([0.5, -0.25, 1.0, 0.0, -1.0])
+    @settings(max_examples=200)
+    def test_the_tree_equals_the_chain_of_binary_sums(self, coeffs):
+        """One flat Add, equal to folding add(terms, c_k*x_k) term by term."""
+        chain = mul(Const(coeffs[0]), Var(1))
+        for k in range(1, len(coeffs)):
+            chain = add(chain, mul(Const(coeffs[k]), Var(k + 1)))
+        assert LinearForm(tuple(coeffs)).to_expr() == chain
 
     def test_expression_route_agrees_with_direct_evaluation(self):
         form = LinearForm((0.5, -0.25, 0.75))

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ouroboros import pde
-from ouroboros.core import LinearForm, SampleDomain, Verdict
+from ouroboros.core import LinearForm, SampleDomain, Verdict, check_sampled
 from ouroboros.expr import EvaluationError, evaluate, evaluate_many, parse, to_string
 from ouroboros.families import arithmetic_mean, head_average_solution
 from ouroboros.pde import (
@@ -259,21 +259,6 @@ class TestLinearRoute:
         assert check_system(form, 1500, dom).all_hold
 
 
-class TestNegligible:
-    @pytest.mark.parametrize("value, size, expected", [
-        (math.inf, math.inf, False),
-        (-math.inf, math.inf, False),
-        (math.nan, 1.0, False),
-        (0.0, math.inf, True),
-        (1e296, math.inf, True),  # below 1e-12 times the largest float, which the true size exceeds
-        (1e300, math.inf, False),
-        (1e-13, 1.0, True),
-        (1e-11, 1.0, False),
-    ])
-    def test_only_finite_round_off_is_negligible(self, value, size, expected):
-        assert pde._negligible(value, size) is expected
-
-
 def powers_of_linear_forms():
     """n, and terms (c, a, p) of u = sum(c * (a . x)^p): like terms meet on expansion."""
     return st.integers(min_value=2, max_value=4).flatmap(
@@ -355,10 +340,7 @@ class TestResidualRoutes:
         points = dom.samples()
         blocked = _fd_partials(u, points, directions, h)
         assert blocked.shape == (len(directions), count)
-        for w, got in zip(directions, blocked):
-            step = h * np.array(w)
-            want = (evaluate_many(u, points + step) - evaluate_many(u, points - step)) / (2.0 * h)
-            assert np.array_equal(got, want)
+        assert np.array_equal(blocked, per_direction_loop(u, points, directions, h))
         for spec, got in zip(specs, blocked):
             assert check_residual(u, spec, dom).max_abs_residual_fd == np.abs(got).max()
         if len(specs) == 2:
@@ -367,16 +349,17 @@ class TestResidualRoutes:
 
     @pytest.mark.parametrize("system, k, weight", [
         (False, 1, 1), (False, 1, -1), (False, 2, 1), (False, 2, -1),
-        (True, 4, -3),  # x + h*v1 in x4, v1 = (1, 1, 1, -3)
+        (True, 1, 1),  # x + s*v1 in x1, v1 = (1, 1, 1, -3), s = h/3; v2's shifts move x1 by h
     ])
     def test_zero_divisor_at_a_shift_names_the_shifted_sample(self, system, k, weight):
-        """Hit only at one shift of one sample in the third block: x + h*w or x - h*w,
-        w = (-1, 1), of check_residual's two shifts, or x + h*v1 of check_system's four."""
+        """Hit only at one shift of one sample in the third block: x + s*w or x - s*w,
+        w = (-1, 1), of check_residual's two shifts, or x + s*v1 of check_system's four."""
         n, shifts = (4, 4) if system else (2, 2)
         rows = BLOCK_ROWS // shifts
         sample = 2 * rows + 5
         dom = SampleDomain(n=n, radius=2.0, seed=2, count=3 * rows + 7)
-        pole = float(dom.samples()[sample, k - 1] + weight * DEFAULT_FD_STEP)
+        step = DEFAULT_FD_STEP / (3.0 if system else 1.0)
+        pole = float(dom.samples()[sample, k - 1] + weight * step)
         u = parse(f"1/(x{k} - ({pole!r}))")
         with pytest.raises(EvaluationError) as exc:
             if system:
@@ -385,6 +368,14 @@ class TestResidualRoutes:
                 check_residual(u, PdeSpec(PdeKind.EQ_II, n=n), dom)
         assert exc.value.sample_index == sample
         assert str(exc.value) == f"division by zero (sample {sample})"
+
+    def test_the_difference_step_does_not_grow_with_w(self):
+        """u = x_n^3 against I at beta = n = 1500, w_n = 1 - n: a step of h along w
+        would be off by h^2 * |w_n|^3 = 0.34; the step h / max|w_k| is off by h^2 * |w_n|."""
+        n = 1500
+        dom = SampleDomain(n=n, radius=2.0, seed=0, count=200)
+        report = check_residual(parse(f"x{n}^3"), PdeSpec(PdeKind.EQ_I, n=n, beta=n), dom)
+        assert abs(report.max_abs_residual_fd - report.max_abs_residual) <= 1e-6
 
     @pytest.mark.parametrize("equations", [1, 2])
     @pytest.mark.parametrize("n", [1, 2, 5, 8, 9, 40, 600, 1500, 40000])
@@ -414,14 +405,21 @@ class TestResidualRoutes:
         assert (samples[0] + 1) * shifts * n > min(BLOCK_CELLS, BLOCK_ROWS * n)  # no smaller than needed
 
 
+def along(w, h):
+    """The step s = h / max|w_k| (h for w = 0) that _fd_partials takes along w, and the shift s*w."""
+    w = np.array(w, dtype=float)
+    s = h / (np.abs(w).max() or 1.0)
+    return s, s * w
+
+
 def per_direction_loop(u, points, directions, h):
-    """(evaluate_many(u, x + h*w) - evaluate_many(u, x - h*w)) / (2h), one row per w."""
+    """(evaluate_many(u, x + s*w) - evaluate_many(u, x - s*w)) / (2s), one row per w."""
     rows = []
     for w in directions:
-        step = h * np.array(w, dtype=float)
-        up, down = evaluate_many(u, points + step), evaluate_many(u, points - step)
+        s, shift = along(w, h)
+        up, down = evaluate_many(u, points + shift), evaluate_many(u, points - shift)
         with np.errstate(over="ignore", invalid="ignore"):
-            rows.append((up - down) / (2.0 * h))
+            rows.append((up - down) / (2.0 * s))
     return np.array(rows)
 
 
@@ -478,7 +476,7 @@ class TestDirectionalDifferences:
             for w in directions:
                 for sign in (1.0, -1.0):
                     try:
-                        evaluate_many(e, pts[i:i + 1] + sign * h * np.array(w))
+                        evaluate_many(e, pts[i:i + 1] + sign * along(w, h)[1])
                     except EvaluationError:
                         hits += 1
             assert hits > 0
@@ -670,6 +668,22 @@ class TestSystem:
             check_system(LinearForm((0.5, 0.25, 0.25)), 2, dom)
         with pytest.raises(ValueError, match="x3"):
             check_residual(parse("x1/x3"), PdeSpec(PdeKind.EQ_II, n=2), DOM)
+
+    def test_u_past_the_dimension_is_refused_before_sampling(self, monkeypatch):
+        """check_system words it as check_residual does; check_sampled keeps its own words."""
+        def refuse(*args):
+            raise AssertionError("samples drawn for a u that does not fit")
+
+        monkeypatch.setattr(SampleDomain, "samples", refuse)
+        dom = SampleDomain(n=4, radius=2.0, seed=0, count=8)
+        u = parse("x1 + x5")
+        for check in (lambda: check_system(u, 4, dom), lambda: check_residual(u, PdeSpec(PdeKind.EQ_II, n=4), dom)):
+            with pytest.raises(ValueError) as exc:
+                check()
+            assert str(exc.value) == "u uses x5 but the equation has n=4"
+        with pytest.raises(ValueError) as exc:
+            check_sampled(u, dom)
+        assert str(exc.value) == "expression uses x5 but the domain has n=4"
 
     @pytest.mark.parametrize("u", ["(x1 + x2 + x3 + x4)/4 + (x1 - x3)^2", "x1/(1 + x2^2)"])
     def test_both_equations_share_one_set_of_differences(self, monkeypatch, u):
