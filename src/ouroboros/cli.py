@@ -19,9 +19,12 @@ that is not finite (an overflow, or no value) is written as null. Exit code
 0 means the checked property holds (or, for explore, that the search
 completed); 1 means it fails; 2 means the invocation or its inputs were
 unusable, an expression nested more than ``expr.MAX_DEPTH`` levels deep
-included; 3 means the program itself failed, reported as one
-``internal error: <Type>: <message>`` line. Diagnostics go to stderr, never
-into the envelope.
+included. A candidate u with no value where a check needs one, such as
+``1/(x1-x1)``, is unusable input for both ``check`` and ``pde``: ``check``
+still prints its envelope, with verdict ``error`` (also given when u's value
+at a sample is not finite), and ``pde`` prints none. 3 means the program
+itself failed, reported as one ``internal error: <Type>: <message>`` line.
+Diagnostics go to stderr, never into the envelope.
 
 A JSON config file (--config) supplies defaults for the subcommand's
 options under their flag names with underscores, e.g. {"samples": 500};
@@ -60,6 +63,7 @@ from .core import (
     SAMPLED_TOL,
     LinearForm,
     SampleDomain,
+    Verdict,
     check_linear_exact,
     check_sampled,
 )
@@ -313,6 +317,9 @@ def _run_check(args: argparse.Namespace) -> int:
         "report": report.to_dict(),
     }
     _emit(_envelope("check", config, dom.seed, result))
+    if report.verdict is Verdict.ERROR:
+        print(f"error: u cannot be evaluated: {report.error}", file=sys.stderr)
+        return 2
     return 0 if report.holds else 1
 
 

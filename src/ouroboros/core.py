@@ -39,6 +39,9 @@ SAMPLED_TOL = 1e-9
 SYMBOLIC_ZERO_TOL = 1e-12
 # residual bound of the transport-equation checks (re-exported by pde)
 RESIDUAL_TOL = 1e-9
+# SYMBOLIC_ZERO_TOL and the smallest normal float as integer ratios, for _exact_sum
+_TOL_N, _TOL_D = SYMBOLIC_ZERO_TOL.as_integer_ratio()
+_MIN_N, _MIN_D = sys.float_info.min.as_integer_ratio()
 
 
 class Verdict(str, Enum):
@@ -158,14 +161,13 @@ def _exact_sum(pairs) -> tuple[bool, float]:
     common = max([denominator for _, denominator in ratios], default=1)
     total = size = 0
     for numerator, denominator in ratios:
-        numerator *= common // denominator
+        if denominator != common:
+            numerator *= common // denominator
         total += numerator
         size += abs(numerator)
     # |R| <= tol * S + min, times tol_d * min_d * common (R = total / common, S = size / common)
-    tol_n, tol_d = SYMBOLIC_ZERO_TOL.as_integer_ratio()
-    min_n, min_d = sys.float_info.min.as_integer_ratio()
-    excess = abs(total) * tol_d - tol_n * size
-    round_off = excess <= 0 or excess * min_d <= min_n * tol_d * common
+    excess = abs(total) * _TOL_D - _TOL_N * size
+    round_off = excess <= 0 or excess * _MIN_D <= _MIN_N * _TOL_D * common
     try:
         return round_off, total / common  # int / int rounds once
     except OverflowError:

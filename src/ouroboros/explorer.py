@@ -38,7 +38,7 @@ import numpy as np
 
 from .core import SampleDomain
 from .pde import system_specs
-from .poly import derivative, monomial_exponents, monomial_values, times
+from .poly import derivative, monomial_exponents, monomial_values, packed_keys, times
 
 __all__ = [
     "Classification",
@@ -464,7 +464,8 @@ def solution_set(n: int, degree: int) -> SolutionSet:
     if degree < 1:
         raise ValueError("degree must be at least 1")
     exponents = monomial_exponents(n, degree)
-    units = exponents[1 : n + 1]
+    keys = packed_keys(exponents, degree)  # no product below exceeds the degree
+    units = keys[1 : n + 1]
     forms = [dict.fromkeys(units, 1)] + [
         {units[first]: 1, units[j]: -1} for first in (0, 1) for j in range(first + 2, n - 1, 2)
     ]
@@ -473,12 +474,12 @@ def solution_set(n: int, degree: int) -> SolutionSet:
     for power in monomial_exponents(len(forms), degree):
         i = next((i for i, a in enumerate(power) if a), None)
         if i is None:
-            expansions[power] = {exponents[0]: 1}
+            expansions[power] = {keys[0]: 1}
         else:
             expansions[power] = times(expansions[power[:i] + (power[i] - 1,) + power[i + 1 :]], forms[i])
     zero = Fraction(0)  # one shared object: most entries are zero
     basis = tuple(
-        tuple(Fraction(p[alpha]) if alpha in p else zero for alpha in exponents)
+        tuple(Fraction(p[key]) if key in p else zero for key in keys)
         for power, p in expansions.items()
         if any(power[1:])
     )

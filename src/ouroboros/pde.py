@@ -20,9 +20,12 @@ coefficient of the residual's polynomial normal form (:mod:`ouroboros.poly`)
 is zero by this rule. Without a normal form (a non-constant divisor, or too
 large to expand) the report says the bound is sampled only. Sampled residual
 maxima are computed twice, residual normal form vs finite differences of u's
-tree: the normal form (the derivative tree for a u without one) evaluated at
-the samples, and one central difference of u along the equation's direction
-w (:meth:`PdeSpec.direction`), since the residual sum(w_k * du/dx_k) is the
+tree. ``max_abs_residual`` is the decided residual's sampled maximum: the
+residual's normal form without the coefficients the rule calls round-off
+(the derivative tree for a u without a normal form), evaluated at the
+samples, so a symbolically zero expression reads 0. ``max_abs_residual_fd``
+is one central difference of u along the equation's direction w
+(:meth:`PdeSpec.direction`), since the residual sum(w_k * du/dx_k) is the
 derivative of u along w. The step along w is h / max|w_k|, and the shifts of
 a block of samples go to one stacked evaluation. The two routes cross-check
 each other.
@@ -161,8 +164,9 @@ def residual_expr(u: Expr, spec: PdeSpec) -> Expr:
 def check_residual(u: Expr | LinearForm, spec: PdeSpec, dom: SampleDomain) -> ResidualReport:
     """Decide the residual on its normal form, then bound it on samples twice.
 
-    The first route evaluates the residual's normal form (the exact residual
-    expression when u has none); the second is one central difference of
+    The first route evaluates the decided residual, the residual's normal
+    form without its round-off coefficients (the exact residual expression
+    when u has none); the second is one central difference of
     u's tree along the equation's direction. A linear form is decided
     exactly on its coefficients instead, and ``dom`` is not sampled.
     Raises EvaluationError when u has no value at a sample.
@@ -279,7 +283,8 @@ def _decide_residual(
 
     Each residual coefficient is the sum of weight * alpha_k * c_alpha over
     the monomials alpha that d/dx_k lowers onto it; it is decided and rounded
-    once by :func:`~ouroboros.core._exact_sum`.
+    once by :func:`~ouroboros.core._exact_sum`. The normal form keeps only the
+    coefficients the rule does not call round-off: the decided residual.
     """
     if form is None:
         return False, None, "u has no polynomial normal form; sampled bound only", None
@@ -290,7 +295,7 @@ def _decide_residual(
             if power:
                 groups.setdefault(alpha[: k - 1] + (power - 1,) + alpha[k:], []).append((weight * power, c))
     decided = {a: _exact_sum(pairs) for a, pairs in groups.items()}
-    residual = {a: value for a, (_, value) in decided.items() if value != 0.0}
+    residual = {a: value for a, (zero, value) in decided.items() if not zero}
     origin = (0,) * spec.n
     if not all(zero for a, (zero, _) in decided.items() if a != origin):
         # wording kept verbatim: reports stay byte-identical across versions

@@ -372,6 +372,23 @@ class TestPdeCommand:
         assert captured.err.rstrip("\n").endswith(where)
         assert captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["check", "--expr", "1/(x1-x1)"],
+        ["check", "--expr", "x1^400", "--radius", "10"],
+        ["pde", "--expr", "1/(x1-x1)", "--equation", "II", "--n", "2"],
+    ])
+    def test_an_undefined_candidate_is_unusable_input_for_both_commands(self, capsys, argv):
+        """Exit 2 with one diagnostic line; check still prints its envelope, with verdict error."""
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: u cannot be evaluated: ") and captured.err.count("\n") == 1
+        if argv[0] == "check":
+            doc = json.loads(captured.out)
+            assert_valid(doc)
+            assert doc["result"]["report"]["verdict"] == "error"
+        else:
+            assert captured.out == ""
+
     def test_zero_divisor_met_only_by_a_finite_difference_names_the_sample(self, capsys):
         """The pole sits at one sample's x1 + h, the finite-difference step; nowhere else."""
         sample = 137
@@ -439,7 +456,9 @@ class TestNonFiniteResults:
         ["pde", "--expr", "x1 - x2 + 1e200*1e200", "--equation", "system", "--n", "2"],
     ])
     def test_are_written_as_null(self, argv):
-        """Output is JSON under RFC 8259 (no NaN or Infinity), and numpy warns of nothing."""
+        """Output is JSON under RFC 8259 (no NaN or Infinity), and numpy warns of nothing.
+
+        check's verdict ``error`` is unusable input: exit 2, one diagnostic line."""
         proc = subprocess.run(
             [sys.executable, "-m", "ouroboros", *argv],
             capture_output=True,
@@ -450,8 +469,12 @@ class TestNonFiniteResults:
         def refuse(constant):
             raise ValueError(f"{constant} is not JSON")
 
-        assert proc.returncode == 1
-        assert proc.stderr == ""
+        if argv[0] == "check":
+            assert proc.returncode == 2
+            assert proc.stderr == "error: u cannot be evaluated: division by zero (sample 0)\n"
+        else:
+            assert proc.returncode == 1
+            assert proc.stderr == ""
         doc = json.loads(proc.stdout, parse_constant=refuse)
         assert_valid(doc)
         report = doc["result"]["report"]

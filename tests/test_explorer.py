@@ -25,6 +25,7 @@ from ouroboros.explorer import (
 )
 from ouroboros.pde import PdeKind, PdeSpec, check_residual, check_system, system_specs
 from ouroboros.poly import combine, derivative, expand
+from test_poly import reference_times
 
 
 def polynomial_expr(theta, n, degree):
@@ -486,6 +487,24 @@ class TestSolutionSet:
         assert len(basis) == len(oracle) == expected
         assert exact_rank(basis) == exact_rank(oracle) == expected
         assert exact_rank(basis + oracle) == expected
+
+    @pytest.mark.parametrize("n,degree", SOLUTION_GRID)
+    def test_basis_is_the_tuple_keyed_product_basis(self, n, degree):
+        """The packed product builds, vector for vector, the basis that exponent tuples build."""
+        exponents = monomial_exponents(n, degree)
+        units = exponents[1 : n + 1]
+        forms = [dict.fromkeys(units, 1)] + [
+            {units[first]: 1, units[j]: -1} for first in (0, 1) for j in range(first + 2, n - 1, 2)
+        ]
+        expected = []
+        for power in monomial_exponents(len(forms), degree):
+            if any(power[1:]):
+                p = {exponents[0]: 1}
+                for form, a in zip(forms, power):
+                    for _ in range(a):
+                        p = reference_times(p, form)
+                expected.append(tuple(Fraction(p.get(alpha, 0)) for alpha in exponents))
+        assert solution_set(n, degree).basis == tuple(expected)
 
     @pytest.mark.parametrize("n,degree", [(2, 3), (4, 3), (6, 2), (8, 2)])
     def test_basis_and_particular_satisfy_the_system_exactly(self, n, degree):

@@ -311,6 +311,21 @@ class TestResidualRoutes:
         bound = 4 * sys.float_info.epsilon * (2.0 * abs(x1) + 3.0 * x2 * x2 + 0.5)
         assert np.all(np.abs(_poly_values(p, points) - exact) <= bound)
 
+    def test_round_off_coefficients_are_not_evaluated(self, monkeypatch):
+        """Only the coefficients the rule keeps reach the samples; a zero residual reads 0."""
+        spec = PdeSpec(PdeKind.EQ_II, n=2)
+        cubic = "(x1 + x2)^3/3"
+        form = expand(parse(cubic), 2)
+        zero, value = pde._exact_sum([(-3, form[(3, 0)]), (1, form[(2, 1)])])  # the x1^2 coefficient
+        assert zero and value != 0.0  # round-off, not an exact zero
+        evaluated = []
+        monkeypatch.setattr(pde, "_poly_values", lambda p, points: evaluated.append(dict(p)) or _poly_values(p, points))
+        report = check_residual(parse(cubic), spec, DOM)
+        assert report.symbolic_zero and report.max_abs_residual == 0.0 and evaluated == [{}]
+        report = check_residual(parse(cubic + " + 0.1*x1*x1"), spec, DOM)
+        assert evaluated[1] == {(1, 0): -0.2}
+        assert report.max_abs_residual == np.abs(-0.2 * DOM.samples()[:, 0]).max()
+
     def test_u_without_a_normal_form_keeps_the_tree_route(self):
         u = parse("x1/x2 + x2^2")
         spec = PdeSpec(PdeKind.EQ_II, n=2)

@@ -1,5 +1,7 @@
 """Sparse polynomial normal form: expansion, derivatives, monomial values."""
 
+import operator
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,7 @@ from hypothesis import strategies as st
 
 from ouroboros.core import SampleDomain
 from ouroboros.expr import Add, Const, Mul, Neg, Pow, Var, differentiate, evaluate_many, parse
-from ouroboros.poly import derivative, expand, monomial_exponents, monomial_values
+from ouroboros.poly import MAX_PRODUCTS, combine, derivative, expand, monomial_exponents, monomial_values
 
 N = 3
 POINTS = SampleDomain(n=N, radius=2.0, seed=0, count=20).samples()
@@ -53,6 +55,74 @@ def sign_free(e):
     return Pow(sign_free(e.base), e.exponent)
 
 
+def reference_times(p, q):
+    """p * q on exponent tuples, added entry by entry: the oracle of the packed product."""
+    out = {}
+    for a, c in p.items():
+        for b, d in q.items():
+            key = tuple(map(operator.add, a, b))
+            out[key] = out.get(key, 0) + c * d
+    return {alpha: c for alpha, c in out.items() if c != 0.0}
+
+
+def reference_expand(e, n):
+    """The tuple-keyed expansion, kept as the oracle of ``expand``: the same walk,
+    budget and order of like-term collection (``combine`` takes any keys), with no packing."""
+    budget = [MAX_PRODUCTS]
+    one = {(0,) * n: 1.0}
+
+    class GiveUp(Exception):
+        pass
+
+    def product(p, q):
+        budget[0] -= len(p) * len(q)
+        if budget[0] < 0:
+            raise GiveUp
+        return reference_times(p, q)
+
+    def walk(e):
+        if isinstance(e, Const):
+            return combine([(e.value, one)])
+        if isinstance(e, Var):
+            return {tuple(int(i == e.index - 1) for i in range(n)): 1.0}
+        if isinstance(e, Add):
+            return combine([(sign, walk(term)) for sign, term in e.terms])
+        if isinstance(e, Mul):
+            result = walk(e.factors[0][1])
+            for sign, factor in e.factors[1:]:
+                p = walk(factor)
+                if sign > 0:
+                    result = product(result, p)
+                elif p.keys() != one.keys():
+                    raise GiveUp
+                else:
+                    result = combine([(1, {a: c / p[(0,) * n] for a, c in result.items()})])
+            return result
+        if isinstance(e, Neg):
+            return combine([(-1, walk(e.operand))])
+        base, k, result = walk(e.base), e.exponent, one
+        while k:
+            if k & 1:
+                result = product(result, base)
+            k >>= 1
+            if k:
+                base = product(base, base)
+        return result
+
+    try:
+        return walk(e)
+    except GiveUp:
+        return None
+
+
+def assert_identical(p, q):
+    """Equal dicts with the same key order and the same bits in every coefficient."""
+    assert (p is None) == (q is None)
+    if p is not None:
+        assert list(p) == list(q)
+        assert [c.hex() for c in p.values()] == [c.hex() for c in q.values()]
+
+
 def values(p, points):
     if not p:
         return np.zeros(len(points))
@@ -80,6 +150,37 @@ class TestExpand:
     def test_expansions_beyond_the_budget_give_up(self):
         assert expand(parse("x1^1000000"), 1) == {(1000000,): 1.0}
         assert expand(parse("(x1 + x2 + x3)^200"), 3) is None
+
+    @given(polynomial_trees())
+    @settings(max_examples=300, deadline=None)
+    def test_packed_keys_give_the_tuple_keyed_expansion(self, e):
+        assert_identical(expand(e, N), reference_expand(e, N))
+
+    @given(polynomial_trees().flatmap(lambda e: polynomial_trees().map(lambda d: Mul(((1, e), (-1, d))))))
+    @settings(max_examples=150, deadline=None)
+    def test_any_divisor_expands_as_the_tuple_keyed_walk_does(self, e):
+        """Most divisors here are not constant (no normal form); the rest must still match."""
+        assert_identical(expand(e, N), reference_expand(e, N))
+
+    @pytest.mark.parametrize("text,n,expected", [
+        ("x1^99999", 1, {(99999,): 1.0}),
+        ("x1^65536*x2", 2, {(65536, 1): 1.0}),
+        ("(x1^300)^300*x2", 2, {(90000, 1): 1.0}),
+        (f"x1^{2**64}", 1, {(2**64,): 1.0}),
+        (f"x2*x1^{2**64}*x3^{2**16 - 1}", 3, {(2**64, 1, 2**16 - 1): 1.0}),
+        ("(x1+x2)^3/2 - x3", 3, {(3, 0, 0): 0.5, (2, 1, 0): 1.5, (1, 2, 0): 1.5, (0, 3, 0): 0.5, (0, 0, 1): -1.0}),
+    ])
+    def test_exponents_past_a_16_bit_field_expand_exactly(self, text, n, expected):
+        e = parse(text)
+        assert_identical(expand(e, n), expected)
+        assert_identical(reference_expand(e, n), expected)
+
+    def test_a_divisor_whose_partial_results_outgrow_the_quotient_is_still_decided(self):
+        """The quotient has degree 1, but x1^2 - x2 + 1 must not pack x1^2 onto x2,
+        not even under a zero power, which still expands its base."""
+        assert expand(parse("x1/(x1^2 - x2 + 1)"), 2) is None
+        assert expand(parse("x2*(x1/(x1^2 - x2 + 1))^0"), 2) is None
+        assert_identical(expand(parse("x1/((x1 + 1)^2 - x1^2 - 2*x1)"), 2), {(1, 0): 1.0})
 
     @given(polynomial_trees())
     @settings(max_examples=150, deadline=None)
