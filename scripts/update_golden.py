@@ -50,6 +50,18 @@ COMMANDS = {
     "check-exact-sum-in-full": ["check", "--coeffs", "1e-5000,1"],
     "check-overflowing-sum": ["check", "--coeffs", "1e308,1e308"],
     "check-n-below-coeffs": ["check", "--coeffs", "1/2,1/2", "--n", "1"],
+    # a linear form and its expression take one residual path: the pairs must agree
+    "pde-coeffs-round-off-residual": ["pde", "--coeffs", "0.1,0.10000000000000002", "--equation", "II", "--n", "2"],
+    "pde-expr-round-off-residual": ["pde", "--expr", "0.1*x1+0.10000000000000002*x2", "--equation", "II", "--n", "2"],
+    "pde-coeffs-overflowing-constant": ["pde", "--coeffs", "1e308,-1e308", "--equation", "II"],
+    "pde-coeffs-overflowing-sum": ["pde", "--coeffs", "1e308,1e308", "--equation", "I", "--beta", "2"],
+    "pde-expr-overflowing-sum": ["pde", "--expr", "1e308*x1+1e308*x2", "--equation", "I", "--beta", "2", "--n", "2"],
+    "pde-coeffs-system-negative-origin": ["pde", "--coeffs=-1/2,-1/2", "--equation", "system"],
+    "pde-coeffs-system-padded": ["pde", "--coeffs", "1/2,1/2", "--equation", "system", "--n", "4"],
+    "pde-system-no-normal-form": [
+        "pde", "--equation", "system", "--n", "4", "--expr", "(x1+x2+x3+x4)/4 + (x1-x3)/(1+((x1+x2+x3+x4)/4)^2)",
+    ],
+    "pde-no-normal-form": ["pde", "--expr", "x1/(1+x2^2)", "--equation", "II", "--n", "2"],
 }
 
 
