@@ -344,40 +344,23 @@ def _run_pde(args: argparse.Namespace) -> int:
     }
 
     candidate = u.form if u.form is not None else u.expr  # a linear form is decided on its coefficients
-    expression = to_string(u.expr if u.form is None else u.form.to_expr())
     if equation == "system":
         if opts["beta"] is not None:
             raise InputError("--beta does not apply to the system check")
         report = _evaluated(check_system, candidate, n, dom)
-        result = {
-            "mode": "system",
-            "n": n,
-            "expression": expression,
-            "report": report.to_dict(tol),
-            "passes": report.passes(tol),
-        }
-        _emit(_envelope("pde", config, dom.seed, result))
-        return 0 if report.passes(tol) else 1
-
-    if equation == "I":
-        beta = _require(opts, "beta", "pde --equation I")
-        spec = PdeSpec(PdeKind.EQ_I, n=n, beta=beta)
+        result = {"mode": "system", "report": report.to_dict(tol)}
     else:
-        if opts["beta"] is not None:
+        if equation == "I":
+            spec = PdeSpec(PdeKind.EQ_I, n=n, beta=_require(opts, "beta", "pde --equation I"))
+        elif opts["beta"] is not None:
             raise InputError("--beta only applies to equation I")
-        spec = PdeSpec(PdeKind.EQ_II, n=n)
-    report = _evaluated(check_residual, candidate, spec, dom)
-    result = {
-        "mode": "residual",
-        "equation": equation,
-        "n": n,
-        "beta": spec.beta,
-        "expression": expression,
-        "report": report.to_dict(),
-        "passes": report.passes(tol),
-    }
+        else:
+            spec = PdeSpec(PdeKind.EQ_II, n=n)
+        report = _evaluated(check_residual, candidate, spec, dom)
+        result = {"mode": "residual", "equation": equation, "beta": spec.beta, "report": report.to_dict()}
+    result.update(n=n, expression=to_string(u.expr if u.form is None else u.form.to_expr()), passes=report.passes(tol))
     _emit(_envelope("pde", config, dom.seed, result))
-    return 0 if report.passes(tol) else 1
+    return 0 if result["passes"] else 1
 
 
 def _evaluated(check, *args):

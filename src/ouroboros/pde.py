@@ -30,11 +30,13 @@ derivative of u along w. The step along w is h / max|w_k|, and the shifts of
 a block of samples go to one stacked evaluation. The two routes cross-check
 each other.
 
-A linear form u = sum(c_k * x_k) (:class:`~ouroboros.core.LinearForm`) has
-the constant residual sum(w_k * c_k). It is decided on the coefficients by
-the same rule, with no samples and no finite differences, and so is the
-alternating-balance criterion. numpy is imported only by the functions that
-make arrays, so linear forms are checked without loading it.
+A linear form u = sum(c_k * x_k) (:class:`~ouroboros.core.LinearForm`) is
+its own degree-1 normal form {e_k: c_k}, read off the coefficients with no
+tree and no expansion. Its residual, the constant sum(w_k * c_k), is decided
+by the same rule and reported as the decided value, with no samples and no
+finite differences; the alternating-balance criterion is decided by the rule
+too. numpy is imported only by the functions that make arrays, so linear
+forms are checked without loading it.
 """
 
 from __future__ import annotations
@@ -167,56 +169,61 @@ def check_residual(u: Expr | LinearForm, spec: PdeSpec, dom: SampleDomain) -> Re
     The first route evaluates the decided residual, the residual's normal
     form without its round-off coefficients (the exact residual expression
     when u has none); the second is one central difference of
-    u's tree along the equation's direction. A linear form is decided
-    exactly on its coefficients instead, and ``dom`` is not sampled.
+    u's tree along the equation's direction. A linear form is its own
+    normal form, and ``dom`` is not sampled.
     Raises EvaluationError when u has no value at a sample.
     """
-    if dom.n != spec.n:
-        raise ValueError("sample domain and equation dimension disagree")
-    if isinstance(u, LinearForm):
-        return _linear_residual(u, spec)
-    _require_dimension(u, spec.n)
-    points = dom.samples()
-    (fd,) = _fd_partials(u, points, [spec.direction()], DEFAULT_FD_STEP)
-    return _residual_report(u, expand(u, spec.n), spec, points, fd)
+    (report,), _ = _residual_reports(u, [spec], dom)
+    return report
 
 
-def _require_dimension(u: Expr, n: int) -> None:
-    if dimension(u) > n:
-        raise ValueError(f"u uses x{dimension(u)} but the equation has n={n}")
+def _require_dimension(u: Expr | LinearForm, n: int) -> None:
+    used = u.n if isinstance(u, LinearForm) else dimension(u)
+    if used > n:
+        raise ValueError(f"u uses x{used} but the equation has n={n}")
 
 
-def _linear_residual(u: LinearForm, spec: PdeSpec) -> ResidualReport:
-    """check_residual of u = sum(c_k * x_k), whose residual is the constant sum(w_k * c_k).
+def _residual_reports(
+    u: Expr | LinearForm, specs: Sequence[PdeSpec], dom: SampleDomain
+) -> tuple[list[ResidualReport], np.ndarray | None]:
+    """check_residual of u against each spec, and the cloud drawn (None for a linear form).
 
-    The residual is summed and decided exactly (c_k = 0 past u.n) by
-    :func:`~ouroboros.core._exact_sum`; samples would only repeat the
-    constant, so none are drawn and there is no difference bound.
+    The normal form of u = sum(c_k * x_k) is {e_k: c_k}, read off the
+    coefficients: its residuals are decided with no samples, no expansion
+    and no finite differences. An expression is sampled once, differenced
+    along every spec's direction in one stacked evaluation, and expanded once.
     """
-    if u.n > spec.n:
-        raise ValueError(f"u uses x{u.n} but the equation has n={spec.n}")
-    zero, constant = _exact_sum((weight, u.coeffs[k - 1]) for k, weight in spec.terms() if k <= u.n)
-    return ResidualReport(
-        symbolic_zero=zero,
-        residual_constant=constant,
-        max_abs_residual=abs(constant),
-        max_abs_residual_fd=math.nan,
-        samples_used=0,
-        note=LINEAR_NOTE,
-    )
+    if any(spec.n != dom.n for spec in specs):
+        raise ValueError("sample domain and equation dimension disagree")
+    _require_dimension(u, dom.n)
+    if isinstance(u, LinearForm):
+        unit = [(0,) * k + (1,) + (0,) * (dom.n - k - 1) for k in range(u.n)]
+        form = {e: c for e, c in zip(unit, u.coeffs) if c}
+        points, fds = None, [None] * len(specs)
+    else:
+        points = dom.samples()
+        fds = _fd_partials(u, points, [spec.direction() for spec in specs], DEFAULT_FD_STEP)
+        form = expand(u, dom.n)
+    return [_residual_report(u, form, spec, points, fd) for spec, fd in zip(specs, fds)], points
 
 
 def _residual_report(
-    u: Expr,
+    u: Expr | LinearForm,
     form: Poly | None,
     spec: PdeSpec,
-    points: np.ndarray,
-    fd: np.ndarray,
+    points: np.ndarray | None,
+    fd: np.ndarray | None,
 ) -> ResidualReport:
-    """check_residual at ``points`` once u is expanded to ``form`` (None: no normal form) and differenced (``fd``)."""
+    """check_residual at ``points`` once u is expanded to ``form`` (None: no normal form) and differenced (``fd``).
+
+    A linear form has no ``points`` and no ``fd``: its residual is the constant at the origin.
+    """
+    symbolic_zero, residual_constant, note, residual = _decide_residual(form, spec)
+    if points is None:
+        value = abs(residual.get((0,) * spec.n, 0.0))
+        return ResidualReport(symbolic_zero, residual_constant, value, math.nan, 0, LINEAR_NOTE)
     import numpy as np
 
-    symbolic_zero, residual_constant, note, residual = _decide_residual(form, spec)
     if residual is None:
         values = evaluate_many(residual_expr(u, spec), points)
     else:
@@ -387,24 +394,14 @@ def check_system(u: Expr | LinearForm, n: int, dom: SampleDomain) -> SystemRepor
     """
     if n < 2 or n % 2 != 0:
         raise ValueError(f"the system needs an even dimension of at least 2, got n={n}")
-    if dom.n != n:
-        raise ValueError("sample domain and system dimension disagree")
+    (eq1, eq2), points = _residual_reports(u, system_specs(n), dom)
     if isinstance(u, LinearForm):
-        # decided on the coefficients; dom is never sampled
-        eq1, eq2 = (_linear_residual(u, spec) for spec in system_specs(n))
         ouro = check_linear_exact(u)
         # the float u.to_expr() takes at the origin: it keeps the nonzero terms,
         # each c_k * 0.0, so it reads -0.0 when all of them are negative
         origin = -0.0 if any(u.coeffs) and all(c <= 0.0 for c in u.coeffs) else 0.0
     else:
-        _require_dimension(u, n)
-        points = dom.samples()
         ouro = _check_sampled_at(u, dom, points)
-        # one expansion and one stacked evaluation of the shifts along both directions
-        form = expand(u, n)
-        specs = system_specs(n)
-        fds = _fd_partials(u, points, [spec.direction() for spec in specs], DEFAULT_FD_STEP)
-        eq1, eq2 = (_residual_report(u, form, spec, points, fd) for spec, fd in zip(specs, fds))
         try:
             origin = evaluate(u, (0.0,) * n)
         except EvaluationError as exc:
