@@ -50,6 +50,7 @@ COMMANDS = {
     "check-exact-sum-in-full": ["check", "--coeffs", "1e-5000,1"],
     "check-overflowing-sum": ["check", "--coeffs", "1e308,1e308"],
     "check-n-below-coeffs": ["check", "--coeffs", "1/2,1/2", "--n", "1"],
+    "check-coeffs-leading-minus": ["check", "--coeffs", "-1/2,3/2"],
     # a linear form and its expression take one residual path: the pairs must agree
     "pde-coeffs-round-off-residual": ["pde", "--coeffs", "0.1,0.10000000000000002", "--equation", "II", "--n", "2"],
     "pde-expr-round-off-residual": ["pde", "--expr", "0.1*x1+0.10000000000000002*x2", "--equation", "II", "--n", "2"],

@@ -32,6 +32,10 @@ explicit flags win over the file. A value means what the same text after its
 flag means: {"n": "4"} is --n 4, a value the flag would refuse, such as
 {"seed": 1.5}, is unusable input, and null means not given.
 
+A value may begin with "-": ``--coeffs -1/2,3/2``, ``--expr -x1+2*x2`` and
+``--tol -1e-3`` give the flag that value, as the ``--flag=value`` form does.
+Of the arguments that begin with one "-", only ``-h`` is a flag.
+
 Start-up, not the check, sets a command's wall time: the checks take
 2-6 ms. Each handler imports what it needs. ``check --coeffs``,
 ``pde --coeffs``, ``expect`` and ``version`` import no numpy and take about
@@ -117,8 +121,9 @@ _EXPLORE_OPTIONS = (
     Option("csv", str, None, "also write the per-run table to this path"),
 )
 
-# argparse of Python 3.10 and 3.11 reads "-1e-3" as a flag; a number in this form is a value
-_NEGATIVE_NUMBER = re.compile(r"^-((\d+\.?\d*|\.\d+)(e[-+]?\d+)?|inf|infinity|nan)$", re.IGNORECASE)
+# argparse reads "-1/2,3/2", "-x1+2*x2" and, on Python 3.10 and 3.11, "-1e-3" as flags: every
+# argument that starts with one "-" is a value, except -h, so that no option looks like a value
+_DASHED_VALUE = re.compile(r"-(?!-|h$)")
 # PEP 515 digit grouping, which Fraction reads only from Python 3.11 on: an underscore between two digits
 _STRAY_UNDERSCORE = re.compile(r"(?<![0-9])_|_(?![0-9])")
 # Fraction builds 10**exponent; an exponent of five or more digits, far outside the float range, is refused first
@@ -452,7 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     for command, help_text, options, handler in commands:
         p = sub.add_parser(command, help=help_text)
-        p._negative_number_matcher = _NEGATIVE_NUMBER
+        p._negative_number_matcher = _DASHED_VALUE
         for opt in options:
             flag = "--" + opt.name.replace("_", "-")
             p.add_argument(flag, type=opt.type, choices=opt.choices, help=opt.help)

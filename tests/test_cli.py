@@ -715,7 +715,36 @@ class TestTolerance:
 
 
 class TestNegativeNumbers:
-    """A negative number in exponent form is a value for its flag, not a flag."""
+    """A value that starts with "-", a number in exponent form included, is a value for its flag, not a flag."""
+
+    @pytest.mark.parametrize("argv, code", [
+        (["check", "--coeffs", "-1/2,3/2"], 0),
+        (["pde", "--coeffs", "-1/2,3/2", "--equation", "II"], 1),
+        (["expect", "--values", "-1,2", "--probs", "1/2,1/2"], 0),
+        (["check", "--expr", "-x1+2*x2"], 0),
+    ])
+    def test_a_leading_minus_reaches_the_check(self, capsys, argv, code):
+        assert run_main(capsys, argv)[0] == code
+
+    def test_the_values_are_read_with_their_sign(self, capsys):
+        assert run_main(capsys, ["check", "--coeffs", "-1/2,3/2"])[1]["result"]["coefficients"] == [-0.5, 1.5]
+        assert run_main(capsys, ["check", "--expr", "-x1+2*x2"])[1]["result"]["expression"] == "-x1 + 2*x2"
+        _, doc = run_main(capsys, ["pde", "--coeffs", "-1/2,3/2", "--equation", "II"])
+        assert doc["result"]["report"]["residual_constant"] == 2.0
+        _, doc = run_main(capsys, ["expect", "--values", "-1,2", "--probs", "1/2,1/2"])
+        assert doc["result"]["values"] == [-1.0, 2.0]
+
+    def test_help_is_still_a_flag(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["check", "-h"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: ouroboros check")
+
+    def test_a_flag_without_its_value_is_still_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["check", "--coeffs"])
+        assert exc.value.code == 2
+        assert "expected one argument" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
         ["check", "--expr", "x1", "--tol", "-1e-3"],
