@@ -363,7 +363,8 @@ def _run_pde(args: argparse.Namespace) -> int:
             spec = PdeSpec(PdeKind.EQ_II, n=n)
         report = _evaluated(check_residual, candidate, spec, dom)
         result = {"mode": "residual", "equation": equation, "beta": spec.beta, "report": report.to_dict()}
-    result.update(n=n, expression=to_string(u.expr if u.form is None else u.form.to_expr()), passes=report.passes(tol))
+    expression = to_string(u.expr if u.form is None else u.form.to_expr())
+    result.update(n=n, expression=expression, passes=report.passes(tol))
     _emit(_envelope("pde", config, dom.seed, result))
     return 0 if result["passes"] else 1
 
