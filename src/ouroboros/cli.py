@@ -34,7 +34,8 @@ flag means: {"n": "4"} is --n 4, a value the flag would refuse, such as
 
 A value may begin with "-": ``--coeffs -1/2,3/2``, ``--expr -x1+2*x2`` and
 ``--tol -1e-3`` give the flag that value, as the ``--flag=value`` form does.
-Of the arguments that begin with one "-", only ``-h`` is a flag.
+An argument that begins with one "-" is a value unless it names a registered
+option: ``-h``, which argparse also reads in ``-h`` followed by more text.
 
 Start-up, not the check, sets a command's wall time: the checks take
 2-6 ms. Each handler imports what it needs. ``check --coeffs``,
@@ -121,9 +122,10 @@ _EXPLORE_OPTIONS = (
     Option("csv", str, None, "also write the per-run table to this path"),
 )
 
-# argparse reads "-1/2,3/2", "-x1+2*x2" and, on Python 3.10 and 3.11, "-1e-3" as flags: every
-# argument that starts with one "-" is a value, except -h, so that no option looks like a value
-_DASHED_VALUE = re.compile(r"-(?!-|h$)")
+# argparse reads "-1/2,3/2", "-x1+2*x2" and, on Python 3.10 and 3.11, "-1e-3" as flags: an
+# argument that starts with one "-" is a value unless it names a registered option. Only -h is
+# registered with one "-", before this matcher is set, and argparse looks options up first
+_DASHED_VALUE = re.compile(r"-(?!-)")
 # PEP 515 digit grouping, which Fraction reads only from Python 3.11 on: an underscore between two digits
 _STRAY_UNDERSCORE = re.compile(r"(?<![0-9])_|_(?![0-9])")
 # Fraction builds 10**exponent; an exponent of five or more digits, far outside the float range, is refused first

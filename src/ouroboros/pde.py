@@ -188,42 +188,36 @@ def _residual_reports(
 ) -> tuple[list[ResidualReport], np.ndarray | None]:
     """check_residual of u against each spec, and the cloud drawn (None for a linear form).
 
-    The normal form of u = sum(c_k * x_k) is {e_k: c_k}, read off the
-    coefficients: its residuals are decided with no samples, no expansion
-    and no finite differences. An expression is sampled once, differenced
-    along every spec's direction in one stacked evaluation, and expanded once.
+    The normal form of u = sum(c_k * x_k) is {e_k: c_k}, whose residual has
+    one coefficient, the constant sum(w_k * c_k) at the origin: it is decided
+    by :func:`~ouroboros.core._exact_sum` (c_k = 0 past u.n) in time linear in
+    n, with no samples, no expansion and no finite differences. An expression
+    is sampled once, differenced along every spec's direction in one stacked
+    evaluation, and expanded once.
     """
     if any(spec.n != dom.n for spec in specs):
         raise ValueError("sample domain and equation dimension disagree")
     _require_dimension(u, dom.n)
     if isinstance(u, LinearForm):
-        unit = [(0,) * k + (1,) + (0,) * (dom.n - k - 1) for k in range(u.n)]
-        form = {e: c for e, c in zip(unit, u.coeffs) if c}
-        points, fds = None, [None] * len(specs)
-    else:
-        points = dom.samples()
-        fds = _fd_partials(u, points, [spec.direction() for spec in specs], DEFAULT_FD_STEP)
-        form = expand(u, dom.n)
+        decided = (_exact_sum((w, u.coeffs[k - 1]) for k, w in spec.terms() if k <= u.n) for spec in specs)
+        return [ResidualReport(zero, c, 0.0 if zero else abs(c), math.nan, 0, LINEAR_NOTE) for zero, c in decided], None
+    points = dom.samples()
+    fds = _fd_partials(u, points, [spec.direction() for spec in specs], DEFAULT_FD_STEP)
+    form = expand(u, dom.n)
     return [_residual_report(u, form, spec, points, fd) for spec, fd in zip(specs, fds)], points
 
 
 def _residual_report(
-    u: Expr | LinearForm,
+    u: Expr,
     form: Poly | None,
     spec: PdeSpec,
-    points: np.ndarray | None,
-    fd: np.ndarray | None,
+    points: np.ndarray,
+    fd: np.ndarray,
 ) -> ResidualReport:
-    """check_residual at ``points`` once u is expanded to ``form`` (None: no normal form) and differenced (``fd``).
-
-    A linear form has no ``points`` and no ``fd``: its residual is the constant at the origin.
-    """
-    symbolic_zero, residual_constant, note, residual = _decide_residual(form, spec)
-    if points is None:
-        value = abs(residual.get((0,) * spec.n, 0.0))
-        return ResidualReport(symbolic_zero, residual_constant, value, math.nan, 0, LINEAR_NOTE)
+    """check_residual at ``points`` once u is expanded to ``form`` (None: no normal form) and differenced (``fd``)."""
     import numpy as np
 
+    symbolic_zero, residual_constant, note, residual = _decide_residual(form, spec)
     if residual is None:
         values = evaluate_many(residual_expr(u, spec), points)
     else:

@@ -253,7 +253,7 @@ class TestLinearRoute:
         assert report.passes() is zero
 
     def test_long_forms_cost_no_normal_form(self):
-        """1500 coefficients: a normal form read off the coefficients, with no tree and no expansion."""
+        """1500 coefficients: the exact sums, not a 1500-variable normal form."""
         form = LinearForm((1 / 1500,) * 1500)
         dom = SampleDomain(n=1500, radius=2.0, seed=0, count=5)
         assert check_residual(form, PdeSpec(PdeKind.EQ_II, n=1500), dom).symbolic_zero
