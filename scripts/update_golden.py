@@ -63,6 +63,10 @@ COMMANDS = {
         "pde", "--equation", "system", "--n", "4", "--expr", "(x1+x2+x3+x4)/4 + (x1-x3)/(1+((x1+x2+x3+x4)/4)^2)",
     ],
     "pde-no-normal-form": ["pde", "--expr", "x1/(1+x2^2)", "--equation", "II", "--n", "2"],
+    # reports that a change of evaluation route, or an exact pde verdict, would move
+    "check-overflowing-candidate": ["check", "--expr", "x1^400", "--radius", "10"],
+    "pde-overflowing-candidate": ["pde", "--expr", "x1^400", "--equation", "II", "--n", "2", "--radius", "10"],
+    "pde-near-solution-quadratic": ["pde", "--expr", "(x1+x2)/2 + 0.0000000001*x1^2", "--equation", "II", "--n", "2"],
 }
 
 
