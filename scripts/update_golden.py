@@ -23,8 +23,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
 
-COMMANDS = {
-    # the determinism commands of the acceptance tests (criterion 10)
+# the determinism commands of the acceptance tests (criterion 10); scripts/time_cli.py times them
+DETERMINISM_COMMANDS = {
     "check-coeffs": ["check", "--coeffs", "1/2,1/3,1/6"],
     "check-expr": ["check", "--expr", "(x1 + x2)/2", "--samples", "64", "--seed", "3"],
     "pde-coeffs-eq1": ["pde", "--coeffs", "1/4,1/4,1/4,1/4", "--equation", "I", "--beta", "4"],
@@ -33,6 +33,10 @@ COMMANDS = {
     "expect": ["expect", "--values", "1,2,3", "--probs", "1/5,3/10,1/2"],
     "explore": ["explore", "--n", "2", "--degree", "1", "--starts", "3", "--samples", "60"],
     "version": ["version"],
+}
+
+COMMANDS = {
+    **DETERMINISM_COMMANDS,
     # found or mended behaviour
     "pde-overflowing-constant": ["pde", "--expr", "1e308*x1-1e308*x2", "--equation", "II", "--n", "2"],
     "pde-overflowing-like-terms": [

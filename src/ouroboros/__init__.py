@@ -10,9 +10,11 @@ searches numerically for its solutions as a cross-check.
 
 The names from :mod:`ouroboros.pde` and :mod:`ouroboros.explorer` load on
 first use (PEP 562), so that a command needing neither skips both imports.
-The explorer imports numpy as it loads; the residual checks import it only
-to draw a sample cloud. The exact checks, the expectation check and the
-transport checks of linear forms run without numpy.
+The explorer imports numpy as it loads; the sampled and residual checks
+import it only for a cloud past ``core.SMALL_CLOUD_CELLS`` (samples times
+n plus the nodes of u), and check a smaller one on Python floats. The exact
+checks, the expectation check, the transport checks of linear forms and
+the sampled checks at the command line's defaults run without numpy.
 """
 
 from importlib import import_module

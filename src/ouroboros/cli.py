@@ -38,12 +38,16 @@ An argument that begins with one "-" is a value unless it names a registered
 option: ``-h``, which argparse also reads in ``-h`` followed by more text.
 
 Start-up, not the check, sets a command's wall time: the checks take
-2-6 ms. Each handler imports what it needs. ``check --coeffs``,
-``pde --coeffs``, ``expect`` and ``version`` import no numpy and take about
-0.14 s in a fresh process; ``check --expr``, ``pde --expr`` and ``explore``
-import numpy for their sample clouds and take about 0.27 s (medians of 15
-fresh processes per command, 2-CPU VM, Python 3.11.7, numpy 2.4.6). These
-numbers are taken with ``__pycache__`` present: without written bytecode
+2-6 ms. Each handler imports what it needs. Only ``explore`` and a sampled
+check whose cloud is past ``core.SMALL_CLOUD_CELLS`` import numpy: up to
+that bound, samples times (n plus the nodes of u), ``check --expr`` and
+``pde --expr`` draw and check their cloud on Python floats, to the bits
+numpy gives. At the default 200 samples that covers every u of up to about
+100 nodes. ``check`` and ``pde`` by ``--coeffs`` or ``--expr``, ``expect``
+and ``version`` take about 0.12-0.15 s in a fresh process and ``explore``
+about 0.26 s (medians of 3 runs of ``scripts/time_cli.py``, 9 alternating
+rounds each, 2-CPU VM, Python 3.11.7, numpy 2.4.6). These numbers are taken with
+``__pycache__`` present: without written bytecode
 (``PYTHONDONTWRITEBYTECODE=1`` on a fresh checkout) every run compiles the
 package again, which adds about 0.01-0.05 s.
 """

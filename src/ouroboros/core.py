@@ -5,8 +5,10 @@ every argument changes nothing: f(f(x), ..., f(x)) = f(x) for all x. For a
 linear form f(x) = sum(c_k * x_k) this holds exactly when the coefficients
 sum to 1 (or are all zero), which is what :func:`check_linear_exact` tests.
 :func:`check_sampled` probes arbitrary expressions numerically on a seeded
-sample cloud. Only the sampled route imports numpy, on first use, so the
-exact route runs without it.
+sample cloud. The exact route runs without numpy, and so does a small cloud:
+while count * (n + nodes of f) <= SMALL_CLOUD_CELLS the cloud is drawn by a
+pure-Python Philox and checked on Python floats, to the bits numpy gives
+(:func:`_cloud`). Only a larger cloud imports numpy, on first use.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from enum import Enum
 from typing import TYPE_CHECKING, Sequence
 
 from .expr import Add, Const, EvaluationError, Expr, Var, dimension, evaluate, evaluate_many, mul
+from .expr import _evaluate_columns, _size_at_most
 
 __all__ = [
     "LinearForm",
@@ -42,6 +45,14 @@ RESIDUAL_TOL = 1e-9
 # SYMBOLIC_ZERO_TOL and the smallest normal float as integer ratios, for _exact_sum
 _TOL_N, _TOL_D = SYMBOLIC_ZERO_TOL.as_integer_ratio()
 _MIN_N, _MIN_D = sys.float_info.min.as_integer_ratio()
+# samples times (n + nodes of u) up to which a cloud is drawn and checked on
+# Python floats (see _cloud): at the bound one check takes 4-46 ms that way,
+# less than importing numpy costs a fresh process, about 0.1 s (2-CPU VM)
+SMALL_CLOUD_CELLS = 20_000
+# Philox4x64-10's multipliers and key increments (Salmon et al., SC 2011)
+_PHILOX_M0, _PHILOX_M1 = 0xD2E7470EE14C6C93, 0xCA5A826395121157
+_PHILOX_W0, _PHILOX_W1 = 0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B
+_MASK64 = (1 << 64) - 1
 
 
 class Verdict(str, Enum):
@@ -92,6 +103,8 @@ class SampleDomain:
 
     Sampling goes through a counter-based generator (Philox) keyed only by
     ``seed``, so equal domains reproduce the same points on any platform.
+    :meth:`samples` returns them as a numpy array, and the private
+    ``_columns`` draws the same floats in pure Python, one list per coordinate.
     """
 
     n: int
@@ -104,6 +117,8 @@ class SampleDomain:
             raise ValueError("dimension must be at least 1")
         if not (self.radius > 0 and math.isfinite(self.radius)):
             raise ValueError(f"radius must be positive and finite, got {self.radius}")
+        if not math.isfinite(2.0 * self.radius):
+            raise ValueError(f"radius must be at most half the largest float, got {self.radius}")
         if self.count < 1:
             raise ValueError("sample count must be at least 1")
         if not (0 <= int(self.seed) < 2**64):
@@ -114,6 +129,46 @@ class SampleDomain:
 
         rng = np.random.Generator(np.random.Philox(key=self.seed))
         return rng.uniform(-self.radius, self.radius, size=(self.count, self.n))
+
+    def _columns(self) -> list[list[float]]:
+        """samples() on Python floats, one list per coordinate: ``_columns()[j][i] == samples()[i, j]``."""
+        draws = _philox_uniform(self.seed, self.count * self.n, -self.radius, self.radius)
+        return [draws[j::self.n] for j in range(self.n)]
+
+
+def _philox_uniform(seed: int, count: int, low: float, high: float) -> list[float]:
+    """``Generator(Philox(key=seed)).uniform(low, high, count)``, bit for bit, in pure Python.
+
+    numpy's Philox4x64-10 with key (seed mod 2^64, seed >> 64) increments its
+    counter before each block of four words; a word x becomes
+    low + (high - low) * ((x >> 11) * 2^-53).
+    """
+    a, b = seed & _MASK64, seed >> 64
+    keys = []
+    for _ in range(10):
+        keys.append((a, b))
+        a, b = (a + _PHILOX_W0) & _MASK64, (b + _PHILOX_W1) & _MASK64
+    words: list[int] = []
+    for counter in range(1, (count + 3) // 4 + 1):
+        x0, x1, x2, x3 = counter, 0, 0, 0
+        for a, b in keys:
+            p, q = _PHILOX_M0 * x0, _PHILOX_M1 * x2
+            x0, x1, x2, x3 = (q >> 64) ^ x1 ^ a, q & _MASK64, (p >> 64) ^ x3 ^ b, p & _MASK64
+        words += (x0, x1, x2, x3)
+    scale, unit = high - low, 2.0 ** -53
+    return [low + scale * ((x >> 11) * unit) for x in words[:count]]
+
+
+def _cloud(u: Expr, dom: SampleDomain) -> np.ndarray | list[list[float]]:
+    """dom's points for checking u: Python float columns (``dom._columns()``) while
+    count * (n + nodes of u) <= SMALL_CLOUD_CELLS, else ``dom.samples()``.
+
+    Counting stops at the bound, so a large u is sent to numpy in time
+    independent of its size.
+    """
+    if _size_at_most(u, SMALL_CLOUD_CELLS // dom.count - dom.n):
+        return dom._columns()
+    return dom.samples()
 
 
 @dataclass(frozen=True)
@@ -213,13 +268,15 @@ def check_sampled(f: Expr, dom: SampleDomain, tol: float = SAMPLED_TOL) -> Ourob
     _require_tolerance(tol)
     if dimension(f) > dom.n:
         raise ValueError(f"expression uses x{dimension(f)} but the domain has n={dom.n}")
-    return _check_sampled_at(f, dom, dom.samples(), tol)
+    return _check_sampled_at(f, dom, _cloud(f, dom), tol)
 
 
 def _check_sampled_at(
-    f: Expr, dom: SampleDomain, points: np.ndarray, tol: float = SAMPLED_TOL
+    f: Expr, dom: SampleDomain, points: np.ndarray | list[list[float]], tol: float = SAMPLED_TOL
 ) -> OuroborosReport:
-    """check_sampled on ``points``, the cloud that ``dom`` draws; the caller has checked ``tol`` and f's dimension."""
+    """check_sampled on ``points``, the cloud that ``dom`` draws (see _cloud); the caller has checked ``tol`` and f's dimension."""
+    if isinstance(points, list):
+        return _check_sampled_columns(f, dom, points, tol)
     import numpy as np
 
     try:
@@ -246,6 +303,39 @@ def _check_sampled_at(
         worst = int(np.argmax(normalised))
         return OuroborosReport(
             Verdict.FAILS, max_deviation, tuple(points[worst]), dom.count,
+            range_contained=range_contained,
+        )
+    return OuroborosReport(
+        Verdict.HOLDS_SAMPLED, max_deviation, None, dom.count,
+        range_contained=range_contained,
+    )
+
+
+def _check_sampled_columns(f: Expr, dom: SampleDomain, columns: list[list[float]], tol: float) -> OuroborosReport:
+    """_check_sampled_at on Python float columns, with the numpy route's operations, in its order."""
+    try:
+        y = _evaluate_columns(f, columns)
+        fy = _evaluate_columns(f, [y] * dom.n)
+    except EvaluationError as exc:
+        used = exc.sample_index + 1 if exc.sample_index is not None else 0
+        return OuroborosReport(Verdict.ERROR, math.nan, None, used, error=str(exc))
+
+    for bad, (a, b) in enumerate(zip(y, fy)):
+        if not (math.isfinite(a) and math.isfinite(b)):
+            return OuroborosReport(
+                Verdict.ERROR, math.nan, None, bad + 1,
+                error=f"non-finite value (sample {bad})",
+            )
+
+    scales = [1.0 + abs(a) for a in y]
+    deviations = [abs(b - a) for a, b in zip(y, fy)]
+    max_deviation = max(deviations)
+    range_contained = all(abs(a) <= dom.radius for a in y)
+    if any(d > tol * s for d, s in zip(deviations, scales)):
+        normalised = [d / s for d, s in zip(deviations, scales)]
+        worst = max(range(dom.count), key=normalised.__getitem__)  # the first maximum, as argmax
+        return OuroborosReport(
+            Verdict.FAILS, max_deviation, tuple(column[worst] for column in columns), dom.count,
             range_contained=range_contained,
         )
     return OuroborosReport(

@@ -479,6 +479,66 @@ def _spare(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
     return a if a.base is None else b if b.base is None else None
 
 
+def _evaluate_columns(e: Expr, columns: list[list[float]]) -> list[float]:
+    """evaluate_many on Python floats; ``columns[j]`` holds x_{j+1} at every point.
+
+    Node by node in _eval_array's order and with its operations, so the
+    values, inf and nan included, and the sample index of a zero divisor are
+    those evaluate_many gives on the same points. No list passed in is changed.
+    """
+    if isinstance(e, Const):
+        return [e.value] * len(columns[0])
+    if isinstance(e, Var):
+        if e.index > len(columns):
+            raise ValueError(f"points of width {len(columns)} are too short for x{e.index}")
+        return columns[e.index - 1]
+    if isinstance(e, Add):
+        total = _evaluate_columns(e.terms[0][1], columns)
+        for sign, term in e.terms[1:]:
+            value = _evaluate_columns(term, columns)
+            if sign > 0:
+                total = [a + b for a, b in zip(total, value)]
+            else:
+                total = [a - b for a, b in zip(total, value)]
+        return total
+    if isinstance(e, Mul):
+        product = _evaluate_columns(e.factors[0][1], columns)
+        for sign, factor in e.factors[1:]:
+            value = _evaluate_columns(factor, columns)
+            if sign > 0:
+                product = [a * b for a, b in zip(product, value)]
+                continue
+            if 0.0 in value:  # -0.0 too, as value == 0.0
+                raise EvaluationError("division by zero", sample_index=value.index(0.0))
+            product = [a / b for a, b in zip(product, value)]
+        return product
+    if isinstance(e, Neg):
+        return [-a for a in _evaluate_columns(e.operand, columns)]
+    if isinstance(e, Pow):
+        return [_pow_repeated(a, e.exponent) for a in _evaluate_columns(e.base, columns)]
+    raise TypeError(f"not an expression node: {e!r}")
+
+
+def _size_at_most(e: Expr, limit: int) -> bool:
+    """Whether ``e`` has at most ``limit`` nodes; no more than ``limit`` of them are visited."""
+    pending = [e]
+    limit -= 1
+    while pending and limit >= 0:
+        node = pending.pop()
+        if isinstance(node, (Add, Mul)):
+            entries = node.terms if isinstance(node, Add) else node.factors
+            limit -= len(entries)
+            if limit >= 0:  # a long sum or product costs nothing more to refuse
+                pending.extend(child for _, child in entries)
+        elif isinstance(node, Neg):
+            limit -= 1
+            pending.append(node.operand)
+        elif isinstance(node, Pow):
+            limit -= 1
+            pending.append(node.base)
+    return limit >= 0
+
+
 # ---------------------------------------------------------------------------
 # smart constructors and differentiation
 

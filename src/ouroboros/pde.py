@@ -36,7 +36,9 @@ tree and no expansion. Its residual, the constant sum(w_k * c_k), is decided
 by the same rule and reported as the decided value, with no samples and no
 finite differences; the alternating-balance criterion is decided by the rule
 too. numpy is imported only by the functions that make arrays, so linear
-forms are checked without loading it.
+forms are checked without loading it, and so is an expression on a small
+cloud (:func:`~ouroboros.core._cloud`), which is drawn, differenced and
+evaluated on Python floats to the bits of the numpy route.
 """
 
 from __future__ import annotations
@@ -47,8 +49,9 @@ from enum import Enum
 from typing import TYPE_CHECKING, Sequence
 
 from .core import RESIDUAL_TOL, SYMBOLIC_ZERO_TOL, LinearForm, OuroborosReport, SampleDomain, check_linear_exact
-from .core import _check_sampled_at, _exact_sum, _require_tolerance
+from .core import _check_sampled_at, _cloud, _exact_sum, _require_tolerance
 from .expr import Const, EvaluationError, Expr, differentiate, dimension, evaluate, evaluate_many, mul, sub
+from .expr import _evaluate_columns, _pow_repeated
 from .expr import add as expr_add
 from .families import arithmetic_mean
 from .poly import Poly, expand, monomial_values
@@ -185,7 +188,7 @@ def _require_dimension(u: Expr | LinearForm, n: int) -> None:
 
 def _residual_reports(
     u: Expr | LinearForm, specs: Sequence[PdeSpec], dom: SampleDomain
-) -> tuple[list[ResidualReport], np.ndarray | None]:
+) -> tuple[list[ResidualReport], np.ndarray | list[list[float]] | None]:
     """check_residual of u against each spec, and the cloud drawn (None for a linear form).
 
     The normal form of u = sum(c_k * x_k) is {e_k: c_k}, whose residual has
@@ -193,7 +196,9 @@ def _residual_reports(
     by :func:`~ouroboros.core._exact_sum` (c_k = 0 past u.n) in time linear in
     n, with no samples, no expansion and no finite differences. An expression
     is sampled once, differenced along every spec's direction in one stacked
-    evaluation, and expanded once.
+    evaluation, and expanded once. A small cloud (:func:`~ouroboros.core._cloud`)
+    is drawn and evaluated on Python floats, a large one with numpy, to the
+    same bits.
     """
     if any(spec.n != dom.n for spec in specs):
         raise ValueError("sample domain and equation dimension disagree")
@@ -201,50 +206,91 @@ def _residual_reports(
     if isinstance(u, LinearForm):
         decided = (_exact_sum((w, u.coeffs[k - 1]) for k, w in spec.terms() if k <= u.n) for spec in specs)
         return [ResidualReport(zero, c, 0.0 if zero else abs(c), math.nan, 0, LINEAR_NOTE) for zero, c in decided], None
-    points = dom.samples()
+    points = _cloud(u, dom)
     fds = _fd_partials(u, points, [spec.direction() for spec in specs], DEFAULT_FD_STEP)
     form = expand(u, dom.n)
-    return [_residual_report(u, form, spec, points, fd) for spec, fd in zip(specs, fds)], points
+    return [_residual_report(u, form, spec, points, fd, dom.count) for spec, fd in zip(specs, fds)], points
 
 
 def _residual_report(
     u: Expr,
     form: Poly | None,
     spec: PdeSpec,
-    points: np.ndarray,
-    fd: np.ndarray,
+    points: np.ndarray | list[list[float]],
+    fd: np.ndarray | list[float],
+    count: int,
 ) -> ResidualReport:
-    """check_residual at ``points`` once u is expanded to ``form`` (None: no normal form) and differenced (``fd``)."""
-    import numpy as np
-
+    """check_residual at the ``count`` ``points`` once u is expanded to ``form`` (None: no normal form) and differenced (``fd``)."""
     symbolic_zero, residual_constant, note, residual = _decide_residual(form, spec)
-    if residual is None:
-        values = evaluate_many(residual_expr(u, spec), points)
-    else:
+    if residual is not None:
         values = _poly_values(residual, points)
+    elif isinstance(points, list):
+        values = _evaluate_columns(residual_expr(u, spec), points)
+    else:
+        values = evaluate_many(residual_expr(u, spec), points)
     return ResidualReport(
         symbolic_zero=symbolic_zero,
         residual_constant=residual_constant,
-        max_abs_residual=float(np.abs(values).max()),
-        max_abs_residual_fd=float(np.abs(fd).max()),
-        samples_used=len(points),
+        max_abs_residual=_max_abs(values),
+        max_abs_residual_fd=_max_abs(fd),
+        samples_used=count,
         note=note,
     )
 
 
-def _poly_values(p: Poly, points: np.ndarray) -> np.ndarray:
-    """p at every point, from monomial tables of at most BLOCK_ROWS rows."""
+def _max_abs(values: np.ndarray | list[float]) -> float:
+    """The largest |v|, nan when any v is nan, as numpy's max reads it."""
+    if not isinstance(values, list):
+        import numpy as np
+
+        return float(np.abs(values).max())
+    if any(v != v for v in values):
+        return math.nan
+    return max(map(abs, values))
+
+
+def _poly_values(p: Poly, points: np.ndarray | list[list[float]]) -> np.ndarray | list[float]:
+    """p at every point: its monomials times their coefficients, summed left to right.
+
+    numpy takes monomial tables of at most BLOCK_ROWS rows. On Python float
+    columns each power x_j^a is taken once, and each monomial multiplies its
+    powers in index order, as :func:`~ouroboros.poly.monomial_values` does,
+    so both give the same bits.
+    """
+    if isinstance(points, list):
+        return _poly_values_columns(p, points)
     import numpy as np
 
+    if not p:
+        return np.zeros(len(points))
     exponents, coeffs = list(p), np.array(list(p.values()))
     with np.errstate(over="ignore", invalid="ignore"):  # as evaluate_many: inf and nan, no warning
         return np.concatenate([
-            monomial_values(points[start:start + BLOCK_ROWS], exponents) @ coeffs
+            np.cumsum(monomial_values(points[start:start + BLOCK_ROWS], exponents) * coeffs, axis=1)[:, -1]
             for start in range(0, len(points), BLOCK_ROWS)
         ])
 
 
-def _fd_partials(u: Expr, points: np.ndarray, directions: list[list[float]], h: float) -> np.ndarray:
+def _poly_values_columns(p: Poly, columns: list[list[float]]) -> list[float]:
+    count = len(columns[0])
+    powers: dict[tuple[int, int], list[float]] = {}
+    total = None
+    for alpha, c in p.items():
+        monomial = None
+        for j, a in enumerate(alpha):
+            if a:
+                if (j, a) not in powers:
+                    powers[j, a] = [_pow_repeated(x, a) for x in columns[j]]
+                power = powers[j, a]
+                monomial = power if monomial is None else [m * x for m, x in zip(monomial, power)]
+        term = [c] * count if monomial is None else [m * c for m in monomial]
+        total = term if total is None else [t + x for t, x in zip(total, term)]
+    return [0.0] * count if total is None else total
+
+
+def _fd_partials(
+    u: Expr, points: np.ndarray | list[list[float]], directions: list[list[float]], h: float
+) -> np.ndarray | list[list[float]]:
     """Central differences of u along each direction w, one row per w.
 
     Row i holds (u(x + s*w) - u(x - s*w)) / (2s) at every point x, the
@@ -254,8 +300,11 @@ def _fd_partials(u: Expr, points: np.ndarray, directions: list[list[float]], h: 
     block of points at all 2*len(directions) shifts stacked, about
     BLOCK_ROWS rows and at most BLOCK_CELLS cells, or one sample's shifts
     where those exceed it. A zero divisor met at a shift is reported with
-    the index of the sample that was shifted.
+    the index of the sample that was shifted. On Python float columns the
+    blocks, shifts and operations are the same, and so are the bits.
     """
+    if isinstance(points, list):
+        return _fd_partials_columns(u, points, directions, h)
     import numpy as np
 
     count, n = points.shape
@@ -264,7 +313,7 @@ def _fd_partials(u: Expr, points: np.ndarray, directions: list[list[float]], h: 
     steps = h / np.where(size > 0, size, 1.0)  # one per direction; a zero w differences to 0 at any step
     shifts = steps * w
     offsets = np.stack([shifts, -shifts], axis=1).reshape(-1, n)  # +s*w, then -s*w, for each w
-    step = max(1, min(BLOCK_ROWS // len(offsets), BLOCK_CELLS // (len(offsets) * n)))
+    step = _samples_per_block(len(offsets), n)
     differences = np.empty((len(w), count))
     for start in range(0, count, step):
         block = points[start:start + step]
@@ -275,6 +324,38 @@ def _fd_partials(u: Expr, points: np.ndarray, directions: list[list[float]], h: 
         with np.errstate(over="ignore", invalid="ignore"):
             differences[:, start:start + len(block)] = (values[:, 0] - values[:, 1]) / (2.0 * steps)
     return differences
+
+
+def _fd_partials_columns(
+    u: Expr, columns: list[list[float]], directions: list[list[float]], h: float
+) -> list[list[float]]:
+    count, n = len(columns[0]), len(columns)
+    steps, offsets = [], []
+    for w in directions:
+        size = max(map(abs, w))
+        steps.append(h / (size if size > 0 else 1.0))
+        shift = [steps[-1] * wk for wk in w]
+        offsets += [shift, [-x for x in shift]]
+    step = _samples_per_block(len(offsets), n)
+    differences: list[list[float]] = [[] for _ in directions]
+    for start in range(0, count, step):
+        block = [column[start:start + step] for column in columns]
+        size = len(block[0])
+        stacked = [[x + shift[j] for shift in offsets for x in block[j]] for j in range(n)]
+        try:
+            values = _evaluate_columns(u, stacked)
+        except EvaluationError as exc:
+            raise EvaluationError(exc.message, start + exc.sample_index % size) from None
+        for i, s in enumerate(steps):
+            up, down = values[2 * i * size:(2 * i + 1) * size], values[(2 * i + 1) * size:(2 * i + 2) * size]
+            two_s = 2.0 * s
+            differences[i] += [(a - b) / two_s for a, b in zip(up, down)]
+    return differences
+
+
+def _samples_per_block(shifts: int, n: int) -> int:
+    """Samples per stacked evaluation of _fd_partials: about BLOCK_ROWS rows, at most BLOCK_CELLS cells, at least one."""
+    return max(1, min(BLOCK_ROWS // shifts, BLOCK_CELLS // (shifts * n)))
 
 
 def _decide_residual(

@@ -486,6 +486,28 @@ class TestNonFiniteResults:
             assert report["max_abs_residual"] is None and report["max_abs_residual_fd"] is None
 
 
+class TestHugeRadius:
+    ARGV = (
+        ["check", "--expr", "x1"],
+        ["pde", "--expr", "x1", "--equation", "II", "--n", "2"],
+        ["explore", "--n", "2", "--degree", "1", "--starts", "1"],
+    )
+
+    @pytest.mark.parametrize("argv", ARGV)
+    def test_a_box_wider_than_the_float_range_is_bad_input(self, capsys, argv):
+        """A radius above half the largest float makes 2r overflow: exit 2 and one line, no envelope."""
+        assert main([*argv, "--radius", "1e308"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: radius must be at most half the largest float, got 1e+308\n"
+
+    @pytest.mark.parametrize("argv, code", zip(ARGV, (0, 1, 0)))
+    def test_the_widest_box_still_runs(self, capsys, argv, code):
+        got, doc = run_main(capsys, [*argv, "--radius", "8.9e307"])
+        assert got == code
+        assert_valid(doc)
+
+
 class TestExpectCommand:
     def test_values_beyond_the_float_range_are_bad_input(self, capsys):
         assert main(["expect", "--values", "1e400", "--probs", "1"]) == 2

@@ -232,6 +232,14 @@ class TestSampleDomain:
         with pytest.raises(ValueError):
             SampleDomain(n=1, radius=1.0, seed=0, count=0)
 
+    def test_a_radius_whose_box_width_overflows_is_refused(self):
+        """uniform(-r, r) needs 2r finite; past half the largest float it is refused as input."""
+        with pytest.raises(ValueError, match="at most half the largest float"):
+            SampleDomain(n=1, radius=1e308, seed=0, count=1)
+        widest = SampleDomain(n=2, radius=8.9e307, seed=0, count=4)
+        assert np.all(np.abs(widest.samples()) <= 8.9e307)
+        assert np.array(widest._columns()).T.tobytes() == widest.samples().tobytes()
+
 
 class TestSampledCheck:
     def test_mean_expression_holds(self):

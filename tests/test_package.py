@@ -24,19 +24,28 @@ EXACT_COMMANDS = (
     (["version"], 0),
 )
 
-# the same commands, then the scalar and exact API, each followed by `after()`
+# (argv, exit code) of sampled commands whose clouds are small enough for Python floats
+SMALL_CLOUD_COMMANDS = (
+    (["check", "--expr", "(x1 + x2)/2", "--samples", "64", "--seed", "3"], 0),
+    (["pde", "--expr", "x1^2", "--equation", "II", "--n", "2"], 1),
+    (["pde", "--expr", "(x1+x2)/2", "--equation", "system", "--n", "2"], 0),
+    (["check", "--expr", "1/(x1-x1)"], 2),  # verdict error: u has no value at a sample
+)
+
+# the same commands, then the scalar, exact and small-cloud API, each followed by `after()`
 EXACT_WORK = f"""
 import contextlib, io
 import ouroboros
 from ouroboros.cli import main
 after('import')
-for argv, code in {EXACT_COMMANDS!r}:
-    with contextlib.redirect_stdout(io.StringIO()):
+for argv, code in {EXACT_COMMANDS + SMALL_CLOUD_COMMANDS!r}:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         assert main(argv) == code, argv
     after(argv)
 from ouroboros import (
     DiscreteRandomVariable, LinearForm, PdeKind, PdeSpec, SampleDomain, check_expectation_ouroboros,
-    check_linear_exact, check_residual, differentiate, evaluate, parse, to_string, verify_mean_system,
+    check_linear_exact, check_residual, check_sampled, check_system, differentiate, evaluate, parse,
+    to_string, verify_mean_system,
 )
 e = parse('x1^0 + 3*x2^2/(x1 - 4) - -x1')
 assert to_string(parse(to_string(e))) == to_string(e)
@@ -51,6 +60,10 @@ head = check_residual(
     SampleDomain(n=3, radius=2.0, seed=0, count=200),
 )
 assert head.symbolic_zero and head.samples_used == 0
+cloud = SampleDomain(n=2, radius=2.0, seed=5, count=200)
+assert check_sampled(parse('(x1 + x2)/2'), cloud).holds
+assert check_system(parse('(x1 + x2)/2'), 2, cloud).all_hold
+assert not check_residual(parse('x1^2'), PdeSpec(PdeKind.EQ_II, n=2), cloud).passes()
 after('api')
 """
 
@@ -65,7 +78,7 @@ def run_python(script: str) -> subprocess.CompletedProcess:
 
 
 def test_exact_work_runs_with_numpy_unimportable():
-    """With every numpy import failing, the exact commands and the scalar API still answer."""
+    """With every numpy import failing, the exact and small-cloud commands and the scalar API still answer."""
     script = "import sys\nsys.modules['numpy'] = None\ndef after(step): pass\n" + EXACT_WORK
     proc = run_python(script)
     assert proc.returncode == 0, proc.stderr
@@ -76,6 +89,19 @@ def test_exact_work_never_loads_numpy():
         "import sys\n"
         "def after(step):\n"
         "    assert 'numpy' not in sys.modules, step\n" + EXACT_WORK
+    )
+    proc = run_python(script)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_a_large_cloud_still_loads_numpy():
+    """Past the work bound the cloud is drawn and checked with numpy."""
+    script = (
+        "import contextlib, io, sys\n"
+        "from ouroboros.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert main(['check', '--expr', 'x1', '--samples', '100000']) == 0\n"
+        "assert 'numpy' in sys.modules\n"
     )
     proc = run_python(script)
     assert proc.returncode == 0, proc.stderr

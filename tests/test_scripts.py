@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -36,3 +38,21 @@ def test_uniqueness_probe_runs_a_small_grid():
     assert rows[(4, 2)][2] == "3"
     assert rows[(4, 1)][2] == "1"
     assert rows[(2, 2)][2] == "0"
+
+
+def test_time_cli_times_every_determinism_command():
+    """One round: a line per command with its median, exit code and whether it loaded numpy."""
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "time_cli.py"), "--repeats", "1"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    header, *rows, total = proc.stdout.splitlines()
+    assert header.split()[:3] == ["median_s", "exit", "numpy"]
+    assert len(rows) == 8
+    # check and pde, by --coeffs and by --expr, expect and version start without numpy; explore loads it
+    assert [row.split()[4] for row in rows] == ["check", "check", "pde", "pde", "pde", "expect", "explore", "version"]
+    assert [row.split()[2] for row in rows] == ["no"] * 6 + ["yes", "no"]
+    assert [row.split()[1] for row in rows] == ["0", "0", "0", "1", "0", "0", "0", "0"]
+    assert float(total.split()[0]) == pytest.approx(sum(float(row.split()[0]) for row in rows), abs=0.01)
