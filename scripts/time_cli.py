@@ -31,7 +31,7 @@ def run(argv: list[str], env: dict, flags: tuple[str, ...] = ()) -> subprocess.C
                           env=env, cwd=ROOT, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
 
 
-def loads_numpy(argv: list[str], env: dict) -> tuple[bool, int]:
+def import_probe(argv: list[str], env: dict) -> tuple[bool, int]:
     """Whether the command imports numpy, and its exit code."""
     proc = run(argv, env, ("-X", "importtime"))
     modules = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines() if line.startswith("import time:")}
@@ -47,7 +47,7 @@ def main() -> int:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     names = list(DETERMINISM_COMMANDS)
-    probes = {name: loads_numpy(DETERMINISM_COMMANDS[name], env) for name in names}
+    probes = {name: import_probe(DETERMINISM_COMMANDS[name], env) for name in names}
     times: dict[str, list[float]] = {name: [] for name in names}
     for round_index in range(args.repeats):
         for name in names if round_index % 2 == 0 else reversed(names):
