@@ -446,7 +446,12 @@ def evaluate_many(e: Expr, points: np.ndarray) -> np.ndarray:
 
 
 def _eval_array(e: Expr, pts: np.ndarray, np) -> np.ndarray:
-    """``e`` at each row of ``pts``; ``np`` is the numpy module, bound once by the caller."""
+    """``e`` at each row of ``pts``; ``np`` is the numpy module, bound once by the caller.
+
+    :func:`_evaluate_columns` repeats this walk on Python floats: a change to
+    the order or the operations here must be made there too, or the two
+    routes stop giving the same bits.
+    """
     if isinstance(e, Const):
         return np.full(pts.shape[0], e.value)
     if isinstance(e, Var):
