@@ -41,10 +41,11 @@ Start-up, not the check, sets a command's wall time: the checks take
 2-6 ms. Each handler imports what it needs. Only ``explore`` and a sampled
 check whose cloud is past ``core.SMALL_CLOUD_CELLS`` import numpy: up to
 that bound, samples times (n plus the nodes of u), ``check --expr`` and
-``pde --expr`` draw and check their cloud on Python floats, to the bits
-numpy gives. At the default 200 samples that covers every u of up to about
-100 nodes. ``check`` and ``pde`` by ``--coeffs`` or ``--expr``, ``expect``
-and ``version`` take about 0.12-0.15 s in a fresh process and ``explore``
+``pde --expr`` draw their cloud as Python float lists, and the walk that
+checks numpy arrays checks those, to the same bits. At the default 200
+samples that covers every u of up to about 100 nodes. ``check`` and ``pde``
+by ``--coeffs`` or ``--expr``, ``expect`` and ``version`` take about
+0.12-0.15 s in a fresh process and ``explore``
 about 0.26 s (medians of 3 runs of ``scripts/time_cli.py``, 9 alternating
 rounds each, 2-CPU VM, Python 3.11.7, numpy 2.4.6). These numbers are taken with
 ``__pycache__`` present: without written bytecode

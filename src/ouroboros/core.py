@@ -7,21 +7,23 @@ sum to 1 (or are all zero), which is what :func:`check_linear_exact` tests.
 :func:`check_sampled` probes arbitrary expressions numerically on a seeded
 sample cloud. The exact route runs without numpy, and so does a small cloud:
 while count * (n + nodes of f) <= SMALL_CLOUD_CELLS the cloud is drawn by a
-pure-Python Philox and checked on Python floats, to the bits numpy gives
-(:func:`_cloud`). Only a larger cloud imports numpy, on first use.
+pure-Python Philox as Python float lists, past it by numpy as arrays
+(:func:`_cloud`), and one body checks either container to the same bits.
+Only a larger cloud imports numpy, on first use.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import operator
 import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING, Sequence
 
-from .expr import Add, Const, EvaluationError, Expr, Var, dimension, evaluate, evaluate_many, mul
-from .expr import _evaluate_columns, _size_at_most
+from .expr import Add, Const, EvaluationError, Expr, Var, dimension, evaluate, mul
+from .expr import _argmax, _errstate, _evaluate_columns, _first, _map, _max, _size_at_most
 
 __all__ = [
     "LinearForm",
@@ -45,9 +47,10 @@ RESIDUAL_TOL = 1e-9
 # SYMBOLIC_ZERO_TOL and the smallest normal float as integer ratios, for _exact_sum
 _TOL_N, _TOL_D = SYMBOLIC_ZERO_TOL.as_integer_ratio()
 _MIN_N, _MIN_D = sys.float_info.min.as_integer_ratio()
-# samples times (n + nodes of u) up to which a cloud is drawn and checked on
-# Python floats (see _cloud): at the bound one check takes 4-46 ms that way,
-# less than importing numpy costs a fresh process, about 0.1 s (2-CPU VM)
+# samples times (n + nodes of u) up to which a cloud is drawn as Python float
+# lists (see _cloud): at the bound one check_system takes 11-35 ms on them
+# (0.7-3.0 ms on arrays), less than importing numpy costs a fresh process,
+# 0.10-0.13 s (scripts/time_routes.py, three runs, 2-CPU VM)
 SMALL_CLOUD_CELLS = 20_000
 # Philox4x64-10's multipliers and key increments (Salmon et al., SC 2011)
 _PHILOX_M0, _PHILOX_M1 = 0xD2E7470EE14C6C93, 0xCA5A826395121157
@@ -159,16 +162,17 @@ def _philox_uniform(seed: int, count: int, low: float, high: float) -> list[floa
     return [low + scale * ((x >> 11) * unit) for x in words[:count]]
 
 
-def _cloud(u: Expr, dom: SampleDomain) -> np.ndarray | list[list[float]]:
-    """dom's points for checking u: Python float columns (``dom._columns()``) while
-    count * (n + nodes of u) <= SMALL_CLOUD_CELLS, else ``dom.samples()``.
+def _cloud(u: Expr, dom: SampleDomain) -> list:
+    """dom's points for checking u, one column per coordinate: Python float
+    lists (``dom._columns()``) while count * (n + nodes of u) <= SMALL_CLOUD_CELLS,
+    else the contiguous rows of ``dom.samples().T``.
 
-    Counting stops at the bound, so a large u is sent to numpy in time
-    independent of its size.
+    The checks walk either container with the same code. Counting stops at
+    the bound, so a large u is sent to numpy in time independent of its size.
     """
     if _size_at_most(u, SMALL_CLOUD_CELLS // dom.count - dom.n):
         return dom._columns()
-    return dom.samples()
+    return list(dom.samples().T.copy())
 
 
 @dataclass(frozen=True)
@@ -271,48 +275,8 @@ def check_sampled(f: Expr, dom: SampleDomain, tol: float = SAMPLED_TOL) -> Ourob
     return _check_sampled_at(f, dom, _cloud(f, dom), tol)
 
 
-def _check_sampled_at(
-    f: Expr, dom: SampleDomain, points: np.ndarray | list[list[float]], tol: float = SAMPLED_TOL
-) -> OuroborosReport:
-    """check_sampled on ``points``, the cloud that ``dom`` draws (see _cloud); the caller has checked ``tol`` and f's dimension."""
-    if isinstance(points, list):
-        return _check_sampled_columns(f, dom, points, tol)
-    import numpy as np
-
-    try:
-        y = evaluate_many(f, points)
-        diagonal = np.broadcast_to(y[:, None], (dom.count, dom.n))  # a view, no copy
-        fy = evaluate_many(f, diagonal)
-    except EvaluationError as exc:
-        used = exc.sample_index + 1 if exc.sample_index is not None else 0
-        return OuroborosReport(Verdict.ERROR, math.nan, None, used, error=str(exc))
-
-    finite = np.isfinite(y) & np.isfinite(fy)
-    if not finite.all():
-        bad = int(np.flatnonzero(~finite)[0])
-        return OuroborosReport(
-            Verdict.ERROR, math.nan, None, bad + 1,
-            error=f"non-finite value (sample {bad})",
-        )
-
-    deviations = np.abs(fy - y)
-    normalised = deviations / (1.0 + np.abs(y))
-    max_deviation = float(deviations.max())
-    range_contained = bool((np.abs(y) <= dom.radius).all())
-    if (deviations > tol * (1.0 + np.abs(y))).any():
-        worst = int(np.argmax(normalised))
-        return OuroborosReport(
-            Verdict.FAILS, max_deviation, tuple(points[worst]), dom.count,
-            range_contained=range_contained,
-        )
-    return OuroborosReport(
-        Verdict.HOLDS_SAMPLED, max_deviation, None, dom.count,
-        range_contained=range_contained,
-    )
-
-
-def _check_sampled_columns(f: Expr, dom: SampleDomain, columns: list[list[float]], tol: float) -> OuroborosReport:
-    """_check_sampled_at on Python float columns, with the numpy route's operations, in its order."""
+def _check_sampled_at(f: Expr, dom: SampleDomain, columns: list, tol: float = SAMPLED_TOL) -> OuroborosReport:
+    """check_sampled on ``columns``, the cloud that ``dom`` draws (see _cloud); the caller has checked ``tol`` and f's dimension."""
     try:
         y = _evaluate_columns(f, columns)
         fy = _evaluate_columns(f, [y] * dom.n)
@@ -320,22 +284,23 @@ def _check_sampled_columns(f: Expr, dom: SampleDomain, columns: list[list[float]
         used = exc.sample_index + 1 if exc.sample_index is not None else 0
         return OuroborosReport(Verdict.ERROR, math.nan, None, used, error=str(exc))
 
-    for bad, (a, b) in enumerate(zip(y, fy)):
-        if not (math.isfinite(a) and math.isfinite(b)):
-            return OuroborosReport(
-                Verdict.ERROR, math.nan, None, bad + 1,
-                error=f"non-finite value (sample {bad})",
-            )
-
-    scales = [1.0 + abs(a) for a in y]
-    deviations = [abs(b - a) for a, b in zip(y, fy)]
-    max_deviation = max(deviations)
-    range_contained = all(abs(a) <= dom.radius for a in y)
-    if any(d > tol * s for d, s in zip(deviations, scales)):
-        normalised = [d / s for d, s in zip(deviations, scales)]
-        worst = max(range(dom.count), key=normalised.__getitem__)  # the first maximum, as argmax
+    with _errstate(columns[0]):
+        # x * 0.0 is a zero for a finite x and nan for inf or nan
+        bad = _first(_map(lambda a, b: a * 0.0 + b * 0.0 != 0.0, y, fy))
+        deviations = _map(lambda a, b: abs(b - a), y, fy)
+        scales = _map(lambda a: 1.0 + abs(a), y)
+    if bad is not None:
         return OuroborosReport(
-            Verdict.FAILS, max_deviation, tuple(column[worst] for column in columns), dom.count,
+            Verdict.ERROR, math.nan, None, bad + 1,
+            error=f"non-finite value (sample {bad})",
+        )
+
+    max_deviation = _max(deviations)
+    range_contained = _first(_map(lambda a: abs(a) > dom.radius, y)) is None
+    if _first(_map(lambda d, s: d > tol * s, deviations, scales)) is not None:
+        worst = _argmax(_map(operator.truediv, deviations, scales))
+        return OuroborosReport(
+            Verdict.FAILS, max_deviation, tuple(float(column[worst]) for column in columns), dom.count,
             range_contained=range_contained,
         )
     return OuroborosReport(

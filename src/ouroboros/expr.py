@@ -28,6 +28,11 @@ Each ``(`` and each unary minus opens a level of nesting; :func:`parse`
 refuses more than ``MAX_DEPTH`` levels, which bounds the recursion of every
 walker below on what it parses.
 
+Evaluation is one walk over columns, one per variable: Python float lists,
+numpy arrays, or a float standing for every sample. :func:`evaluate`,
+:func:`evaluate_many` and the sampled checks all take it, and only a few
+leaf helpers tell the containers apart.
+
 Simplification is deliberately conservative: the smart constructors below
 fold constant subtrees and eliminate additive zeros and multiplicative
 zeros/ones, nothing else.
@@ -36,8 +41,11 @@ zeros/ones, nothing else.
 from __future__ import annotations
 
 import math
+import operator
 import re
+from contextlib import nullcontext
 from dataclasses import dataclass
+from itertools import repeat
 from typing import TYPE_CHECKING, Sequence, Union
 
 if TYPE_CHECKING:
@@ -380,41 +388,24 @@ def dimension(e: Expr) -> int:
 
 
 def evaluate(e: Expr, point: Sequence[float]) -> float:
-    """Evaluate at a point (a sequence at least ``dimension(e)`` long)."""
-    if isinstance(e, Const):
-        return e.value
-    if isinstance(e, Var):
-        if e.index > len(point):
-            raise ValueError(f"point of length {len(point)} is too short for x{e.index}")
-        return float(point[e.index - 1])
-    if isinstance(e, Add):
-        total = evaluate(e.terms[0][1], point)
-        for sign, term in e.terms[1:]:
-            value = evaluate(term, point)
-            total = total + value if sign > 0 else total - value
-        return total
-    if isinstance(e, Mul):
-        product = evaluate(e.factors[0][1], point)
-        for sign, factor in e.factors[1:]:
-            value = evaluate(factor, point)
-            if sign < 0 and value == 0.0:
-                raise EvaluationError("division by zero")
-            product = product * value if sign > 0 else product / value
-        return product
-    if isinstance(e, Neg):
-        return -evaluate(e.operand, point)
-    if isinstance(e, Pow):
-        return _pow_repeated(evaluate(e.base, point), e.exponent)
-    raise TypeError(f"not an expression node: {e!r}")
+    """Evaluate at a point (a sequence at least ``dimension(e)`` long).
+
+    The walk of :func:`evaluate_many`, with one float per variable.
+    """
+    try:
+        return _evaluate_columns(e, [float(x) for x in point])
+    except EvaluationError as exc:
+        raise EvaluationError(exc.message) from None
 
 
 def _pow_repeated(base, exponent: int):
     """Binary exponentiation over * only.
 
-    Works on floats and arrays alike and keeps the two evaluation paths
-    bitwise consistent; overflow follows IEEE multiplication (inf, no raise).
-    The zero power is 1 everywhere, inf and nan included: 1.0 for a float,
-    an array of ones (``**`` makes one) for an array.
+    Works on a float and on an array alike, so a float column and an array
+    take their powers with the same operations; overflow follows IEEE
+    multiplication (inf, no raise). The zero power is 1 everywhere, inf and
+    nan included: 1.0 for a float, an array of ones (``**`` makes one) for
+    an array.
     """
     result = None
     b = base
@@ -433,95 +424,130 @@ def _pow_repeated(base, exponent: int):
 def evaluate_many(e: Expr, points: np.ndarray) -> np.ndarray:
     """Evaluate at each row of an (N, m) array; returns a length-N array.
 
-    Semantics match :func:`evaluate` per row: a zero divisor raises
-    :class:`EvaluationError` carrying the first offending row index.
+    The walk of :func:`evaluate`, on the array's columns. Semantics match it
+    per row: a zero divisor raises :class:`EvaluationError` carrying the
+    first offending row index.
     """
     import numpy as np  # here, so that the scalar and exact paths never load it
 
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2:
         raise ValueError("points must be a 2-d array, one point per row")
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _eval_array(e, pts, np)
+    return _column(_evaluate_columns(e, list(pts.T.copy())), pts)
 
 
-def _eval_array(e: Expr, pts: np.ndarray, np) -> np.ndarray:
-    """``e`` at each row of ``pts``; ``np`` is the numpy module, bound once by the caller.
+def _evaluate_columns(e: Expr, columns: list) -> list[float] | np.ndarray | float:
+    """``e`` at every sample; ``columns[j]`` holds x_{j+1}.
 
-    :func:`_evaluate_columns` repeats this walk on Python floats: a change to
-    the order or the operations here must be made there too, or the two
-    routes stop giving the same bits.
+    Python floats and float64 arrays round each operation alike, so every
+    container gives the same bits, inf and nan included, and the same
+    sample index for a zero divisor; a tree that reads no column gives a
+    float. No column passed in is written: a sum or product makes a new
+    column from its first two entries and accumulates the rest into it in
+    place.
     """
+    with _errstate(columns[0] if columns else 0.0):
+        return _walk(e, columns)
+
+
+def _walk(e: Expr, columns: list):
     if isinstance(e, Const):
-        return np.full(pts.shape[0], e.value)
-    if isinstance(e, Var):
-        if e.index > pts.shape[1]:
-            raise ValueError(f"points of width {pts.shape[1]} are too short for x{e.index}")
-        return pts[:, e.index - 1]
-    if isinstance(e, Add):
-        total = _eval_array(e.terms[0][1], pts, np)
-        for sign, term in e.terms[1:]:
-            value = _eval_array(term, pts, np)
-            total = (np.add if sign > 0 else np.subtract)(total, value, out=_spare(total, value))
-        return total
-    if isinstance(e, Mul):
-        product = _eval_array(e.factors[0][1], pts, np)
-        for sign, factor in e.factors[1:]:
-            value = _eval_array(factor, pts, np)
-            if sign < 0 and (value == 0.0).any():
-                raise EvaluationError("division by zero", sample_index=int(np.flatnonzero(value == 0.0)[0]))
-            product = (np.multiply if sign > 0 else np.divide)(product, value, out=_spare(product, value))
-        return product
-    if isinstance(e, Neg):
-        return -_eval_array(e.operand, pts, np)
-    if isinstance(e, Pow):
-        return _pow_repeated(_eval_array(e.base, pts, np), e.exponent)
-    raise TypeError(f"not an expression node: {e!r}")
-
-
-def _spare(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
-    """An operand the result may overwrite: one that is no view of the points."""
-    return a if a.base is None else b if b.base is None else None
-
-
-def _evaluate_columns(e: Expr, columns: list[list[float]]) -> list[float]:
-    """evaluate_many on Python floats; ``columns[j]`` holds x_{j+1} at every point.
-
-    Node by node in _eval_array's order and with its operations, so the
-    values, inf and nan included, and the sample index of a zero divisor are
-    those evaluate_many gives on the same points. No list passed in is changed.
-    """
-    if isinstance(e, Const):
-        return [e.value] * len(columns[0])
+        return e.value
     if isinstance(e, Var):
         if e.index > len(columns):
-            raise ValueError(f"points of width {len(columns)} are too short for x{e.index}")
+            raise ValueError(f"point of length {len(columns)} is too short for x{e.index}")
         return columns[e.index - 1]
     if isinstance(e, Add):
-        total = _evaluate_columns(e.terms[0][1], columns)
+        total = _walk(e.terms[0][1], columns)
+        ops = operator.add, operator.sub
         for sign, term in e.terms[1:]:
-            value = _evaluate_columns(term, columns)
-            if sign > 0:
-                total = [a + b for a, b in zip(total, value)]
-            else:
-                total = [a - b for a, b in zip(total, value)]
+            total = _map(ops[sign < 0], total, _walk(term, columns))
+            ops = operator.iadd, operator.isub
         return total
     if isinstance(e, Mul):
-        product = _evaluate_columns(e.factors[0][1], columns)
+        product = _walk(e.factors[0][1], columns)
+        ops = operator.mul, operator.truediv
         for sign, factor in e.factors[1:]:
-            value = _evaluate_columns(factor, columns)
-            if sign > 0:
-                product = [a * b for a, b in zip(product, value)]
-                continue
-            if 0.0 in value:  # -0.0 too, as value == 0.0
-                raise EvaluationError("division by zero", sample_index=value.index(0.0))
-            product = [a / b for a, b in zip(product, value)]
+            value = _walk(factor, columns)
+            if sign < 0:
+                bad = _first(_map(operator.eq, value, 0.0))  # -0.0 too
+                if bad is not None:
+                    raise EvaluationError("division by zero", sample_index=bad)
+            product = _map(ops[sign < 0], product, value)
+            ops = operator.imul, operator.itruediv
         return product
     if isinstance(e, Neg):
-        return [-a for a in _evaluate_columns(e.operand, columns)]
+        return _map(operator.neg, _walk(e.operand, columns))
     if isinstance(e, Pow):
-        return [_pow_repeated(a, e.exponent) for a in _evaluate_columns(e.base, columns)]
+        return _map(lambda b: _pow_repeated(b, e.exponent), _walk(e.base, columns))
     raise TypeError(f"not an expression node: {e!r}")
+
+
+# The leaf helpers: a column is a list of Python floats, a numpy array, or a
+# float standing for its value at every sample. Each helper gives numpy's
+# answer on every container; numpy is imported only for an array.
+
+def _map(op, *args):
+    """``op`` at every sample; numpy arrays and floats take it whole, as they broadcast alike."""
+    if list not in map(type, args):
+        return op(*args)
+    return list(map(op, *[a if type(a) is list else repeat(a) for a in args]))
+
+
+def _first(mask) -> int | None:
+    """The first sample at which ``mask`` is true, or None."""
+    if isinstance(mask, list):
+        return mask.index(True) if True in mask else None
+    if isinstance(mask, bool):
+        return 0 if mask else None
+    return int(mask.argmax()) if mask.any() else None
+
+
+def _max(column) -> float:
+    """The largest value, nan when any value is nan, as numpy's max reads it."""
+    if isinstance(column, float):
+        return column
+    if isinstance(column, list):
+        return math.nan if any(v != v for v in column) else max(column)
+    return float(column.max())
+
+
+def _argmax(column) -> int:
+    """The first sample of the largest value of a column without nan, as numpy's argmax."""
+    if isinstance(column, list):
+        return max(range(len(column)), key=column.__getitem__)
+    return int(column.argmax())
+
+
+def _concat(parts: list):
+    """The columns ``parts`` one after the other."""
+    if len(parts) == 1:
+        return parts[0]
+    if isinstance(parts[0], list):
+        return [x for part in parts for x in part]
+    import numpy as np
+
+    return np.concatenate(parts)
+
+
+def _column(values, like):
+    """``values`` as a column of the container and length of ``like``: a float is repeated."""
+    if not isinstance(values, float):
+        return values
+    if isinstance(like, list):
+        return [values] * len(like)
+    import numpy as np
+
+    return np.full(len(like), values)
+
+
+def _errstate(column):
+    """numpy's errstate that lets an array's overflow and nan pass silently; nothing for Python floats."""
+    if isinstance(column, (list, float)):
+        return nullcontext()
+    import numpy as np
+
+    return np.errstate(over="ignore", invalid="ignore")
 
 
 def _size_at_most(e: Expr, limit: int) -> bool:

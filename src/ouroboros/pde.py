@@ -37,24 +37,25 @@ by the same rule and reported as the decided value, with no samples and no
 finite differences; the alternating-balance criterion is decided by the rule
 too. numpy is imported only by the functions that make arrays, so linear
 forms are checked without loading it, and so is an expression on a small
-cloud (:func:`~ouroboros.core._cloud`), which is drawn, differenced and
-evaluated on Python floats to the bits of the numpy route.
+cloud (:func:`~ouroboros.core._cloud`): it is drawn as Python float lists,
+and one body differences and evaluates either container to the same bits.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING, Sequence
 
 from .core import RESIDUAL_TOL, SYMBOLIC_ZERO_TOL, LinearForm, OuroborosReport, SampleDomain, check_linear_exact
 from .core import _check_sampled_at, _cloud, _exact_sum, _require_tolerance
-from .expr import Const, EvaluationError, Expr, differentiate, dimension, evaluate, evaluate_many, mul, sub
-from .expr import _evaluate_columns, _pow_repeated
+from .expr import Const, EvaluationError, Expr, differentiate, dimension, evaluate, mul, sub
+from .expr import _column, _concat, _errstate, _evaluate_columns, _map, _max, _pow_repeated
 from .expr import add as expr_add
 from .families import arithmetic_mean
-from .poly import Poly, expand, monomial_values
+from .poly import Poly, expand
 
 __all__ = [
     "AlternatingBalanceReport",
@@ -75,9 +76,8 @@ if TYPE_CHECKING:
     import numpy as np
 
 DEFAULT_FD_STEP = 1e-5
-# rows per evaluate_many call in _fd_partials and per monomial table in
-# _poly_values; at 1e5 points, 16384 beat 1024, 4096 and the whole stacked
-# cloud (2-CPU VM)
+# rows per stacked evaluation in _fd_partials; at 1e5 points, 16384 beat
+# 1024, 4096 and the whole stacked cloud (2-CPU VM)
 BLOCK_ROWS = 16384
 # cells (rows times n) per stacked block in _fd_partials: BLOCK_ROWS rows
 # up to n = 8, fewer beyond, and always at least one sample's shifts
@@ -188,7 +188,7 @@ def _require_dimension(u: Expr | LinearForm, n: int) -> None:
 
 def _residual_reports(
     u: Expr | LinearForm, specs: Sequence[PdeSpec], dom: SampleDomain
-) -> tuple[list[ResidualReport], np.ndarray | list[list[float]] | None]:
+) -> tuple[list[ResidualReport], list | None]:
     """check_residual of u against each spec, and the cloud drawn (None for a linear form).
 
     The normal form of u = sum(c_k * x_k) is {e_k: c_k}, whose residual has
@@ -196,9 +196,8 @@ def _residual_reports(
     by :func:`~ouroboros.core._exact_sum` (c_k = 0 past u.n) in time linear in
     n, with no samples, no expansion and no finite differences. An expression
     is sampled once, differenced along every spec's direction in one stacked
-    evaluation, and expanded once. A small cloud (:func:`~ouroboros.core._cloud`)
-    is drawn and evaluated on Python floats, a large one with numpy, to the
-    same bits.
+    evaluation, and expanded once. The cloud (:func:`~ouroboros.core._cloud`)
+    is a list of columns, Python float lists or numpy arrays.
     """
     if any(spec.n != dom.n for spec in specs):
         raise ValueError("sample domain and equation dimension disagree")
@@ -216,7 +215,7 @@ def _residual_report(
     u: Expr,
     form: Poly | None,
     spec: PdeSpec,
-    points: np.ndarray | list[list[float]],
+    points: list,
     fd: np.ndarray | list[float],
     count: int,
 ) -> ResidualReport:
@@ -224,10 +223,8 @@ def _residual_report(
     symbolic_zero, residual_constant, note, residual = _decide_residual(form, spec)
     if residual is not None:
         values = _poly_values(residual, points)
-    elif isinstance(points, list):
-        values = _evaluate_columns(residual_expr(u, spec), points)
     else:
-        values = evaluate_many(residual_expr(u, spec), points)
+        values = _evaluate_columns(residual_expr(u, spec), points)
     return ResidualReport(
         symbolic_zero=symbolic_zero,
         residual_constant=residual_constant,
@@ -238,119 +235,68 @@ def _residual_report(
     )
 
 
-def _max_abs(values: np.ndarray | list[float]) -> float:
+def _max_abs(values) -> float:
     """The largest |v|, nan when any v is nan, as numpy's max reads it."""
-    if not isinstance(values, list):
-        import numpy as np
-
-        return float(np.abs(values).max())
-    if any(v != v for v in values):
-        return math.nan
-    return max(map(abs, values))
+    return _max(_map(abs, values))
 
 
-def _poly_values(p: Poly, points: np.ndarray | list[list[float]]) -> np.ndarray | list[float]:
-    """p at every point: its monomials times their coefficients, summed left to right.
+def _poly_values(p: Poly, columns: list):
+    """p at every sample: its monomials times their coefficients, summed left to right.
 
-    numpy takes monomial tables of at most BLOCK_ROWS rows. On Python float
-    columns each power x_j^a is taken once, and each monomial multiplies its
-    powers in index order, as :func:`~ouroboros.poly.monomial_values` does,
-    so both give the same bits.
+    Each power x_j^a is taken once, and each monomial multiplies its powers
+    in index order, as :func:`~ouroboros.poly.monomial_values` does, so the
+    sum has the bits of its table times the coefficients, cumulatively summed.
     """
-    if isinstance(points, list):
-        return _poly_values_columns(p, points)
-    import numpy as np
-
-    if not p:
-        return np.zeros(len(points))
-    exponents, coeffs = list(p), np.array(list(p.values()))
-    with np.errstate(over="ignore", invalid="ignore"):  # as evaluate_many: inf and nan, no warning
-        return np.concatenate([
-            np.cumsum(monomial_values(points[start:start + BLOCK_ROWS], exponents) * coeffs, axis=1)[:, -1]
-            for start in range(0, len(points), BLOCK_ROWS)
-        ])
-
-
-def _poly_values_columns(p: Poly, columns: list[list[float]]) -> list[float]:
-    count = len(columns[0])
-    powers: dict[tuple[int, int], list[float]] = {}
+    powers: dict[tuple[int, int], list[float] | np.ndarray] = {}
     total = None
-    for alpha, c in p.items():
-        monomial = None
-        for j, a in enumerate(alpha):
-            if a:
-                if (j, a) not in powers:
-                    powers[j, a] = [_pow_repeated(x, a) for x in columns[j]]
-                power = powers[j, a]
-                monomial = power if monomial is None else [m * x for m, x in zip(monomial, power)]
-        term = [c] * count if monomial is None else [m * c for m in monomial]
-        total = term if total is None else [t + x for t, x in zip(total, term)]
-    return [0.0] * count if total is None else total
+    with _errstate(columns[0]):
+        for alpha, c in p.items():
+            monomial = None
+            for j, a in enumerate(alpha):
+                if a:
+                    if (j, a) not in powers:
+                        powers[j, a] = _map(lambda x: _pow_repeated(x, a), columns[j])
+                    monomial = powers[j, a] if monomial is None else _map(operator.mul, monomial, powers[j, a])
+            term = c if monomial is None else _map(operator.mul, monomial, c)
+            total = term if total is None else _map(operator.iadd, total, term)  # total is a new column
+    return 0.0 if total is None else total
 
 
-def _fd_partials(
-    u: Expr, points: np.ndarray | list[list[float]], directions: list[list[float]], h: float
-) -> np.ndarray | list[list[float]]:
-    """Central differences of u along each direction w, one row per w.
+def _fd_partials(u: Expr, columns: list, directions: list[list[float]], h: float) -> list:
+    """Central differences of u along each direction w, one column per w.
 
-    Row i holds (u(x + s*w) - u(x - s*w)) / (2s) at every point x, the
+    Column i holds (u(x + s*w) - u(x - s*w)) / (2s) at every point x, the
     derivative of u along w = directions[i], with the step s = h / max|w_k|:
     each shift moves no coordinate by more than h, so the truncation error
-    does not grow with |w|. Each evaluate_many call takes a
-    block of points at all 2*len(directions) shifts stacked, about
-    BLOCK_ROWS rows and at most BLOCK_CELLS cells, or one sample's shifts
-    where those exceed it. A zero divisor met at a shift is reported with
-    the index of the sample that was shifted. On Python float columns the
-    blocks, shifts and operations are the same, and so are the bits.
+    does not grow with |w|. Each evaluation takes a block of points at all
+    2*len(directions) shifts stacked, about BLOCK_ROWS rows and at most
+    BLOCK_CELLS cells, or one sample's shifts where those exceed it. A zero
+    divisor met at a shift is reported with the index of the sample that
+    was shifted. The columns of the points are never written.
     """
-    if isinstance(points, list):
-        return _fd_partials_columns(u, points, directions, h)
-    import numpy as np
-
-    count, n = points.shape
-    w = np.asarray(directions, dtype=float)
-    size = np.abs(w).max(axis=1, keepdims=True)
-    steps = h / np.where(size > 0, size, 1.0)  # one per direction; a zero w differences to 0 at any step
-    shifts = steps * w
-    offsets = np.stack([shifts, -shifts], axis=1).reshape(-1, n)  # +s*w, then -s*w, for each w
-    step = _samples_per_block(len(offsets), n)
-    differences = np.empty((len(w), count))
-    for start in range(0, count, step):
-        block = points[start:start + step]
-        try:
-            values = evaluate_many(u, (block + offsets[:, None]).reshape(-1, n)).reshape(len(w), 2, len(block))
-        except EvaluationError as exc:
-            raise EvaluationError(exc.message, start + exc.sample_index % len(block)) from None
-        with np.errstate(over="ignore", invalid="ignore"):
-            differences[:, start:start + len(block)] = (values[:, 0] - values[:, 1]) / (2.0 * steps)
-    return differences
-
-
-def _fd_partials_columns(
-    u: Expr, columns: list[list[float]], directions: list[list[float]], h: float
-) -> list[list[float]]:
     count, n = len(columns[0]), len(columns)
     steps, offsets = [], []
     for w in directions:
         size = max(map(abs, w))
-        steps.append(h / (size if size > 0 else 1.0))
+        steps.append(h / (size if size > 0 else 1.0))  # a zero w differences to 0 at any step
         shift = [steps[-1] * wk for wk in w]
-        offsets += [shift, [-x for x in shift]]
+        offsets += [shift, [-x for x in shift]]  # +s*w, then -s*w, for each w
     step = _samples_per_block(len(offsets), n)
-    differences: list[list[float]] = [[] for _ in directions]
-    for start in range(0, count, step):
-        block = [column[start:start + step] for column in columns]
-        size = len(block[0])
-        stacked = [[x + shift[j] for shift in offsets for x in block[j]] for j in range(n)]
-        try:
-            values = _evaluate_columns(u, stacked)
-        except EvaluationError as exc:
-            raise EvaluationError(exc.message, start + exc.sample_index % size) from None
-        for i, s in enumerate(steps):
-            up, down = values[2 * i * size:(2 * i + 1) * size], values[(2 * i + 1) * size:(2 * i + 2) * size]
-            two_s = 2.0 * s
-            differences[i] += [(a - b) / two_s for a, b in zip(up, down)]
-    return differences
+    differences: list[list] = [[] for _ in directions]
+    with _errstate(columns[0]):
+        for start in range(0, count, step):
+            block = [column[start:start + step] for column in columns]
+            size = len(block[0])
+            stacked = [_concat([_map(operator.add, x, shift[j]) for shift in offsets]) for j, x in enumerate(block)]
+            try:
+                values = _column(_evaluate_columns(u, stacked), stacked[0])
+            except EvaluationError as exc:
+                raise EvaluationError(exc.message, start + exc.sample_index % size) from None
+            for i, s in enumerate(steps):
+                up, down = values[2 * i * size:(2 * i + 1) * size], values[(2 * i + 1) * size:(2 * i + 2) * size]
+                two_s = 2.0 * s
+                differences[i].append(_map(lambda a, b: (a - b) / two_s, up, down))
+    return [_concat(parts) for parts in differences]
 
 
 def _samples_per_block(shifts: int, n: int) -> int:

@@ -204,18 +204,29 @@ class TestPrinting:
 
 class TestEvaluation:
     def test_too_short_point_is_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as exc:
             evaluate(Var(3), (1.0, 2.0))
+        assert str(exc.value) == "point of length 2 is too short for x3"
 
     def test_division_by_zero_raises(self):
-        with pytest.raises(EvaluationError):
+        with pytest.raises(EvaluationError) as exc:
             evaluate(parse("1/(x1 - 1)"), (1.0,))
+        assert str(exc.value) == "division by zero" and exc.value.sample_index is None
 
     def test_vectorised_division_by_zero_reports_first_offending_row(self):
         pts = np.array([[2.0], [1.0], [0.0]])
         with pytest.raises(EvaluationError) as exc:
             evaluate_many(parse("1/(x1 - 1)"), pts)
         assert exc.value.sample_index == 1
+        assert str(exc.value) == "division by zero (sample 1)"
+
+    @pytest.mark.parametrize("text, width", [("2.5", 0), ("-(3)^2 + 1/4", 2), ("x2", 2), ("x1 - x1", 1)])
+    def test_vectorised_values_are_one_array_entry_per_row(self, text, width):
+        """Also for a tree that reads no variable, and for points with no coordinates."""
+        pts = np.random.default_rng(width).uniform(-1, 1, size=(4, width))
+        got = evaluate_many(parse(text), pts)
+        assert isinstance(got, np.ndarray) and got.shape == (4,) and got.dtype == float
+        assert got.tolist() == [evaluate(parse(text), tuple(p)) for p in pts]
 
     @given(expr_strategy(), st.integers(min_value=0, max_value=2**32 - 1))
     @settings(max_examples=150)

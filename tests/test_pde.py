@@ -310,7 +310,7 @@ class TestResidualRoutes:
         p = {(1, 0): 2.0, (0, 2): -3.0, (0, 0): 0.5}
         exact = 2.0 * x1 - 3.0 * (x2 * x2) + 0.5
         bound = 4 * sys.float_info.epsilon * (2.0 * abs(x1) + 3.0 * x2 * x2 + 0.5)
-        assert np.all(np.abs(_poly_values(p, points) - exact) <= bound)
+        assert np.all(np.abs(_poly_values(p, list(points.T)) - exact) <= bound)
 
     def test_round_off_coefficients_are_not_evaluated(self, monkeypatch):
         """Only the coefficients the rule keeps reach the samples; a zero residual reads 0."""
@@ -354,7 +354,7 @@ class TestResidualRoutes:
         count = 3 * (BLOCK_ROWS // (2 * len(directions))) + 7
         dom = SampleDomain(n=n, radius=2.0, seed=9, count=count)
         points = dom.samples()
-        blocked = _fd_partials(u, points, directions, h)
+        blocked = np.array(_fd_partials(u, list(points.T), directions, h))
         assert blocked.shape == (len(directions), count)
         assert np.array_equal(blocked, per_direction_loop(u, points, directions, h))
         for spec, got in zip(specs, blocked):
@@ -402,14 +402,14 @@ class TestResidualRoutes:
         shapes = []
 
         def recording(u, stacked):
-            shapes.append(stacked.shape)
-            return np.zeros(len(stacked))
+            shapes.append((len(stacked[0]), len(stacked)))
+            return np.zeros(len(stacked[0]))
 
-        monkeypatch.setattr(pde, "evaluate_many", recording)
+        monkeypatch.setattr(pde, "_evaluate_columns", recording)
         directions = [spec.direction() for spec in system_specs(n)][:equations]
         shifts = 2 * len(directions)
         count = 3 * max(1, BLOCK_CELLS // (shifts * n)) + 1
-        fd = _fd_partials(parse("x1"), np.zeros((count, n)), directions, DEFAULT_FD_STEP)
+        fd = np.array(_fd_partials(parse("x1"), list(np.zeros((count, n)).T), directions, DEFAULT_FD_STEP))
         assert fd.shape == (len(directions), count)
         samples = [rows // shifts for rows, _ in shapes]
         assert all(rows == shifts * s and width == n for (rows, width), s in zip(shapes, samples))
@@ -463,10 +463,10 @@ class TestDirectionalDifferences:
         before = pts.copy()
         u = parse(text)
         directions = [spec.direction() for spec in specs]
-        got = _fd_partials(u, pts, directions, DEFAULT_FD_STEP)
+        got = np.array(_fd_partials(u, list(pts.T), directions, DEFAULT_FD_STEP))
         assert np.array_equal(pts, before)
         assert got.tobytes() == per_direction_loop(u, pts, directions, DEFAULT_FD_STEP).tobytes()
-        assert _fd_partials(u, pts, directions, DEFAULT_FD_STEP).tobytes() == got.tobytes()
+        assert np.array(_fd_partials(u, list(pts.T), directions, DEFAULT_FD_STEP)).tobytes() == got.tobytes()
         for spec, row in zip(specs, got):
             exact = evaluate_many(residual_expr(u, spec), pts)
             assert np.all(np.abs(row - exact) <= 1e-8 * (1.0 + np.abs(exact)))
@@ -486,7 +486,7 @@ class TestDirectionalDifferences:
             want = per_direction_loop(e, pts, directions, h)
         except EvaluationError:
             with pytest.raises(EvaluationError) as got:
-                _fd_partials(e, pts, directions, h)
+                _fd_partials(e, list(pts.T), directions, h)
             i = got.value.sample_index
             hits = 0
             for w in directions:
@@ -497,7 +497,7 @@ class TestDirectionalDifferences:
                         hits += 1
             assert hits > 0
             return
-        assert _fd_partials(e, pts, directions, h).tobytes() == want.tobytes()
+        assert np.array(_fd_partials(e, list(pts.T), directions, h)).tobytes() == want.tobytes()
 
     def test_a_zero_divisor_is_named_at_the_first_shift_in_order(self):
         """Zero at x - h*w1 of row 4 and at x + h*w2 of row 1: both shifts along w1
@@ -507,10 +507,10 @@ class TestDirectionalDifferences:
         directions = [[1.0, 0.0], [0.0, 1.0]]
         u = parse(f"1/((x1 - ({float(pts[4, 0] - h)!r}))*(x2 - ({float(pts[1, 1] + h)!r})))")
         with pytest.raises(EvaluationError) as got:
-            _fd_partials(u, pts, directions, h)
+            _fd_partials(u, list(pts.T), directions, h)
         assert got.value.sample_index == 4
         with pytest.raises(EvaluationError) as swapped:
-            _fd_partials(u, pts, directions[::-1], h)
+            _fd_partials(u, list(pts.T), directions[::-1], h)
         assert swapped.value.sample_index == 1
 
 

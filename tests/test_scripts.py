@@ -7,6 +7,8 @@ from pathlib import Path
 
 import pytest
 
+from ouroboros.core import SMALL_CLOUD_CELLS
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -56,3 +58,21 @@ def test_time_cli_times_every_determinism_command():
     assert [row.split()[2] for row in rows] == ["no"] * 6 + ["yes", "no"]
     assert [row.split()[1] for row in rows] == ["0", "0", "0", "1", "0", "0", "0", "0"]
     assert float(total.split()[0]) == pytest.approx(sum(float(row.split()[0]) for row in rows), abs=0.01)
+
+
+def test_time_routes_times_both_containers_at_the_bound():
+    """One round: a line per tree shape with both containers' times, then the numpy import."""
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "time_routes.py"), "--repeats", "1"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    header, *rows, last = proc.stdout.splitlines()
+    assert header.split()[:4] == ["python_ms", "numpy_ms", "nodes", "samples"]
+    assert [row.split()[4] for row in rows] == ["mean", "polynomial", "rational"]
+    for row in rows:
+        python_ms, numpy_ms, nodes, samples = row.split()[:4]
+        assert float(python_ms) > 0 and float(numpy_ms) > 0
+        assert int(samples) == SMALL_CLOUD_CELLS // (4 + int(nodes))  # on the bound, where _cloud still takes Python floats
+    assert last.endswith("ms to import numpy in a fresh process")

@@ -26,7 +26,7 @@ from ouroboros import (
     parse,
 )
 from ouroboros.core import SMALL_CLOUD_CELLS, _cloud, _philox_uniform
-from ouroboros.expr import _evaluate_columns, _size_at_most
+from ouroboros.expr import _column, _evaluate_columns, _size_at_most
 from ouroboros.pde import DEFAULT_FD_STEP, _fd_partials, _poly_values
 from ouroboros.poly import expand
 
@@ -121,7 +121,8 @@ class TestWorkBound:
         ("x1", 1, SMALL_CLOUD_CELLS // 2),  # on the bound: count * (n + 1 node)
     ])
     def test_small_clouds_take_python_floats(self, text, n, count):
-        assert isinstance(_cloud(parse(text), SampleDomain(n=n, radius=2.0, seed=0, count=count)), list)
+        cloud = _cloud(parse(text), SampleDomain(n=n, radius=2.0, seed=0, count=count))
+        assert len(cloud) == n and all(isinstance(column, list) for column in cloud)
 
     @pytest.mark.parametrize("text, n, count", [
         ("x1", 1, SMALL_CLOUD_CELLS // 2 + 1),
@@ -129,7 +130,10 @@ class TestWorkBound:
         (" + ".join(f"{k}*x{k % 4 + 1}^2" for k in range(1, 301)), 4, 200),  # a symbolic-pde size
     ])
     def test_large_clouds_take_numpy(self, text, n, count):
-        assert isinstance(_cloud(parse(text), SampleDomain(n=n, radius=2.0, seed=0, count=count)), np.ndarray)
+        dom = SampleDomain(n=n, radius=2.0, seed=0, count=count)
+        cloud = _cloud(parse(text), dom)
+        assert len(cloud) == n and all(isinstance(column, np.ndarray) and column.flags.c_contiguous for column in cloud)
+        assert np.array(cloud).T.tobytes() == dom.samples().tobytes()
 
 
 def bits(values) -> bytes:
@@ -144,9 +148,10 @@ class TestRoutesAgree:
         or the same EvaluationError, on Python float columns as on the array."""
         dom = SampleDomain(n=3, radius=2.0, seed=seed, count=count)
         points, columns = dom.samples(), dom._columns()
+        arrays = list(points.T.copy())
         for by_numpy, by_python in (
-            (lambda: evaluate_many(e, points), lambda: _evaluate_columns(e, columns)),
-            (lambda: _fd_partials(e, points, directions, DEFAULT_FD_STEP),
+            (lambda: evaluate_many(e, points), lambda: _column(_evaluate_columns(e, columns), columns[0])),
+            (lambda: _fd_partials(e, arrays, directions, DEFAULT_FD_STEP),
              lambda: _fd_partials(e, columns, directions, DEFAULT_FD_STEP)),
         ):
             try:
@@ -159,7 +164,7 @@ class TestRoutesAgree:
             assert bits(by_python()) == want
         form = expand(e, 3)
         if form is not None:
-            assert bits(_poly_values(form, columns)) == bits(_poly_values(form, points))
+            assert bits(_poly_values(form, columns)) == bits(_poly_values(form, arrays))
 
     @given(expr_strategy(), SEEDS, RADII, COUNTS)
     @settings(max_examples=150, deadline=None)
@@ -220,3 +225,39 @@ class TestRoutesAgree:
                             (check_system, (u, n, dom))):
             by_numpy, by_python = on_both_routes(check, *args)
             assert by_numpy == by_python, check.__name__
+
+
+class TestNoColumnIsWritten:
+    """The walk accumulates sums and products in place, but only in columns it made."""
+
+    @given(expr_strategy(), SEEDS, COUNTS, st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_the_cloud_and_the_diagonal_keep_their_bytes(self, e, seed, count, python):
+        dom = SampleDomain(n=3, radius=2.0, seed=seed, count=count)
+        columns = dom._columns() if python else list(dom.samples().T.copy())
+        before = [bits(column) for column in columns]
+        with contextlib.suppress(EvaluationError):
+            y = _evaluate_columns(e, columns)
+            y_before = bits(y)
+            with contextlib.suppress(EvaluationError):
+                _evaluate_columns(e, [y] * dom.n)
+            assert bits(y) == y_before
+        with contextlib.suppress(EvaluationError):
+            _fd_partials(e, columns, [[1.0, 1.0, -2.0], [-1.0, 1.0, -1.0]], DEFAULT_FD_STEP)
+        form = expand(e, 3)
+        if form is not None:
+            _poly_values(form, columns)
+        assert [bits(column) for column in columns] == before
+
+    @pytest.mark.parametrize("python", [True, False])
+    @pytest.mark.parametrize("text, values", [
+        ("x1 + x1 + x1", lambda y: 3.0 * y),  # x1 + x1 written into y would read 4y
+        ("x1*x1*x1 - x1", lambda y: y * y * y - y),
+    ])
+    def test_a_diagonal_of_one_column_is_read_only(self, text, values, python):
+        """The diagonal [y] * n is one column n times, the first operand of every sum and product."""
+        y = np.array([0.5, -1.5, 3.0, -0.0])
+        column = y.tolist() if python else y.copy()
+        got = _evaluate_columns(parse(text), [column] * 2)
+        assert bits(column) == bits(y)
+        assert bits(got) == bits(values(y))
