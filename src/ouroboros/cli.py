@@ -38,33 +38,37 @@ An argument that begins with one "-" is a value unless it names a registered
 option: ``-h``, which argparse also reads in ``-h`` followed by more text.
 
 Start-up, not the check, sets a command's wall time: the checks take
-2-6 ms. Each handler imports what it needs. Only ``explore`` and a sampled
-check whose cloud is past ``core.SMALL_CLOUD_CELLS`` import numpy: up to
-that bound, samples times (n plus the nodes of u), ``check --expr`` and
-``pde --expr`` draw their cloud as Python float lists, and the walk that
-checks numpy arrays checks those, to the same bits. At the default 200
-samples that covers every u of up to about 100 nodes. ``check`` and ``pde``
-by ``--coeffs`` or ``--expr``, ``expect`` and ``version`` take about
-0.12-0.15 s in a fresh process and ``explore``
-about 0.26 s (medians of 3 runs of ``scripts/time_cli.py``, 9 alternating
-rounds each, 2-CPU VM, Python 3.11.7, numpy 2.4.6). These numbers are taken with
-``__pycache__`` present: without written bytecode
-(``PYTHONDONTWRITEBYTECODE=1`` on a fresh checkout) every run compiles the
-package again, which adds about 0.01-0.05 s.
+2-6 ms. This module imports at its top only what every command runs
+(argparse, json, re, time, and the package's core, expr and probability);
+fractions and decimal load where ``--coeffs``, ``--values`` and
+``--probs`` are read, csv where explore writes its table, and the pde and
+explorer modules in their handlers. The package's records are plain
+``__slots__`` classes, so no command imports the data-class module or
+inspect. Only ``explore`` and a sampled check whose cloud is past
+``core.SMALL_CLOUD_CELLS`` import numpy: up to that bound, samples times
+(n plus the nodes of u), ``check --expr`` and ``pde --expr`` draw their
+cloud as Python float lists, and the walk that checks numpy arrays checks
+those, to the same bits. At the default 200 samples that covers every u of
+up to about 100 nodes. ``check`` and ``pde`` by ``--coeffs`` or
+``--expr``, ``expect`` and ``version`` take about 0.08-0.11 s in a fresh
+process and ``explore`` about 0.24-0.27 s (3 runs of
+``scripts/time_cli.py``, 9 alternating rounds each, 2-CPU VM, Python
+3.11.7, numpy 2.4.6; with frozen data classes and these imports at the
+top they took 0.11-0.14 s and 0.27-0.30 s in alternating runs). These
+numbers are taken with ``__pycache__`` present: without written bytecode
+(``PYTHONDONTWRITEBYTECODE=1`` on a fresh checkout) every run compiles
+the package again, and the numpy-free commands take 0.11-0.16 s.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import re
 import sys
-from datetime import datetime, timezone
-from decimal import Decimal
-from fractions import Fraction
-from typing import NamedTuple
+import time
+from typing import TYPE_CHECKING, NamedTuple
 
 from . import __version__
 from .core import (
@@ -79,6 +83,10 @@ from .core import (
 )
 from .expr import EvaluationError, Expr, ParseError, dimension, parse, to_string
 from .probability import DiscreteRandomVariable, check_expectation_ouroboros
+
+if TYPE_CHECKING:
+    from fractions import Fraction
+
 
 class Option(NamedTuple):
     """One option of a subcommand: its flag, config key, type, default and help."""
@@ -143,6 +151,8 @@ class InputError(Exception):
 
 def parse_fractions(text: str, what: str) -> list[Fraction]:
     """Comma-separated numbers as exact fractions; accepts 1/2, 0.25, 2.5e-1 and 1_000."""
+    from fractions import Fraction
+
     out = []
     for raw in text.split(","):
         tok = raw.strip()
@@ -170,6 +180,8 @@ def _to_floats(fracs: list[Fraction], what: str) -> tuple[float, ...]:
 
 def _exact_text(value: Fraction) -> str:
     """``str(value)`` at any length: Decimal prints integers past the interpreter's 4300-digit limit."""
+    from decimal import Decimal
+
     numerator, denominator = (str(Decimal(part)) for part in value.as_integer_ratio())
     return numerator if denominator == "1" else f"{numerator}/{denominator}"
 
@@ -222,7 +234,7 @@ def _envelope(command: str, config: dict, seed: int | None, result: dict) -> dic
             "config": config,
             "seed": seed,
             "version": __version__,
-            "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
+            "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S+00:00", time.gmtime()),
         },
         "result": result,
     }
@@ -421,6 +433,8 @@ def _run_explore(args: argparse.Namespace) -> int:
 
 
 def _write_runs_csv(path: str, report) -> None:
+    import csv
+
     fields = [
         "start", "classification", "converged", "objective",
         "residual_eq1", "residual_eq2", "residual_ouroboros",

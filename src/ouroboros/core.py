@@ -18,10 +18,10 @@ import json
 import math
 import operator
 import sys
-from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING, Sequence
 
+from ._record import Record
 from .expr import Add, Const, EvaluationError, Expr, Var, dimension, evaluate, mul
 from .expr import _argmax, _errstate, _evaluate_columns, _first, _map, _max, _size_at_most
 
@@ -65,14 +65,13 @@ class Verdict(str, Enum):
     ERROR = "error"
 
 
-@dataclass(frozen=True)
-class LinearForm:
+class LinearForm(Record):
     """f(x) = c_1*x_1 + ... + c_n*x_n with finite coefficients, n >= 1."""
 
-    coeffs: tuple[float, ...]
+    __slots__ = ("coeffs",)
 
-    def __post_init__(self) -> None:
-        coeffs = tuple(float(c) for c in self.coeffs)
+    def __init__(self, coeffs: tuple[float, ...]) -> None:
+        coeffs = tuple(float(c) for c in coeffs)
         if len(coeffs) < 1:
             raise ValueError("a linear form needs at least one coefficient")
         if not all(math.isfinite(c) for c in coeffs):
@@ -100,8 +99,7 @@ class LinearForm:
         return Add(tuple((1, term) for term in terms))
 
 
-@dataclass(frozen=True)
-class SampleDomain:
+class SampleDomain(Record):
     """A seeded cloud of ``count`` uniform points in the box [-radius, radius]^n.
 
     Sampling goes through a counter-based generator (Philox) keyed only by
@@ -110,22 +108,21 @@ class SampleDomain:
     ``_columns`` draws the same floats in pure Python, one list per coordinate.
     """
 
-    n: int
-    radius: float
-    seed: int
-    count: int
+    __slots__ = ("n", "radius", "seed", "count")
 
-    def __post_init__(self) -> None:
-        if self.n < 1:
+    def __init__(self, n: int, radius: float, seed: int, count: int) -> None:
+        n, seed, count = _integer("dimension", n), _integer("seed", seed), _integer("sample count", count)
+        if n < 1:
             raise ValueError("dimension must be at least 1")
-        if not (self.radius > 0 and math.isfinite(self.radius)):
-            raise ValueError(f"radius must be positive and finite, got {self.radius}")
-        if not math.isfinite(2.0 * self.radius):
-            raise ValueError(f"radius must be at most half the largest float, got {self.radius}")
-        if self.count < 1:
+        if not (radius > 0 and math.isfinite(radius)):
+            raise ValueError(f"radius must be positive and finite, got {radius}")
+        if not math.isfinite(2.0 * radius):
+            raise ValueError(f"radius must be at most half the largest float, got {radius}")
+        if count < 1:
             raise ValueError("sample count must be at least 1")
-        if not (0 <= int(self.seed) < 2**64):
+        if not 0 <= seed < 2**64:
             raise ValueError("seed must be a 64-bit unsigned integer")
+        self._set(n, radius, seed, count)
 
     def samples(self) -> np.ndarray:
         import numpy as np
@@ -175,14 +172,19 @@ def _cloud(u: Expr, dom: SampleDomain) -> list:
     return list(dom.samples().T.copy())
 
 
-@dataclass(frozen=True)
-class OuroborosReport:
-    verdict: Verdict
-    max_deviation: float
-    witness: tuple[float, ...] | None
-    samples_used: int
-    range_contained: bool | None = None
-    error: str | None = None
+class OuroborosReport(Record):
+    __slots__ = ("verdict", "max_deviation", "witness", "samples_used", "range_contained", "error")
+
+    def __init__(
+        self,
+        verdict: Verdict,
+        max_deviation: float,
+        witness: tuple[float, ...] | None,
+        samples_used: int,
+        range_contained: bool | None = None,
+        error: str | None = None,
+    ) -> None:
+        self._set(verdict, max_deviation, witness, samples_used, range_contained, error)
 
     @property
     def holds(self) -> bool:
@@ -231,6 +233,14 @@ def _exact_sum(pairs) -> tuple[bool, float]:
         return round_off, total / common  # int / int rounds once
     except OverflowError:
         return round_off, math.inf if total > 0 else -math.inf
+
+
+def _integer(what: str, value) -> int:
+    """``value`` as an int; a float, even a whole one, is refused like any other non-integer."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, got {value!r}") from None
 
 
 def _require_tolerance(tol: float) -> None:

@@ -29,14 +29,14 @@ import ctypes
 import json
 import math
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
 
-from .core import SampleDomain
+from ._record import Record
+from .core import SampleDomain, _integer
 from .pde import system_specs
 from .poly import derivative, monomial_exponents, monomial_values, packed_keys, times
 
@@ -80,8 +80,7 @@ def mean_theta(n: int, degree: int) -> np.ndarray:
     return theta
 
 
-@dataclass(frozen=True)
-class ExplorationConfig:
+class ExplorationConfig(Record):
     """Search configuration; n must be even (the system needs it).
 
     ``samples = None`` resolves to max(200, 10 * basis size), enough points
@@ -91,30 +90,38 @@ class ExplorationConfig:
     ``[seed, 1]``, so identical configs give bit-identical reports.
     """
 
-    n: int
-    degree: int
-    samples: int | None = None
-    radius: float = 2.0
-    seed: int = 0
-    starts: int = 20
-    max_iterations: int = 100
-    tol: float = 1e-15
+    __slots__ = ("n", "degree", "samples", "radius", "seed", "starts", "max_iterations", "tol")
 
-    def __post_init__(self) -> None:
-        if self.n < 2 or self.n % 2 != 0:
-            raise ValueError(f"an even dimension of at least 2 is required, got n={self.n}")
-        if self.degree < 1:
+    def __init__(
+        self,
+        n: int,
+        degree: int,
+        samples: int | None = None,
+        radius: float = 2.0,
+        seed: int = 0,
+        starts: int = 20,
+        max_iterations: int = 100,
+        tol: float = 1e-15,
+    ) -> None:
+        n, degree, seed = _integer("dimension", n), _integer("degree", degree), _integer("seed", seed)
+        starts, max_iterations = _integer("start count", starts), _integer("iteration cap", max_iterations)
+        if samples is not None:
+            samples = _integer("sample budget", samples)
+        if n < 2 or n % 2 != 0:
+            raise ValueError(f"an even dimension of at least 2 is required, got n={n}")
+        if degree < 1:
             raise ValueError("degree must be at least 1")
-        if self.samples is not None and self.samples < 1:
+        if samples is not None and samples < 1:
             raise ValueError("sample budget must be positive")
-        if not (self.radius > 0 and math.isfinite(self.radius)):
-            raise ValueError(f"radius must be positive and finite, got {self.radius}")
-        if self.starts < 1:
+        if not (radius > 0 and math.isfinite(radius)):
+            raise ValueError(f"radius must be positive and finite, got {radius}")
+        if starts < 1:
             raise ValueError("at least one start is required")
-        if self.max_iterations < 1:
+        if max_iterations < 1:
             raise ValueError("iteration cap must be positive")
-        if not 0 < self.tol < math.inf:
-            raise ValueError(f"tol must be positive and finite, got {self.tol}")
+        if not 0 < tol < math.inf:
+            raise ValueError(f"tol must be positive and finite, got {tol}")
+        self._set(n, degree, samples, radius, seed, starts, max_iterations, tol)
 
     @property
     def resolved_samples(self) -> int:
@@ -123,7 +130,7 @@ class ExplorationConfig:
         return max(200, 10 * basis_size(self.n, self.degree))
 
     def to_dict(self) -> dict:
-        return {**asdict(self), "samples": self.resolved_samples}
+        return {**self._asdict(), "samples": self.resolved_samples}
 
 
 class ExplorationProblem:
@@ -232,32 +239,50 @@ class Classification(str, Enum):
     NON_CONVERGED = "non_converged"
 
 
-@dataclass(frozen=True)
-class StartRecord:
-    start: int
-    theta: tuple[float, ...]
-    objective: float
-    residual_eq1: float
-    residual_eq2: float
-    residual_ouroboros: float
-    distance_to_mean: float
-    distance_to_solution_set: float
-    classification: Classification
-    converged: bool
-    n_evaluations: int
-    n_jacobian_evaluations: int
-    solver_status: int  # 0 spent max_iterations; 1, 2, 3 met tol on the gradient, decrease, step
+class StartRecord(Record):
+    __slots__ = (
+        "start", "theta", "objective", "residual_eq1", "residual_eq2", "residual_ouroboros",
+        "distance_to_mean", "distance_to_solution_set", "classification", "converged",
+        "n_evaluations", "n_jacobian_evaluations", "solver_status",
+    )
+
+    def __init__(
+        self,
+        start: int,
+        theta: tuple[float, ...],
+        objective: float,
+        residual_eq1: float,
+        residual_eq2: float,
+        residual_ouroboros: float,
+        distance_to_mean: float,
+        distance_to_solution_set: float,
+        classification: Classification,
+        converged: bool,
+        n_evaluations: int,
+        n_jacobian_evaluations: int,
+        solver_status: int,  # 0 spent max_iterations; 1, 2, 3 met tol on the gradient, decrease, step
+    ) -> None:
+        self._set(
+            start, theta, objective, residual_eq1, residual_eq2, residual_ouroboros, distance_to_mean,
+            distance_to_solution_set, classification, converged, n_evaluations, n_jacobian_evaluations,
+            solver_status,
+        )
 
     def to_dict(self) -> dict:
-        return {**asdict(self), "theta": list(self.theta), "classification": self.classification.value}
+        return {**self._asdict(), "theta": list(self.theta), "classification": self.classification.value}
 
 
-@dataclass(frozen=True)
-class ExplorationReport:
-    config: ExplorationConfig
-    runs: tuple[StartRecord, ...]
-    solution_set: SolutionSet
-    notes: tuple[str, ...] = (NONTRIVIALITY_NOTE, SCOPE_NOTE)
+class ExplorationReport(Record):
+    __slots__ = ("config", "runs", "solution_set", "notes")
+
+    def __init__(
+        self,
+        config: ExplorationConfig,
+        runs: tuple[StartRecord, ...],
+        solution_set: SolutionSet,
+        notes: tuple[str, ...] = (NONTRIVIALITY_NOTE, SCOPE_NOTE),
+    ) -> None:
+        self._set(config, runs, solution_set, notes)
 
     @property
     def counts(self) -> dict[str, int]:
@@ -405,8 +430,7 @@ def _levenberg_marquardt(problem: ExplorationProblem, phi: np.ndarray):
 # ---------------------------------------------------------------------------
 # the exact solution set
 
-@dataclass(frozen=True)
-class SolutionSet:
+class SolutionSet(Record):
     """All nonconstant solutions of degree <= ``degree``: particular + span(basis).
 
     Vectors are theta over the graded basis, in exact rationals; the
@@ -415,10 +439,12 @@ class SolutionSet:
     so its entries are integers.
     """
 
-    n: int
-    degree: int
-    particular: tuple[Fraction, ...]
-    basis: tuple[tuple[Fraction, ...], ...]
+    __slots__ = ("n", "degree", "particular", "basis", "__dict__")  # the dict holds _orthonormal
+
+    def __init__(
+        self, n: int, degree: int, particular: tuple[Fraction, ...], basis: tuple[tuple[Fraction, ...], ...]
+    ) -> None:
+        self._set(n, degree, particular, basis)
 
     @property
     def dimension(self) -> int:

@@ -44,9 +44,10 @@ import math
 import operator
 import re
 from contextlib import nullcontext
-from dataclasses import dataclass
 from itertools import repeat
 from typing import TYPE_CHECKING, Sequence, Union
+
+from ._record import Record
 
 if TYPE_CHECKING:
     import numpy as np
@@ -100,67 +101,66 @@ class EvaluationError(ArithmeticError):
         super().__init__(message)
 
 
-@dataclass(frozen=True)
-class Const:
-    value: float
+class Const(Record):
+    __slots__ = ("value",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "value", float(self.value))
-
-
-@dataclass(frozen=True)
-class Var:
-    index: int  # 1-based
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.index, int) or self.index < 1:
-            raise ValueError(f"variable index must be a positive integer, got {self.index!r}")
+    def __init__(self, value: float) -> None:
+        object.__setattr__(self, "value", float(value))
 
 
-def _set_entries(node, field: str) -> None:
-    """Store ``node.<field>`` as a tuple, splicing in a leading entry of the node's own kind."""
-    entries = tuple(getattr(node, field))
+class Var(Record):
+    __slots__ = ("index",)  # 1-based
+
+    def __init__(self, index: int) -> None:
+        if not isinstance(index, int) or index < 1:
+            raise ValueError(f"variable index must be a positive integer, got {index!r}")
+        object.__setattr__(self, "index", index)
+
+
+def _entries(kind: type, entries) -> tuple:
+    """``entries`` as a tuple of (sign, node) pairs, splicing in a leading entry of ``kind``."""
+    entries = tuple(entries)
     if len(entries) < 2 or entries[0][0] != 1 or any(s not in (1, -1) for s, _ in entries):
         raise ValueError(
-            f"{type(node).__name__} needs two or more (sign, node) pairs, signs +1 or -1, the first +1")
-    if type(entries[0][1]) is type(node):
-        entries = getattr(entries[0][1], field) + entries[1:]
-    object.__setattr__(node, field, entries)
+            f"{kind.__name__} needs two or more (sign, node) pairs, signs +1 or -1, the first +1")
+    if type(entries[0][1]) is kind:
+        entries = getattr(entries[0][1], kind._fields[0]) + entries[1:]
+    return entries
 
 
-@dataclass(frozen=True)
-class Add:
+class Add(Record):
     """Sum of (sign, term) pairs, sign +1 or -1, taken left to right."""
 
-    terms: tuple[tuple[int, "Expr"], ...]
+    __slots__ = ("terms",)
 
-    def __post_init__(self) -> None:
-        _set_entries(self, "terms")
+    def __init__(self, terms: tuple[tuple[int, Expr], ...]) -> None:
+        object.__setattr__(self, "terms", _entries(Add, terms))
 
 
-@dataclass(frozen=True)
-class Mul:
+class Mul(Record):
     """Product of (sign, factor) pairs, +1 multiplying and -1 dividing, left to right."""
 
-    factors: tuple[tuple[int, "Expr"], ...]
+    __slots__ = ("factors",)
 
-    def __post_init__(self) -> None:
-        _set_entries(self, "factors")
-
-
-@dataclass(frozen=True)
-class Neg:
-    operand: "Expr"
+    def __init__(self, factors: tuple[tuple[int, Expr], ...]) -> None:
+        object.__setattr__(self, "factors", _entries(Mul, factors))
 
 
-@dataclass(frozen=True)
-class Pow:
-    base: "Expr"
-    exponent: int
+class Neg(Record):
+    __slots__ = ("operand",)
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.exponent, int) or self.exponent < 0:
-            raise ValueError(f"exponent must be a nonnegative integer, got {self.exponent!r}")
+    def __init__(self, operand: Expr) -> None:
+        object.__setattr__(self, "operand", operand)
+
+
+class Pow(Record):
+    __slots__ = ("base", "exponent")
+
+    def __init__(self, base: Expr, exponent: int) -> None:
+        if not isinstance(exponent, int) or exponent < 0:
+            raise ValueError(f"exponent must be a nonnegative integer, got {exponent!r}")
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "exponent", exponent)
 
 
 Expr = Union[Const, Var, Add, Mul, Neg, Pow]

@@ -16,8 +16,8 @@ first beta coefficients, which makes the residual vanish identically.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
+from ._record import Record
 from .core import LinearForm
 from .expr import Const, Expr
 
@@ -58,29 +58,26 @@ def constant_function(c: float, n: int) -> Expr:
     return Const(float(c))
 
 
-@dataclass(frozen=True)
-class HeadAverageSolution:
+class HeadAverageSolution(Record):
     """u = head_average * x_n + sum_{k<n} c_k * x_k, solving equation I.
 
     ``coeffs`` holds c_1 .. c_{n-1}; the coefficient of x_n is not stored but
     recomputed on access as the average of the first ``beta`` coefficients.
     """
 
-    n: int
-    beta: int
-    coeffs: tuple[float, ...]
+    __slots__ = ("n", "beta", "coeffs")
 
-    def __post_init__(self) -> None:
-        coeffs = tuple(float(c) for c in self.coeffs)
-        if self.n < 2:
+    def __init__(self, n: int, beta: int, coeffs: tuple[float, ...]) -> None:
+        coeffs = tuple(float(c) for c in coeffs)
+        if n < 2:
             raise ValueError("dimension must be at least 2")
-        if len(coeffs) != self.n - 1:
-            raise ValueError(f"expected {self.n - 1} coefficients, got {len(coeffs)}")
-        if not 1 <= self.beta <= self.n - 1:
-            raise ValueError(f"beta must lie in 1..{self.n - 1}, got {self.beta}")
+        if len(coeffs) != n - 1:
+            raise ValueError(f"expected {n - 1} coefficients, got {len(coeffs)}")
+        if not 1 <= beta <= n - 1:
+            raise ValueError(f"beta must lie in 1..{n - 1}, got {beta}")
         if not all(math.isfinite(c) for c in coeffs):
             raise ValueError("coefficients must be finite")
-        object.__setattr__(self, "coeffs", coeffs)
+        self._set(n, beta, coeffs)
 
     @property
     def head_average(self) -> float:

@@ -45,12 +45,12 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING, Sequence
 
+from ._record import Record
 from .core import RESIDUAL_TOL, SYMBOLIC_ZERO_TOL, LinearForm, OuroborosReport, SampleDomain, check_linear_exact
-from .core import _check_sampled_at, _cloud, _exact_sum, _require_tolerance
+from .core import _check_sampled_at, _cloud, _exact_sum, _integer, _require_tolerance
 from .expr import Const, EvaluationError, Expr, differentiate, dimension, evaluate, mul, sub
 from .expr import _column, _concat, _errstate, _evaluate_columns, _map, _max, _pow_repeated
 from .expr import add as expr_add
@@ -91,24 +91,24 @@ class PdeKind(str, Enum):
     EQ_II = "II"
 
 
-@dataclass(frozen=True)
-class PdeSpec:
+class PdeSpec(Record):
     """Which equation to check, in which dimension; beta only applies to I."""
 
-    kind: PdeKind
-    n: int
-    beta: int | None = None
+    __slots__ = ("kind", "n", "beta")
 
-    def __post_init__(self) -> None:
-        if self.n < 1:
+    def __init__(self, kind: PdeKind, n: int, beta: int | None = None) -> None:
+        n = _integer("dimension", n)
+        if n < 1:
             raise ValueError("dimension must be at least 1")
-        if self.kind is PdeKind.EQ_I:
-            if self.beta is None:
+        if kind is PdeKind.EQ_I:
+            if beta is None:
                 raise ValueError("equation I needs a range parameter beta")
-            if not 1 <= self.beta <= self.n:
-                raise ValueError(f"beta must lie in 1..{self.n}, got {self.beta}")
-        elif self.beta is not None:
+            beta = _integer("beta", beta)
+            if not 1 <= beta <= n:
+                raise ValueError(f"beta must lie in 1..{n}, got {beta}")
+        elif beta is not None:
             raise ValueError("beta only applies to equation I")
+        self._set(kind, n, beta)
 
     def terms(self) -> list[tuple[int, int]]:
         """Residual = sum(weight * du/dx_k): I is (1,1)..(beta,1),(n,-beta); II is (k,(-1)^k)."""
@@ -129,16 +129,23 @@ def system_specs(n: int) -> tuple[PdeSpec, PdeSpec]:
     return PdeSpec(PdeKind.EQ_I, n=n, beta=n), PdeSpec(PdeKind.EQ_II, n=n)
 
 
-@dataclass(frozen=True)
-class ResidualReport:
+class ResidualReport(Record):
     """Outcome of a residual check; left-minus-right sign convention."""
 
-    symbolic_zero: bool
-    residual_constant: float | None
-    max_abs_residual: float
-    max_abs_residual_fd: float
-    samples_used: int
-    note: str | None = None
+    __slots__ = (
+        "symbolic_zero", "residual_constant", "max_abs_residual", "max_abs_residual_fd", "samples_used", "note",
+    )
+
+    def __init__(
+        self,
+        symbolic_zero: bool,
+        residual_constant: float | None,
+        max_abs_residual: float,
+        max_abs_residual_fd: float,
+        samples_used: int,
+        note: str | None = None,
+    ) -> None:
+        self._set(symbolic_zero, residual_constant, max_abs_residual, max_abs_residual_fd, samples_used, note)
 
     def passes(self, tol: float = RESIDUAL_TOL) -> bool:
         _require_tolerance(tol)
@@ -341,13 +348,13 @@ def finite_difference(u: Expr, k: int, x: Sequence[float], h: float = DEFAULT_FD
     return (evaluate(u, up) - evaluate(u, down)) / (2.0 * h)
 
 
-@dataclass(frozen=True)
-class AlternatingBalanceReport:
+class AlternatingBalanceReport(Record):
     """Linear form against equation II: odd and even coefficient sums."""
 
-    holds: bool
-    odd_sum: float
-    even_sum: float
+    __slots__ = ("holds", "odd_sum", "even_sum")
+
+    def __init__(self, holds: bool, odd_sum: float, even_sum: float) -> None:
+        self._set(holds, odd_sum, even_sum)
 
     def to_dict(self) -> dict:
         return {"holds": self.holds, "odd_sum": self.odd_sum, "even_sum": self.even_sum}
@@ -374,19 +381,24 @@ def check_alternating_balance(coeffs) -> AlternatingBalanceReport:
     )
 
 
-@dataclass(frozen=True)
-class SystemReport:
+class SystemReport(Record):
     """Four sub-verdicts for the overdetermined system at even n.
 
     The system couples equation I with beta = n, equation II, the anchor
     u(0, ..., 0) = 0, and the self-application identity.
     """
 
-    eq1: ResidualReport
-    eq2: ResidualReport
-    origin_value: float
-    zero_at_origin: bool
-    ouroboros: OuroborosReport
+    __slots__ = ("eq1", "eq2", "origin_value", "zero_at_origin", "ouroboros")
+
+    def __init__(
+        self,
+        eq1: ResidualReport,
+        eq2: ResidualReport,
+        origin_value: float,
+        zero_at_origin: bool,
+        ouroboros: OuroborosReport,
+    ) -> None:
+        self._set(eq1, eq2, origin_value, zero_at_origin, ouroboros)
 
     def passes(self, tol: float = RESIDUAL_TOL) -> bool:
         """Both residuals pass at ``tol``, u(0) = 0, and self-application holds."""

@@ -10,7 +10,8 @@ be checked end to end rather than assumed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+
+from ._record import Record
 
 __all__ = [
     "DiscreteRandomVariable",
@@ -25,20 +26,18 @@ __all__ = [
 MASS_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class DiscreteRandomVariable:
+class DiscreteRandomVariable(Record):
     """Finite support ``values`` with probabilities ``probs``.
 
     Probabilities must lie in [0, 1] and sum to 1 within 1e-12; anything else
     is rejected, never renormalised. Duplicate support values are allowed.
     """
 
-    values: tuple[float, ...]
-    probs: tuple[float, ...]
+    __slots__ = ("values", "probs")
 
-    def __post_init__(self) -> None:
-        values = tuple(float(v) for v in self.values)
-        probs = tuple(float(p) for p in self.probs)
+    def __init__(self, values: tuple[float, ...], probs: tuple[float, ...]) -> None:
+        values = tuple(float(v) for v in values)
+        probs = tuple(float(p) for p in probs)
         if len(values) != len(probs):
             raise ValueError("values and probs must have the same length")
         if len(values) < 1:
@@ -50,18 +49,16 @@ class DiscreteRandomVariable:
         total = math.fsum(probs)
         if abs(total - 1.0) > MASS_TOL:
             raise ValueError(f"probabilities sum to {total!r}, not 1")
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "probs", probs)
+        self._set(values, probs)
 
 
-@dataclass(frozen=True)
-class SimpleRandomVariable:
+class SimpleRandomVariable(Record):
     """A simple function: constant level a_j on an event of mass m_j."""
 
-    pieces: tuple[tuple[float, float], ...]
+    __slots__ = ("pieces",)
 
-    def __post_init__(self) -> None:
-        pieces = tuple((float(a), float(m)) for a, m in self.pieces)
+    def __init__(self, pieces: tuple[tuple[float, float], ...]) -> None:
+        pieces = tuple((float(a), float(m)) for a, m in pieces)
         if len(pieces) < 1:
             raise ValueError("at least one piece is required")
         if not all(math.isfinite(a) for a, _ in pieces):
@@ -71,7 +68,7 @@ class SimpleRandomVariable:
         total = math.fsum(m for _, m in pieces)
         if abs(total - 1.0) > MASS_TOL:
             raise ValueError(f"masses sum to {total!r}, not 1")
-        object.__setattr__(self, "pieces", pieces)
+        self._set(pieces)
 
 
 def expected_value(x: DiscreteRandomVariable) -> float:
@@ -89,12 +86,11 @@ def as_constant_rv(c: float) -> DiscreteRandomVariable:
     return DiscreteRandomVariable((float(c),), (1.0,))
 
 
-@dataclass(frozen=True)
-class ExpectationReport:
-    expectation: float
-    recomposed: float
-    deviation: float
-    holds: bool
+class ExpectationReport(Record):
+    __slots__ = ("expectation", "recomposed", "deviation", "holds")
+
+    def __init__(self, expectation: float, recomposed: float, deviation: float, holds: bool) -> None:
+        self._set(expectation, recomposed, deviation, holds)
 
     def to_dict(self) -> dict:
         return {

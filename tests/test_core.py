@@ -232,6 +232,19 @@ class TestSampleDomain:
         with pytest.raises(ValueError):
             SampleDomain(n=1, radius=1.0, seed=0, count=0)
 
+    @pytest.mark.parametrize("field, value", [("seed", 1.5), ("count", 200.0), ("n", 2.0), ("seed", "1")])
+    def test_a_non_integer_count_dimension_or_seed_is_refused_when_built(self, field, value):
+        """A float seed, count or n used to be accepted, and the check then failed with a TypeError."""
+        fields = {"n": 2, "radius": 2.0, "seed": 1, "count": 200, field: value}
+        with pytest.raises(ValueError, match="must be an integer"):
+            SampleDomain(**fields)
+
+    def test_numpy_integers_are_stored_as_ints(self):
+        dom = SampleDomain(n=np.int64(2), radius=2.0, seed=np.uint64(2**63 + 5), count=np.int32(8))
+        assert [type(v) for v in (dom.n, dom.seed, dom.count)] == [int, int, int]
+        assert dom == SampleDomain(n=2, radius=2.0, seed=2**63 + 5, count=8)
+        assert np.array(dom._columns()).T.tobytes() == dom.samples().tobytes()
+
     def test_a_radius_whose_box_width_overflows_is_refused(self):
         """uniform(-r, r) needs 2r finite; past half the largest float it is refused as input."""
         with pytest.raises(ValueError, match="at most half the largest float"):

@@ -83,6 +83,13 @@ class TestConfig:
         with pytest.raises(ValueError):
             ExplorationConfig(n=2, degree=1, starts=0)
 
+    @pytest.mark.parametrize("field", ["n", "degree", "samples", "seed", "starts", "max_iterations"])
+    def test_a_float_count_is_refused_when_built(self, field):
+        """A float here used to be accepted, and explore then failed with a TypeError or ran to a float cap."""
+        fields = {"n": 2, "degree": 1, "samples": 60, "seed": 0, "starts": 2, "max_iterations": 10}
+        with pytest.raises(ValueError, match="must be an integer"):
+            ExplorationConfig(**{**fields, field: float(fields[field])})
+
     @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0])
     def test_tol_must_be_positive_and_finite(self, tol):
         with pytest.raises(ValueError):

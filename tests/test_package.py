@@ -94,6 +94,35 @@ def test_exact_work_never_loads_numpy():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_exact_work_never_loads_the_dataclass_machinery():
+    """Records stand on __slots__: nothing the numpy-free commands or the scalar API run imports
+    dataclasses, or inspect, which it pulls in."""
+    script = (
+        "import sys\n"
+        "def after(step):\n"
+        "    assert not {'dataclasses', 'inspect'} & set(sys.modules), step\n" + EXACT_WORK
+    )
+    proc = run_python(script)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_version_and_the_expression_commands_leave_csv_dates_decimals_and_fractions_unloaded():
+    """cli imports csv, decimal and fractions only where explore's table and --coeffs, --values and
+    --probs use them, and writes the timestamp with time."""
+    commands = ((["version"], 0),) + SMALL_CLOUD_COMMANDS
+    script = (
+        "import contextlib, io, sys\n"
+        "from ouroboros.cli import main\n"
+        f"for argv, code in {commands!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+        "        assert main(argv) == code, argv\n"
+        "    loaded = {'csv', 'datetime', 'decimal', 'fractions'} & set(sys.modules)\n"
+        "    assert not loaded, (argv, loaded)\n"
+    )
+    proc = run_python(script)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_a_large_cloud_still_loads_numpy():
     """Past the work bound the cloud is drawn and checked with numpy."""
     script = (

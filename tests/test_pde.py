@@ -53,6 +53,15 @@ class TestPdeSpec:
         with pytest.raises(ValueError):
             PdeSpec(PdeKind.EQ_II, n=4, beta=2)
 
+    @pytest.mark.parametrize("kind, n, beta", [
+        (PdeKind.EQ_I, 4, 2.0),  # passed the range check, then terms() failed on range(1, 3.0)
+        (PdeKind.EQ_I, 4.0, 2),
+        (PdeKind.EQ_II, 4.0, None),
+    ])
+    def test_a_float_dimension_or_beta_is_refused_when_built(self, kind, n, beta):
+        with pytest.raises(ValueError, match="must be an integer"):
+            PdeSpec(kind, n=n, beta=beta)
+
     def test_terms_list_each_equation_once(self):
         assert PdeSpec(PdeKind.EQ_I, n=4, beta=2).terms() == [(1, 1), (2, 1), (4, -2)]
         assert PdeSpec(PdeKind.EQ_I, n=2, beta=2).terms() == [(1, 1), (2, 1), (2, -2)]

@@ -43,7 +43,7 @@ def test_uniqueness_probe_runs_a_small_grid():
 
 
 def test_time_cli_times_every_determinism_command():
-    """One round: a line per command with its median, exit code and whether it loaded numpy."""
+    """One round: a line per command with its median, exit code, whether it loaded numpy and its module count."""
     proc = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / "time_cli.py"), "--repeats", "1"],
         capture_output=True,
@@ -57,6 +57,11 @@ def test_time_cli_times_every_determinism_command():
     assert [row.split()[4] for row in rows] == ["check", "check", "pde", "pde", "pde", "expect", "explore", "version"]
     assert [row.split()[2] for row in rows] == ["no"] * 6 + ["yes", "no"]
     assert [row.split()[1] for row in rows] == ["0", "0", "0", "1", "0", "0", "0", "0"]
+    # modules imported beyond a bare interpreter: version imports the fewest, numpy makes explore's the most
+    assert header.split()[3] == "modules"
+    modules = [int(row.split()[3]) for row in rows]
+    assert min(modules) == modules[-1] > 0
+    assert all(modules[6] > count + 50 for count in modules[:6] + modules[7:])
     assert float(total.split()[0]) == pytest.approx(sum(float(row.split()[0]) for row in rows), abs=0.01)
 
 
