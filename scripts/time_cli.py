@@ -8,7 +8,10 @@ drift in the host's speed spreads over all of them. Printed per command:
 the median wall time over the rounds, the exit code, whether it loaded
 numpy, and how many modules it imported beyond a bare ``python -c pass``;
 the last three are read from one untimed ``-X importtime`` run before the
-rounds. The last line sums the medians, one pass over all commands.
+rounds. The header says whether the commands write bytecode and whether
+src/ouroboros/__pycache__ existed before the first of them: without it every
+command compiles the package from source. The last line sums the medians,
+one pass over all commands.
 
 Usage: python3 scripts/time_cli.py [--repeats N]
 """
@@ -49,6 +52,7 @@ def main() -> int:
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     commands = {name: ["-m", "ouroboros", *argv] for name, argv in DETERMINISM_COMMANDS.items()}
     names = list(commands)
+    cache = "present" if (ROOT / "src" / "ouroboros" / "__pycache__").is_dir() else "absent"  # before any run writes it
     bare, _ = imported_modules(["-c", "pass"], env)
     probes = {name: imported_modules(commands[name], env) for name in names}
     times: dict[str, list[float]] = {name: [] for name in names}
@@ -57,7 +61,8 @@ def main() -> int:
             start = time.perf_counter()
             run(commands[name], env)
             times[name].append(time.perf_counter() - start)
-    print(f"{'median_s':>9}  exit  numpy  modules  ouroboros command ({args.repeats} rounds)")
+    print(f"{'median_s':>9}  exit  numpy  modules  ouroboros command ({args.repeats} rounds; bytecode written: "
+          f"{'no' if env.get('PYTHONDONTWRITEBYTECODE') else 'yes'}; src/ouroboros/__pycache__ at start: {cache})")
     for name in names:
         modules, code = probes[name]
         print(f"{statistics.median(times[name]):9.3f}  {code:4d}  {'yes' if 'numpy' in modules else 'no':>5}  "

@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING, Sequence
 
 from ._record import Record
 from .expr import Add, Const, EvaluationError, Expr, Var, dimension, evaluate, mul
-from .expr import _argmax, _errstate, _evaluate_columns, _first, _map, _max, _size_at_most
+from .expr import _argmax, _errstate, _evaluate_columns, _first, _map, _max, _shared, _size_at_most
 
 __all__ = [
     "LinearForm",
@@ -282,14 +282,17 @@ def check_sampled(f: Expr, dom: SampleDomain, tol: float = SAMPLED_TOL) -> Ourob
     _require_tolerance(tol)
     if dimension(f) > dom.n:
         raise ValueError(f"expression uses x{dimension(f)} but the domain has n={dom.n}")
-    return _check_sampled_at(f, dom, _cloud(f, dom), tol)
+    return _check_sampled_at(f, dom, _cloud(f, dom), _shared(f), tol)
 
 
-def _check_sampled_at(f: Expr, dom: SampleDomain, columns: list, tol: float = SAMPLED_TOL) -> OuroborosReport:
-    """check_sampled on ``columns``, the cloud that ``dom`` draws (see _cloud); the caller has checked ``tol`` and f's dimension."""
+def _check_sampled_at(
+    f: Expr, dom: SampleDomain, columns: list, shared: set[int], tol: float = SAMPLED_TOL
+) -> OuroborosReport:
+    """check_sampled on ``columns``, the cloud that ``dom`` draws (see _cloud), with ``shared`` = ``_shared(f)``;
+    the caller has checked ``tol`` and f's dimension."""
     try:
-        y = _evaluate_columns(f, columns)
-        fy = _evaluate_columns(f, [y] * dom.n)
+        y = _evaluate_columns(f, columns, shared)
+        fy = _evaluate_columns(f, [y] * dom.n, shared)
     except EvaluationError as exc:
         used = exc.sample_index + 1 if exc.sample_index is not None else 0
         return OuroborosReport(Verdict.ERROR, math.nan, None, used, error=str(exc))

@@ -28,6 +28,15 @@ Each ``(`` and each unary minus opens a level of nesting; :func:`parse`
 refuses more than ``MAX_DEPTH`` levels, which bounds the recursion of every
 walker below on what it parses.
 
+A tree may share subtrees: :func:`parse` makes the equal subtrees of its
+text one object, and a tree built by hand may reuse a node. Equality,
+hashing, printing, pickling and copying read a shared node once per path,
+as they would read copies of it. The walks that evaluate, expand
+(:mod:`ouroboros.poly`) and find the dimension read each distinct node
+once: ``_shared`` names the nodes reached along more than one path, and a
+walk memoises those, and no others, for its own length. ``_size_at_most``
+still counts paths.
+
 Evaluation is one walk over columns, one per variable: Python float lists,
 numpy arrays, or a float standing for every sample. :func:`evaluate`,
 :func:`evaluate_many` and the sampled checks all take it, and only a few
@@ -217,6 +226,7 @@ class _Parser:
         self.tokens = tokens
         self.i = 0
         self.depth = 0  # enclosing parentheses and unary minus signs
+        self.nodes: dict = {}  # every node of this parse, by the key that leaf or share gives it
 
     def peek(self) -> tuple:
         return self.tokens[self.i]
@@ -226,19 +236,49 @@ class _Parser:
         self.i += 1
         return tok
 
+    def leaf(self, kind: type, value) -> Expr:
+        """The constant or variable of this parse with ``value``, made on first use.
+
+        A variable is keyed by its index, a constant by ``value.hex()``, so
+        0 and -0 stay two nodes.
+        """
+        key = value.hex() if kind is Const else value
+        node = self.nodes.get(key)
+        if node is None:
+            node = self.nodes[key] = kind(value)
+        return node
+
+    def share(self, node: Expr) -> Expr:
+        """The sum, product, negation or power of this parse equal to ``node``; ``node`` if it is the first.
+
+        The key is the kind and the fields, each child by identity: children
+        are shared already, so equal subtrees have equal keys. A sum or
+        product is keyed after it has spliced in a leading entry of its kind.
+        """
+        kind = type(node)
+        if kind is Mul:
+            key = (Mul, *[(sign, id(factor)) for sign, factor in node.factors])
+        elif kind is Add:
+            key = (Add, *[(sign, id(term)) for sign, term in node.terms])
+        elif kind is Pow:
+            key = (Pow, id(node.base), node.exponent)
+        else:
+            key = (Neg, id(node.operand))
+        return self.nodes.setdefault(key, node)
+
     def parse_expr(self) -> Expr:
         terms = [(1, self.parse_term())]
         while self.peek()[0] in ("+", "-"):
             sign = 1 if self.advance()[0] == "+" else -1
             terms.append((sign, self.parse_term()))
-        return Add(terms) if len(terms) > 1 else terms[0][1]
+        return self.share(Add(terms)) if len(terms) > 1 else terms[0][1]
 
     def parse_term(self) -> Expr:
         factors = [(1, self.parse_factor())]
         while self.peek()[0] in ("*", "/"):
             sign = 1 if self.advance()[0] == "*" else -1
             factors.append((sign, self.parse_factor()))
-        return Mul(factors) if len(factors) > 1 else factors[0][1]
+        return self.share(Mul(factors)) if len(factors) > 1 else factors[0][1]
 
     def parse_factor(self) -> Expr:
         minus_count = 0
@@ -256,23 +296,23 @@ class _Parser:
             kind, pos, text, _ = self.advance()
             if kind != "number" or not text.isdigit():
                 raise ParseError("exponent must be a nonnegative integer", pos)
-            node = Pow(node, int(text))
+            node = self.share(Pow(node, int(text)))
             has_exponent = True
         # A minus directly before a bare literal denotes a negative constant;
         # with an exponent present the minus stays outside ("-5^2" is -(5^2)).
         if minus_count and bare_number and not has_exponent:
-            node = Const(-node.value)
+            node = self.leaf(Const, -node.value)
             minus_count -= 1
         for _ in range(minus_count):
-            node = Neg(node)
+            node = self.share(Neg(node))
         return node
 
     def parse_atom(self) -> tuple[Expr, bool]:
         kind, pos, _, value = self.advance()
         if kind == "number":
-            return Const(value), True
+            return self.leaf(Const, value), True
         if kind == "var":
-            return Var(value), False
+            return self.leaf(Var, value), False
         if kind == "(":
             if self.depth == MAX_DEPTH:
                 raise ParseError("expression nested too deeply", pos)
@@ -289,7 +329,10 @@ class _Parser:
 
 
 def parse(text: str) -> Expr:
-    """Parse an expression string into a tree, raising :class:`ParseError`."""
+    """Parse an expression string into a tree, raising :class:`ParseError`.
+
+    Equal subtrees of the text become one object (``_Parser.leaf`` and ``_Parser.share``).
+    """
     parser = _Parser(_tokenize(text))
     node = parser.parse_expr()
     kind, pos, _, _ = parser.peek()
@@ -370,21 +413,52 @@ for _cls in (Const, Var, Add, Mul, Neg, Pow):
 # evaluation
 
 def dimension(e: Expr) -> int:
-    """Largest variable index occurring in ``e``; 0 for a constant."""
-    if isinstance(e, Const):
-        return 0
-    if isinstance(e, Var):
-        return e.index
-    if isinstance(e, (Add, Mul)):
-        d = 0
-        for _, child in e.terms if isinstance(e, Add) else e.factors:
-            d = max(d, dimension(child))
-        return d
-    if isinstance(e, Neg):
-        return dimension(e.operand)
-    if isinstance(e, Pow):
-        return dimension(e.base)
-    raise TypeError(f"not an expression node: {e!r}")
+    """Largest variable index occurring in ``e``; 0 for a constant. Walks each distinct inner node once."""
+    top = 0
+    seen: set[int] = set()
+    pending = [e]
+    while pending:
+        node = pending.pop()
+        kind = type(node)
+        if kind is Var:
+            top = max(top, node.index)
+        elif kind is Const or id(node) in seen:
+            continue
+        elif kind is Add or kind is Mul:
+            seen.add(id(node))
+            pending += [child for _, child in (node.terms if kind is Add else node.factors)]
+        elif kind is Neg or kind is Pow:
+            seen.add(id(node))
+            pending.append(node.operand if kind is Neg else node.base)
+        else:
+            raise TypeError(f"not an expression node: {node!r}")
+    return top
+
+
+def _shared(e: Expr) -> set[int]:
+    """The ids of the sums, products, negations and powers reached along more than one path from ``e``.
+
+    Each distinct node is visited once. The walks memoise these nodes and no
+    others, each for the length of one walk: a node met once needs no memo,
+    and a leaf costs no more to read again than to look up.
+    """
+    seen: set[int] = set()
+    shared: set[int] = set()
+    pending = [e]
+    while pending:
+        node = pending.pop()
+        kind = type(node)
+        if kind is Const or kind is Var:
+            continue
+        if id(node) in seen:
+            shared.add(id(node))
+        elif kind is Add or kind is Mul:
+            seen.add(id(node))
+            pending += [child for _, child in (node.terms if kind is Add else node.factors)]
+        elif kind is Neg or kind is Pow:
+            seen.add(id(node))
+            pending.append(node.operand if kind is Neg else node.base)
+    return shared
 
 
 def evaluate(e: Expr, point: Sequence[float]) -> float:
@@ -393,7 +467,7 @@ def evaluate(e: Expr, point: Sequence[float]) -> float:
     The walk of :func:`evaluate_many`, with one float per variable.
     """
     try:
-        return _evaluate_columns(e, [float(x) for x in point])
+        return _evaluate_columns(e, [float(x) for x in point], _shared(e))
     except EvaluationError as exc:
         raise EvaluationError(exc.message) from None
 
@@ -433,54 +507,60 @@ def evaluate_many(e: Expr, points: np.ndarray) -> np.ndarray:
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2:
         raise ValueError("points must be a 2-d array, one point per row")
-    return _column(_evaluate_columns(e, list(pts.T.copy())), pts)
+    return _column(_evaluate_columns(e, list(pts.T.copy()), _shared(e)), pts)
 
 
-def _evaluate_columns(e: Expr, columns: list) -> list[float] | np.ndarray | float:
-    """``e`` at every sample; ``columns[j]`` holds x_{j+1}.
+def _evaluate_columns(e: Expr, columns: list, shared: set[int]) -> list[float] | np.ndarray | float:
+    """``e`` at every sample; ``columns[j]`` holds x_{j+1}; ``shared`` is ``_shared(e)``.
 
     Python floats and float64 arrays round each operation alike, so every
     container gives the same bits, inf and nan included, and the same
     sample index for a zero divisor; a tree that reads no column gives a
     float. No column passed in is written: a sum or product makes a new
     column from its first two entries and accumulates the rest into it in
-    place.
+    place. So a shared node's column, made once and read again, is never
+    written either.
     """
     with _errstate(columns[0] if columns else 0.0):
-        return _walk(e, columns)
+        return _walk(e, columns, shared, {})
 
 
-def _walk(e: Expr, columns: list):
+def _walk(e: Expr, columns: list, shared: set[int], memo: dict):
     if isinstance(e, Const):
         return e.value
     if isinstance(e, Var):
         if e.index > len(columns):
             raise ValueError(f"point of length {len(columns)} is too short for x{e.index}")
         return columns[e.index - 1]
+    key = id(e)
+    if key in memo:
+        return memo[key]
     if isinstance(e, Add):
-        total = _walk(e.terms[0][1], columns)
+        result = _walk(e.terms[0][1], columns, shared, memo)
         ops = operator.add, operator.sub
         for sign, term in e.terms[1:]:
-            total = _map(ops[sign < 0], total, _walk(term, columns))
+            result = _map(ops[sign < 0], result, _walk(term, columns, shared, memo))
             ops = operator.iadd, operator.isub
-        return total
-    if isinstance(e, Mul):
-        product = _walk(e.factors[0][1], columns)
+    elif isinstance(e, Mul):
+        result = _walk(e.factors[0][1], columns, shared, memo)
         ops = operator.mul, operator.truediv
         for sign, factor in e.factors[1:]:
-            value = _walk(factor, columns)
+            value = _walk(factor, columns, shared, memo)
             if sign < 0:
                 bad = _first(_map(operator.eq, value, 0.0))  # -0.0 too
                 if bad is not None:
                     raise EvaluationError("division by zero", sample_index=bad)
-            product = _map(ops[sign < 0], product, value)
+            result = _map(ops[sign < 0], result, value)
             ops = operator.imul, operator.itruediv
-        return product
-    if isinstance(e, Neg):
-        return _map(operator.neg, _walk(e.operand, columns))
-    if isinstance(e, Pow):
-        return _map(lambda b: _pow_repeated(b, e.exponent), _walk(e.base, columns))
-    raise TypeError(f"not an expression node: {e!r}")
+    elif isinstance(e, Neg):
+        result = _map(operator.neg, _walk(e.operand, columns, shared, memo))
+    elif isinstance(e, Pow):
+        result = _map(lambda b: _pow_repeated(b, e.exponent), _walk(e.base, columns, shared, memo))
+    else:
+        raise TypeError(f"not an expression node: {e!r}")
+    if key in shared:
+        memo[key] = result
+    return result
 
 
 # The leaf helpers: a column is a list of Python floats, a numpy array, or a
@@ -551,7 +631,7 @@ def _errstate(column):
 
 
 def _size_at_most(e: Expr, limit: int) -> bool:
-    """Whether ``e`` has at most ``limit`` nodes; no more than ``limit`` of them are visited."""
+    """Whether ``e`` has at most ``limit`` nodes, a shared node counted once per path; no more than ``limit`` of them are visited."""
     pending = [e]
     limit -= 1
     while pending and limit >= 0:

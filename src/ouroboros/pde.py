@@ -52,10 +52,10 @@ from ._record import Record
 from .core import RESIDUAL_TOL, SYMBOLIC_ZERO_TOL, LinearForm, OuroborosReport, SampleDomain, check_linear_exact
 from .core import _check_sampled_at, _cloud, _exact_sum, _integer, _require_tolerance
 from .expr import Const, EvaluationError, Expr, differentiate, dimension, evaluate, mul, sub
-from .expr import _column, _concat, _errstate, _evaluate_columns, _map, _max, _pow_repeated
+from .expr import _column, _concat, _errstate, _evaluate_columns, _map, _max, _pow_repeated, _shared
 from .expr import add as expr_add
 from .families import arithmetic_mean
-from .poly import Poly, expand
+from .poly import Poly, _expand
 
 __all__ = [
     "AlternatingBalanceReport",
@@ -183,7 +183,7 @@ def check_residual(u: Expr | LinearForm, spec: PdeSpec, dom: SampleDomain) -> Re
     normal form, and ``dom`` is not sampled.
     Raises EvaluationError when u has no value at a sample.
     """
-    (report,), _ = _residual_reports(u, [spec], dom)
+    (report,), _, _ = _residual_reports(u, [spec], dom)
     return report
 
 
@@ -195,8 +195,8 @@ def _require_dimension(u: Expr | LinearForm, n: int) -> None:
 
 def _residual_reports(
     u: Expr | LinearForm, specs: Sequence[PdeSpec], dom: SampleDomain
-) -> tuple[list[ResidualReport], list | None]:
-    """check_residual of u against each spec, and the cloud drawn (None for a linear form).
+) -> tuple[list[ResidualReport], list | None, set[int] | None]:
+    """check_residual of u against each spec, the cloud drawn and ``_shared(u)`` (None and None for a linear form).
 
     The normal form of u = sum(c_k * x_k) is {e_k: c_k}, whose residual has
     one coefficient, the constant sum(w_k * c_k) at the origin: it is decided
@@ -211,11 +211,12 @@ def _residual_reports(
     _require_dimension(u, dom.n)
     if isinstance(u, LinearForm):
         decided = (_exact_sum((w, u.coeffs[k - 1]) for k, w in spec.terms() if k <= u.n) for spec in specs)
-        return [ResidualReport(zero, c, 0.0 if zero else abs(c), math.nan, 0, LINEAR_NOTE) for zero, c in decided], None
-    points = _cloud(u, dom)
-    fds = _fd_partials(u, points, [spec.direction() for spec in specs], DEFAULT_FD_STEP)
-    form = expand(u, dom.n)
-    return [_residual_report(u, form, spec, points, fd, dom.count) for spec, fd in zip(specs, fds)], points
+        reports = [ResidualReport(zero, c, 0.0 if zero else abs(c), math.nan, 0, LINEAR_NOTE) for zero, c in decided]
+        return reports, None, None
+    points, shared = _cloud(u, dom), _shared(u)
+    fds = _fd_partials(u, points, [spec.direction() for spec in specs], DEFAULT_FD_STEP, shared)
+    form = _expand(u, dom.n, shared)
+    return [_residual_report(u, form, spec, points, fd, dom.count) for spec, fd in zip(specs, fds)], points, shared
 
 
 def _residual_report(
@@ -231,7 +232,8 @@ def _residual_report(
     if residual is not None:
         values = _poly_values(residual, points)
     else:
-        values = _evaluate_columns(residual_expr(u, spec), points)
+        residual = residual_expr(u, spec)
+        values = _evaluate_columns(residual, points, _shared(residual))
     return ResidualReport(
         symbolic_zero=symbolic_zero,
         residual_constant=residual_constant,
@@ -269,8 +271,8 @@ def _poly_values(p: Poly, columns: list):
     return 0.0 if total is None else total
 
 
-def _fd_partials(u: Expr, columns: list, directions: list[list[float]], h: float) -> list:
-    """Central differences of u along each direction w, one column per w.
+def _fd_partials(u: Expr, columns: list, directions: list[list[float]], h: float, shared: set[int]) -> list:
+    """Central differences of u along each direction w, one column per w; ``shared`` is ``_shared(u)``.
 
     Column i holds (u(x + s*w) - u(x - s*w)) / (2s) at every point x, the
     derivative of u along w = directions[i], with the step s = h / max|w_k|:
@@ -296,7 +298,7 @@ def _fd_partials(u: Expr, columns: list, directions: list[list[float]], h: float
             size = len(block[0])
             stacked = [_concat([_map(operator.add, x, shift[j]) for shift in offsets]) for j, x in enumerate(block)]
             try:
-                values = _column(_evaluate_columns(u, stacked), stacked[0])
+                values = _column(_evaluate_columns(u, stacked, shared), stacked[0])
             except EvaluationError as exc:
                 raise EvaluationError(exc.message, start + exc.sample_index % size) from None
             for i, s in enumerate(steps):
@@ -427,18 +429,18 @@ def check_system(u: Expr | LinearForm, n: int, dom: SampleDomain) -> SystemRepor
     """
     if n < 2 or n % 2 != 0:
         raise ValueError(f"the system needs an even dimension of at least 2, got n={n}")
-    (eq1, eq2), points = _residual_reports(u, system_specs(n), dom)
+    (eq1, eq2), points, shared = _residual_reports(u, system_specs(n), dom)
     if isinstance(u, LinearForm):
         ouro = check_linear_exact(u)
         # the float u.to_expr() takes at the origin: it keeps the nonzero terms,
         # each c_k * 0.0, so it reads -0.0 when all of them are negative
         origin = -0.0 if any(u.coeffs) and all(c <= 0.0 for c in u.coeffs) else 0.0
     else:
-        ouro = _check_sampled_at(u, dom, points)
+        ouro = _check_sampled_at(u, dom, points, shared)
         try:
-            origin = evaluate(u, (0.0,) * n)
+            origin = _evaluate_columns(u, [0.0] * n, shared)  # one float column per variable: one sample
         except EvaluationError as exc:
-            raise EvaluationError(f"{exc} at the origin") from exc
+            raise EvaluationError(f"{exc.message} at the origin") from None
     return SystemReport(
         eq1=eq1,
         eq2=eq2,

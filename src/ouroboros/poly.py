@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 from typing import TYPE_CHECKING
 
-from .expr import Add, Const, Expr, Mul, Neg, Pow, Var, _pow_repeated
+from .expr import Add, Const, Expr, Mul, Neg, Pow, Var, _pow_repeated, _shared
 
 if TYPE_CHECKING:
     import numpy as np
@@ -108,35 +108,49 @@ class _NoNormalForm(Exception):
     pass
 
 
-def _degree(e: Expr) -> int:
+def _degree(e: Expr, shared: set[int]) -> int:
     """A bound on the total degree of every polynomial that expanding ``e`` builds.
 
     A divisor counts 0 in its product, since it must expand to a constant,
     but the partial results inside it count toward the bound. Dispatches on
     the exact node type, as the expansion's walk does: isinstance chains
-    nearly double the time of this walk.
+    nearly double the time of this walk. Memoises the nodes in ``shared``
+    (``_shared(e)``) for this call.
     """
-    kind = type(e)
-    if kind is Mul:
-        total = inner = 0
-        for sign, factor in e.factors:
-            if sign > 0:
-                total += _degree(factor)
-            else:
-                inner = max(inner, _degree(factor))
-        return max(total, inner)
-    if kind is Add:
-        top = 0
-        for _, term in e.terms:
-            top = max(top, _degree(term))
-        return top
-    if kind is Var:
-        return 1
-    if kind is Pow:
-        return _degree(e.base) * max(e.exponent, 1)  # a zero power still expands its base
-    if kind is Neg:
-        return _degree(e.operand)
-    return 0
+    memo: dict[int, int] = {}
+
+    def degree(e: Expr) -> int:
+        kind = type(e)
+        if kind is Var:
+            return 1
+        if kind is Const:
+            return 0
+        key = id(e)
+        if key in memo:
+            return memo[key]
+        if kind is Mul:
+            total = inner = 0
+            for sign, factor in e.factors:
+                if sign > 0:
+                    total += degree(factor)
+                else:
+                    inner = max(inner, degree(factor))
+            bound = max(total, inner)
+        elif kind is Add:
+            bound = 0
+            for _, term in e.terms:
+                bound = max(bound, degree(term))
+        elif kind is Pow:
+            bound = degree(e.base) * max(e.exponent, 1)  # a zero power still expands its base
+        elif kind is Neg:
+            bound = degree(e.operand)
+        else:
+            return 0
+        if key in shared:
+            memo[key] = bound
+        return bound
+
+    return degree(e)
 
 
 def expand(e: Expr, n: int) -> Poly | None:
@@ -145,16 +159,30 @@ def expand(e: Expr, n: int) -> Poly | None:
     None when a divisor is not a nonzero constant, or when expanding would
     take more than MAX_PRODUCTS coefficient products. Expands on packed keys
     wide enough for :func:`_degree`'s bound, and unpacks the result once.
+
+    A node reached along more than one path (``_shared``) is expanded once
+    per call and then read again; each reading charges its products to the
+    budget again, so the budget decides as it would on the tree with every
+    path written out.
     """
-    width = _degree(e).bit_length()
+    return _expand(e, n, _shared(e))
+
+
+def _expand(e: Expr, n: int, shared: set[int]) -> Poly | None:
+    """:func:`expand` with ``shared`` = ``_shared(e)`` already found."""
+    width = _degree(e, shared).bit_length()
     budget = [MAX_PRODUCTS]
     one = {0: 1.0}
     units = [1 << width * j for j in range(n)]
+    memo: dict[int, tuple[Packed, int]] = {}  # a shared node's expansion and the products it charged
 
-    def product(p: Packed, q: Packed) -> Packed:
-        budget[0] -= len(p) * len(q)
+    def charge(products: int) -> None:
+        budget[0] -= products
         if budget[0] < 0:
             raise _NoNormalForm
+
+    def product(p: Packed, q: Packed) -> Packed:
+        charge(len(p) * len(q))
         return times(p, q)
 
     def walk(e: Expr) -> Packed:
@@ -165,9 +193,15 @@ def expand(e: Expr, n: int) -> Poly | None:
             if e.index > n:
                 raise ValueError(f"x{e.index} does not exist in dimension n={n}")
             return {units[e.index - 1]: 1.0}
+        key = id(e)
+        if key in memo:
+            result, products = memo[key]
+            charge(products)
+            return result
+        before = budget[0]
         if kind is Add:
-            return combine([(sign, walk(term)) for sign, term in e.terms])
-        if kind is Mul:
+            result = combine([(sign, walk(term)) for sign, term in e.terms])
+        elif kind is Mul:
             result = walk(e.factors[0][1])
             for sign, factor in e.factors[1:]:
                 p = walk(factor)
@@ -177,10 +211,9 @@ def expand(e: Expr, n: int) -> Poly | None:
                 if p.keys() != one.keys():
                     raise _NoNormalForm
                 result = combine([(1, {a: c / p[0] for a, c in result.items()})])
-            return result
-        if kind is Neg:
-            return combine([(-1, walk(e.operand))])
-        if kind is Pow:
+        elif kind is Neg:
+            result = combine([(-1, walk(e.operand))])
+        elif kind is Pow:
             # binary exponentiation, the order expr evaluates powers in
             base, k, result = walk(e.base), e.exponent, one
             while k:
@@ -189,8 +222,11 @@ def expand(e: Expr, n: int) -> Poly | None:
                 k >>= 1
                 if k:
                     base = product(base, base)
-            return result
-        raise TypeError(f"not an expression node: {e!r}")
+        else:
+            raise TypeError(f"not an expression node: {e!r}")
+        if key in shared:
+            memo[key] = result, before - budget[0]
+        return result
 
     try:
         form = walk(e)

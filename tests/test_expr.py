@@ -1,7 +1,10 @@
 """Expression layer: parsing, printing, evaluation, differentiation."""
 
+import copy
 import math
+import pickle
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -57,6 +60,33 @@ def expr_strategy(max_vars: int = 3):
         )
 
     return st.recursive(atoms, extend, max_leaves=12)
+
+
+def shared_parses(trees):
+    """Parses of random trees in which subtrees of ``trees`` repeat, so that parse shares them."""
+    def repeat(children):
+        return st.one_of(
+            children.map(lambda c: Add(((1, c), (1, c)))),
+            st.tuples(children, children).map(lambda ab: Mul(((1, ab[0]), (1, ab[1]), (1, Neg(ab[0]))))),
+            st.tuples(children, children).map(lambda ab: Add(((1, Pow(ab[0], 2)), (-1, Mul(((1, ab[1]), (1, Pow(ab[0], 2)))))))),
+        )
+
+    return st.recursive(trees, repeat, max_leaves=3).map(lambda e: parse(to_string(e)))
+
+
+def unshared(e):
+    """``e`` rebuilt with a new object on every path: no node is reached along two, not even a leaf."""
+    if isinstance(e, Const):
+        return Const(e.value)
+    if isinstance(e, Var):
+        return Var(e.index)
+    if isinstance(e, Add):
+        return Add(tuple((sign, unshared(term)) for sign, term in e.terms))
+    if isinstance(e, Mul):
+        return Mul(tuple((sign, unshared(factor)) for sign, factor in e.factors))
+    if isinstance(e, Neg):
+        return Neg(unshared(e.operand))
+    return Pow(unshared(e.base), e.exponent)
 
 
 class TestParsing:
@@ -169,6 +199,46 @@ class TestLongInputs:
         # the flat product rule: one summand per factor, none nested deeper than the product
         assert evaluate(differentiate(e, 1), (1.0,)) == count
         assert expand(e, 1) == {(count,): 1.0}
+
+
+class TestSharing:
+    """parse makes equal subtrees one object; evaluation, expansion and dimension read a shared node once."""
+
+    def test_equal_subtrees_are_one_object(self):
+        e = parse("(x1+x2)^2*x3 + (x1+x2)^2")
+        assert e.terms[0][1].factors[0][1] is e.terms[1][1]
+        assert e.terms[1][1] == Pow(Add(((1, Var(1)), (1, Var(2)))), 2)
+
+    def test_zero_and_minus_zero_stay_two_constants(self):
+        e = parse("0*x1 + -0*x2")
+        zero, minus_zero = e.terms[0][1].factors[0][1], e.terms[1][1].factors[0][1]
+        assert zero is not minus_zero
+        assert math.copysign(1.0, zero.value) == 1.0 and math.copysign(1.0, minus_zero.value) == -1.0
+        assert math.copysign(1.0, evaluate(parse("-0*x1"), [1])) == -1.0
+
+    @given(shared_parses(expr_strategy()))
+    @settings(max_examples=150, deadline=None)
+    def test_a_shared_parse_reads_as_its_unshared_rebuild(self, e):
+        rebuilt = unshared(e)
+        assert e == rebuilt and hash(e) == hash(rebuilt)
+        assert repr(e) == repr(rebuilt) and to_string(e) == to_string(rebuilt)
+        assert pickle.loads(pickle.dumps(e)) == rebuilt
+        assert copy.deepcopy(e) == rebuilt
+        assert dimension(e) == dimension(rebuilt)
+
+    def test_a_doubling_dag_is_walked_in_time_linear_in_its_nodes(self):
+        """Level k multiplies level k-1 by itself, so 64 levels hold x1^(2^64) on 2^64 paths.
+
+        The DAG is neither hashed nor printed, not even by a failing assert: those still walk every path.
+        """
+        e = Var(1)
+        for _ in range(64):
+            e = Mul(((1, e), (1, e)))
+        for walk, want in ((dimension, 1), (lambda e: evaluate(e, [1.0]), 1.0), (lambda e: expand(e, 1), None)):
+            start = time.perf_counter()
+            got = walk(e)
+            seconds = time.perf_counter() - start
+            assert got == want and seconds < 1.0
 
 
 class TestPrinting:

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from ouroboros import pde
 from ouroboros.core import LinearForm, SampleDomain, Verdict, check_sampled
-from ouroboros.expr import EvaluationError, evaluate, evaluate_many, parse, to_string
+from ouroboros.expr import EvaluationError, _shared, evaluate, evaluate_many, parse, to_string
 from ouroboros.families import arithmetic_mean, head_average_solution
 from ouroboros.pde import (
     BLOCK_CELLS,
@@ -230,7 +230,7 @@ class TestLinearRoute:
             raise AssertionError("a linear form took the sampled route")
 
         monkeypatch.setattr(SampleDomain, "samples", refuse)
-        monkeypatch.setattr(pde, "expand", refuse)
+        monkeypatch.setattr(pde, "_expand", refuse)
         dom = SampleDomain(n=4, radius=2.0, seed=0, count=200)
         assert check_residual(arithmetic_mean(4), PdeSpec(PdeKind.EQ_I, n=4, beta=4), dom).symbolic_zero
         assert check_system(arithmetic_mean(4), 4, dom).all_hold
@@ -363,7 +363,7 @@ class TestResidualRoutes:
         count = 3 * (BLOCK_ROWS // (2 * len(directions))) + 7
         dom = SampleDomain(n=n, radius=2.0, seed=9, count=count)
         points = dom.samples()
-        blocked = np.array(_fd_partials(u, list(points.T), directions, h))
+        blocked = np.array(_fd_partials(u, list(points.T), directions, h, _shared(u)))
         assert blocked.shape == (len(directions), count)
         assert np.array_equal(blocked, per_direction_loop(u, points, directions, h))
         for spec, got in zip(specs, blocked):
@@ -410,7 +410,7 @@ class TestResidualRoutes:
         check_residual, 4 for check_system."""
         shapes = []
 
-        def recording(u, stacked):
+        def recording(u, stacked, shared):
             shapes.append((len(stacked[0]), len(stacked)))
             return np.zeros(len(stacked[0]))
 
@@ -418,7 +418,7 @@ class TestResidualRoutes:
         directions = [spec.direction() for spec in system_specs(n)][:equations]
         shifts = 2 * len(directions)
         count = 3 * max(1, BLOCK_CELLS // (shifts * n)) + 1
-        fd = np.array(_fd_partials(parse("x1"), list(np.zeros((count, n)).T), directions, DEFAULT_FD_STEP))
+        fd = np.array(_fd_partials(parse("x1"), list(np.zeros((count, n)).T), directions, DEFAULT_FD_STEP, set()))
         assert fd.shape == (len(directions), count)
         samples = [rows // shifts for rows, _ in shapes]
         assert all(rows == shifts * s and width == n for (rows, width), s in zip(shapes, samples))
@@ -472,10 +472,10 @@ class TestDirectionalDifferences:
         before = pts.copy()
         u = parse(text)
         directions = [spec.direction() for spec in specs]
-        got = np.array(_fd_partials(u, list(pts.T), directions, DEFAULT_FD_STEP))
+        got = np.array(_fd_partials(u, list(pts.T), directions, DEFAULT_FD_STEP, _shared(u)))
         assert np.array_equal(pts, before)
         assert got.tobytes() == per_direction_loop(u, pts, directions, DEFAULT_FD_STEP).tobytes()
-        assert np.array(_fd_partials(u, list(pts.T), directions, DEFAULT_FD_STEP)).tobytes() == got.tobytes()
+        assert np.array(_fd_partials(u, list(pts.T), directions, DEFAULT_FD_STEP, _shared(u))).tobytes() == got.tobytes()
         for spec, row in zip(specs, got):
             exact = evaluate_many(residual_expr(u, spec), pts)
             assert np.all(np.abs(row - exact) <= 1e-8 * (1.0 + np.abs(exact)))
@@ -495,7 +495,7 @@ class TestDirectionalDifferences:
             want = per_direction_loop(e, pts, directions, h)
         except EvaluationError:
             with pytest.raises(EvaluationError) as got:
-                _fd_partials(e, list(pts.T), directions, h)
+                _fd_partials(e, list(pts.T), directions, h, _shared(e))
             i = got.value.sample_index
             hits = 0
             for w in directions:
@@ -506,7 +506,7 @@ class TestDirectionalDifferences:
                         hits += 1
             assert hits > 0
             return
-        assert np.array(_fd_partials(e, list(pts.T), directions, h)).tobytes() == want.tobytes()
+        assert np.array(_fd_partials(e, list(pts.T), directions, h, _shared(e))).tobytes() == want.tobytes()
 
     def test_a_zero_divisor_is_named_at_the_first_shift_in_order(self):
         """Zero at x - h*w1 of row 4 and at x + h*w2 of row 1: both shifts along w1
@@ -516,10 +516,10 @@ class TestDirectionalDifferences:
         directions = [[1.0, 0.0], [0.0, 1.0]]
         u = parse(f"1/((x1 - ({float(pts[4, 0] - h)!r}))*(x2 - ({float(pts[1, 1] + h)!r})))")
         with pytest.raises(EvaluationError) as got:
-            _fd_partials(u, list(pts.T), directions, h)
+            _fd_partials(u, list(pts.T), directions, h, _shared(u))
         assert got.value.sample_index == 4
         with pytest.raises(EvaluationError) as swapped:
-            _fd_partials(u, list(pts.T), directions[::-1], h)
+            _fd_partials(u, list(pts.T), directions[::-1], h, _shared(u))
         assert swapped.value.sample_index == 1
 
 

@@ -8,8 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ouroboros.core import SampleDomain
-from ouroboros.expr import Add, Const, Mul, Neg, Pow, Var, differentiate, evaluate_many, parse
-from ouroboros.poly import MAX_PRODUCTS, combine, derivative, expand, monomial_exponents, monomial_values
+from ouroboros.expr import Add, Const, Mul, Neg, Pow, Var, _shared, differentiate, dimension, evaluate_many, parse
+from ouroboros.poly import MAX_PRODUCTS, _degree, combine, derivative, expand, monomial_exponents, monomial_values
+
+from test_expr import shared_parses, unshared
 
 N = 3
 POINTS = SampleDomain(n=N, radius=2.0, seed=0, count=20).samples()
@@ -161,6 +163,23 @@ class TestExpand:
     def test_any_divisor_expands_as_the_tuple_keyed_walk_does(self, e):
         """Most divisors here are not constant (no normal form); the rest must still match."""
         assert_identical(expand(e, N), reference_expand(e, N))
+
+    @given(shared_parses(polynomial_trees()))
+    @settings(max_examples=150, deadline=None)
+    def test_a_shared_parse_expands_as_its_unshared_rebuild(self, e):
+        rebuilt = unshared(e)
+        assert_identical(expand(e, N), expand(rebuilt, N))
+        assert_identical(expand(e, N), reference_expand(e, N))
+        assert _degree(e, _shared(e)) == _degree(rebuilt, set())
+        assert dimension(e) == dimension(rebuilt)
+
+    def test_each_copy_of_a_shared_subtree_is_charged_to_the_budget(self):
+        """(x1 + x2 + x3)^30 takes 22011 products. The parse holds one copy of it,
+        expanded once, yet a sum of copies expands only while they fit in MAX_PRODUCTS."""
+        copies = MAX_PRODUCTS // 22011
+        one = "(x1 + x2 + x3)^30"
+        assert expand(parse(" + ".join([one] * copies)), 3) is not None
+        assert expand(parse(" + ".join([one] * (copies + 1))), 3) is None
 
     @pytest.mark.parametrize("text,n,expected", [
         ("x1^99999", 1, {(99999,): 1.0}),

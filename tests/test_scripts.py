@@ -43,7 +43,9 @@ def test_uniqueness_probe_runs_a_small_grid():
 
 
 def test_time_cli_times_every_determinism_command():
-    """One round: a line per command with its median, exit code, whether it loaded numpy and its module count."""
+    """One round: a line per command with its median, exit code, whether it loaded numpy and its module count,
+    under a header that names the bytecode regime."""
+    cache = "present" if (ROOT / "src" / "ouroboros" / "__pycache__").is_dir() else "absent"
     proc = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / "time_cli.py"), "--repeats", "1"],
         capture_output=True,
@@ -52,6 +54,8 @@ def test_time_cli_times_every_determinism_command():
     assert proc.returncode == 0, proc.stdout + proc.stderr
     header, *rows, total = proc.stdout.splitlines()
     assert header.split()[:3] == ["median_s", "exit", "numpy"]
+    written = "no" if os.environ.get("PYTHONDONTWRITEBYTECODE") else "yes"
+    assert header.endswith(f"(1 rounds; bytecode written: {written}; src/ouroboros/__pycache__ at start: {cache})")
     assert len(rows) == 8
     # check and pde, by --coeffs and by --expr, expect and version start without numpy; explore loads it
     assert [row.split()[4] for row in rows] == ["check", "check", "pde", "pde", "pde", "expect", "explore", "version"]

@@ -25,12 +25,12 @@ from ouroboros import (
     evaluate_many,
     parse,
 )
-from ouroboros.core import SMALL_CLOUD_CELLS, _cloud, _philox_uniform
-from ouroboros.expr import _column, _evaluate_columns, _size_at_most
+from ouroboros.core import SMALL_CLOUD_CELLS, _check_sampled_at, _cloud, _philox_uniform
+from ouroboros.expr import _column, _evaluate_columns, _shared, _size_at_most
 from ouroboros.pde import DEFAULT_FD_STEP, _fd_partials, _poly_values
 from ouroboros.poly import expand
 
-from test_expr import expr_strategy
+from test_expr import expr_strategy, shared_parses, unshared
 
 
 @contextlib.contextmanager
@@ -150,9 +150,9 @@ class TestRoutesAgree:
         points, columns = dom.samples(), dom._columns()
         arrays = list(points.T.copy())
         for by_numpy, by_python in (
-            (lambda: evaluate_many(e, points), lambda: _column(_evaluate_columns(e, columns), columns[0])),
-            (lambda: _fd_partials(e, arrays, directions, DEFAULT_FD_STEP),
-             lambda: _fd_partials(e, columns, directions, DEFAULT_FD_STEP)),
+            (lambda: evaluate_many(e, points), lambda: _column(_evaluate_columns(e, columns, _shared(e)), columns[0])),
+            (lambda: _fd_partials(e, arrays, directions, DEFAULT_FD_STEP, _shared(e)),
+             lambda: _fd_partials(e, columns, directions, DEFAULT_FD_STEP, _shared(e))),
         ):
             try:
                 want = bits(by_numpy())
@@ -227,6 +227,43 @@ class TestRoutesAgree:
             assert by_numpy == by_python, check.__name__
 
 
+def bits_or_error(compute):
+    """The bits of what ``compute()`` returns, or the EvaluationError's message and sample index."""
+    try:
+        return bits(compute())
+    except EvaluationError as exc:
+        return exc.message, exc.sample_index
+
+
+# small integers as floats, so that divisors meet zero at many samples
+GRID_ROWS = st.lists(st.tuples(*[st.sampled_from([-2.0, -1.0, -0.0, 0.0, 0.5, 1.0, 2.0])] * 3), min_size=1, max_size=12)
+
+
+class TestSharedParsesAgree:
+    """A parse that shares equal subtrees reads, bit for bit, as its rebuild with every path written out."""
+
+    @given(shared_parses(expr_strategy()), GRID_ROWS)
+    @settings(max_examples=150, deadline=None)
+    def test_values_on_both_containers(self, e, rows):
+        rebuilt = unshared(e)
+        python = [list(column) for column in zip(*rows)]
+        for columns in (python, [np.array(column) for column in python]):
+            want = bits_or_error(lambda: _column(_evaluate_columns(rebuilt, columns, set()), columns[0]))
+            assert bits_or_error(lambda: _column(_evaluate_columns(e, columns, _shared(e)), columns[0])) == want
+
+    @given(shared_parses(expr_strategy()), SEEDS, COUNTS, st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_differences_and_self_application(self, e, seed, count, python):
+        rebuilt = unshared(e)
+        dom = SampleDomain(n=3, radius=2.0, seed=seed, count=count)
+        columns = dom._columns() if python else list(dom.samples().T.copy())
+        directions = [[1.0, 1.0, -2.0], [-1.0, 1.0, -1.0]]
+        assert bits_or_error(lambda: _fd_partials(e, columns, directions, DEFAULT_FD_STEP, _shared(e))) == \
+            bits_or_error(lambda: _fd_partials(rebuilt, columns, directions, DEFAULT_FD_STEP, set()))
+        assert exact(_check_sampled_at(e, dom, columns, _shared(e)).to_dict()) == \
+            exact(_check_sampled_at(rebuilt, dom, columns, set()).to_dict())
+
+
 class TestNoColumnIsWritten:
     """The walk accumulates sums and products in place, but only in columns it made."""
 
@@ -237,13 +274,13 @@ class TestNoColumnIsWritten:
         columns = dom._columns() if python else list(dom.samples().T.copy())
         before = [bits(column) for column in columns]
         with contextlib.suppress(EvaluationError):
-            y = _evaluate_columns(e, columns)
+            y = _evaluate_columns(e, columns, _shared(e))
             y_before = bits(y)
             with contextlib.suppress(EvaluationError):
-                _evaluate_columns(e, [y] * dom.n)
+                _evaluate_columns(e, [y] * dom.n, _shared(e))
             assert bits(y) == y_before
         with contextlib.suppress(EvaluationError):
-            _fd_partials(e, columns, [[1.0, 1.0, -2.0], [-1.0, 1.0, -1.0]], DEFAULT_FD_STEP)
+            _fd_partials(e, columns, [[1.0, 1.0, -2.0], [-1.0, 1.0, -1.0]], DEFAULT_FD_STEP, _shared(e))
         form = expand(e, 3)
         if form is not None:
             _poly_values(form, columns)
@@ -253,11 +290,13 @@ class TestNoColumnIsWritten:
     @pytest.mark.parametrize("text, values", [
         ("x1 + x1 + x1", lambda y: 3.0 * y),  # x1 + x1 written into y would read 4y
         ("x1*x1*x1 - x1", lambda y: y * y * y - y),
+        ("(x1 + x1)*(x1 + x1) + (x1 + x1)", lambda y: (y + y) * (y + y) + (y + y)),  # one shared x1 + x1
     ])
     def test_a_diagonal_of_one_column_is_read_only(self, text, values, python):
         """The diagonal [y] * n is one column n times, the first operand of every sum and product."""
         y = np.array([0.5, -1.5, 3.0, -0.0])
         column = y.tolist() if python else y.copy()
-        got = _evaluate_columns(parse(text), [column] * 2)
+        e = parse(text)
+        got = _evaluate_columns(e, [column] * 2, _shared(e))
         assert bits(column) == bits(y)
         assert bits(got) == bits(values(y))
