@@ -2,15 +2,15 @@
 """Time one sampled check per cloud container at core.SMALL_CLOUD_CELLS.
 
 For three tree shapes u in n = 4 variables, the cloud holds
-SMALL_CLOUD_CELLS // (n + nodes of u) samples, the most that ``_cloud``
-still draws as Python float lists. ``check_system`` (both residuals and
-self-application, the most work a sampled check does) runs on that cloud
-once per round as Python float lists and once as numpy arrays, in process
-with numpy already imported; the rounds alternate which container goes
-first. Printed per shape: the median milliseconds of each. The last line is
-the median cost of importing numpy in a fresh process (``python -c "import
-numpy"`` less ``python -c pass``), which the Python float lists save a
-command that needs no other array.
+SMALL_CLOUD_CELLS // (n + distinct nodes of u) samples, the most that
+``_cloud`` still draws as Python float lists. ``check_system`` (both
+residuals and self-application, the most work a sampled check does) runs on
+that cloud once per round as Python float lists and once as numpy arrays,
+in process with numpy already imported; the rounds alternate which
+container goes first. Printed per shape: the median milliseconds of each.
+The last line is the median cost of importing numpy in a fresh process
+(``python -c "import numpy"`` less ``python -c pass``), which the Python
+float lists save a command that needs no other array.
 
 Usage: python3 scripts/time_routes.py [--repeats N]
 """
@@ -25,7 +25,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from ouroboros import SampleDomain, check_system, core, parse
-from ouroboros.expr import _size_at_most
+from ouroboros.expr import _shape
 
 N = 4
 SHAPES = {
@@ -33,13 +33,6 @@ SHAPES = {
     "polynomial": "(x1 + x2 + x3 + x4)/4 + (x1 - x3)^3*(x2 - x4) - 2*(x1 - x3)*(x2 - x4)^2 + (x1 - x3)^2/5",
     "rational": "(x1 + x2 + x3 + x4)/4 + (x1 - x3)/(1 + (x2 - x4)^2) - (x2 - x4)^3/(3 + (x1 - x3)^2)",
 }
-
-
-def nodes(u) -> int:
-    count = 1
-    while not _size_at_most(u, count):
-        count += 1
-    return count
 
 
 def timed_check(u, dom: SampleDomain, cells: int) -> float:
@@ -73,7 +66,7 @@ def main() -> int:
     print(f"{'python_ms':>9}  {'numpy_ms':>8}  {'nodes':>5}  {'samples':>7}  shape (n = {N}, {args.repeats} rounds)")
     for name, text in SHAPES.items():
         u = parse(text)
-        size = nodes(u)
+        size = _shape(u).size
         dom = SampleDomain(n=N, radius=2.0, seed=0, count=bound // (N + size))
         times: dict[int, list[float]] = {bound: [], 0: []}  # cells: the bound keeps Python floats, 0 numpy
         for round_index in range(args.repeats):

@@ -12,7 +12,7 @@ The names from :mod:`ouroboros.pde` and :mod:`ouroboros.explorer` load on
 first use (PEP 562), so that a command needing neither skips both imports.
 The explorer imports numpy as it loads; the sampled and residual checks
 import it only for a cloud past ``core.SMALL_CLOUD_CELLS`` (samples times
-n plus the nodes of u), and draw a smaller one as Python float lists,
+n plus the distinct nodes of u), and draw a smaller one as Python float lists,
 which the same walk checks to the same bits. The exact checks, the
 expectation check, the transport checks of linear forms and the sampled
 checks at the command line's defaults run without numpy.

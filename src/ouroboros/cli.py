@@ -46,12 +46,12 @@ explorer modules in their handlers. The package's records are plain
 ``__slots__`` classes, so no command imports the data-class module or
 inspect. Only ``explore`` and a sampled check whose cloud is past
 ``core.SMALL_CLOUD_CELLS`` import numpy: up to that bound, samples times
-(n plus the nodes of u), ``check --expr`` and ``pde --expr`` draw their
-cloud as Python float lists, and the walk that checks numpy arrays checks
-those, to the same bits. At the default 200 samples that covers every u of
-up to about 100 nodes. ``check`` and ``pde`` by ``--coeffs`` or
-``--expr``, ``expect`` and ``version`` take about 0.08-0.11 s in a fresh
-process and ``explore`` about 0.24-0.27 s (3 runs of
+(n plus the distinct nodes of u), ``check --expr`` and ``pde --expr`` draw
+their cloud as Python float lists, and the walk that checks numpy arrays
+checks those, to the same bits. At the default 200 samples that covers
+every u of up to 100 - n distinct nodes. ``check`` and ``pde`` by
+``--coeffs`` or ``--expr``, ``expect`` and ``version`` take about
+0.08-0.11 s in a fresh process and ``explore`` about 0.24-0.27 s (3 runs of
 ``scripts/time_cli.py``, 9 alternating rounds each, 2-CPU VM, Python
 3.11.7, numpy 2.4.6; with frozen data classes and these imports at the
 top they took 0.11-0.14 s and 0.27-0.30 s in alternating runs). These

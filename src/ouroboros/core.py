@@ -6,10 +6,10 @@ linear form f(x) = sum(c_k * x_k) this holds exactly when the coefficients
 sum to 1 (or are all zero), which is what :func:`check_linear_exact` tests.
 :func:`check_sampled` probes arbitrary expressions numerically on a seeded
 sample cloud. The exact route runs without numpy, and so does a small cloud:
-while count * (n + nodes of f) <= SMALL_CLOUD_CELLS the cloud is drawn by a
-pure-Python Philox as Python float lists, past it by numpy as arrays
-(:func:`_cloud`), and one body checks either container to the same bits.
-Only a larger cloud imports numpy, on first use.
+while count * (n + distinct nodes of f) <= SMALL_CLOUD_CELLS the cloud is
+drawn by a pure-Python Philox as Python float lists, past it by numpy as
+arrays (:func:`_cloud`), and one body checks either container to the same
+bits. Only a larger cloud imports numpy, on first use.
 """
 
 from __future__ import annotations
@@ -22,8 +22,8 @@ from enum import Enum
 from typing import TYPE_CHECKING, Sequence
 
 from ._record import Record
-from .expr import Add, Const, EvaluationError, Expr, Var, dimension, evaluate, mul
-from .expr import _argmax, _errstate, _evaluate_columns, _first, _map, _max, _shared, _size_at_most
+from .expr import Add, Const, EvaluationError, Expr, Var, evaluate, mul
+from .expr import _argmax, _errstate, _evaluate_columns, _first, _map, _max, _shape, _Shape
 
 __all__ = [
     "LinearForm",
@@ -47,10 +47,10 @@ RESIDUAL_TOL = 1e-9
 # SYMBOLIC_ZERO_TOL and the smallest normal float as integer ratios, for _exact_sum
 _TOL_N, _TOL_D = SYMBOLIC_ZERO_TOL.as_integer_ratio()
 _MIN_N, _MIN_D = sys.float_info.min.as_integer_ratio()
-# samples times (n + nodes of u) up to which a cloud is drawn as Python float
-# lists (see _cloud): at the bound one check_system takes 11-35 ms on them
-# (0.7-3.0 ms on arrays), less than importing numpy costs a fresh process,
-# 0.10-0.13 s (scripts/time_routes.py, three runs, 2-CPU VM)
+# samples times (n + distinct nodes of u) up to which a cloud is drawn as
+# Python float lists (see _cloud): at the bound one check_system takes 15-42
+# ms on them (0.7-3.0 ms on arrays), less than a fresh process's numpy import,
+# 0.10-0.15 s (scripts/time_routes.py, three runs of 9 rounds, 2-CPU VM)
 SMALL_CLOUD_CELLS = 20_000
 # Philox4x64-10's multipliers and key increments (Salmon et al., SC 2011)
 _PHILOX_M0, _PHILOX_M1 = 0xD2E7470EE14C6C93, 0xCA5A826395121157
@@ -159,15 +159,14 @@ def _philox_uniform(seed: int, count: int, low: float, high: float) -> list[floa
     return [low + scale * ((x >> 11) * unit) for x in words[:count]]
 
 
-def _cloud(u: Expr, dom: SampleDomain) -> list:
-    """dom's points for checking u, one column per coordinate: Python float
-    lists (``dom._columns()``) while count * (n + nodes of u) <= SMALL_CLOUD_CELLS,
-    else the contiguous rows of ``dom.samples().T``.
+def _cloud(shape: _Shape, dom: SampleDomain) -> list:
+    """dom's points for checking a u of this shape, one column per coordinate:
+    Python float lists (``dom._columns()``) while count * (n + distinct nodes
+    of u) <= SMALL_CLOUD_CELLS, else the contiguous rows of ``dom.samples().T``.
 
-    The checks walk either container with the same code. Counting stops at
-    the bound, so a large u is sent to numpy in time independent of its size.
+    The checks walk either container with the same code.
     """
-    if _size_at_most(u, SMALL_CLOUD_CELLS // dom.count - dom.n):
+    if dom.count * (dom.n + shape.size) <= SMALL_CLOUD_CELLS:
         return dom._columns()
     return list(dom.samples().T.copy())
 
@@ -280,15 +279,16 @@ def check_sampled(f: Expr, dom: SampleDomain, tol: float = SAMPLED_TOL) -> Ourob
     enter the verdict.
     """
     _require_tolerance(tol)
-    if dimension(f) > dom.n:
-        raise ValueError(f"expression uses x{dimension(f)} but the domain has n={dom.n}")
-    return _check_sampled_at(f, dom, _cloud(f, dom), _shared(f), tol)
+    shape = _shape(f)
+    if shape.dimension > dom.n:
+        raise ValueError(f"expression uses x{shape.dimension} but the domain has n={dom.n}")
+    return _check_sampled_at(f, dom, _cloud(shape, dom), shape.shared, tol)
 
 
 def _check_sampled_at(
     f: Expr, dom: SampleDomain, columns: list, shared: set[int], tol: float = SAMPLED_TOL
 ) -> OuroborosReport:
-    """check_sampled on ``columns``, the cloud that ``dom`` draws (see _cloud), with ``shared`` = ``_shared(f)``;
+    """check_sampled on ``columns``, the cloud that ``dom`` draws (see _cloud), with ``shared`` = ``_shape(f).shared``;
     the caller has checked ``tol`` and f's dimension."""
     try:
         y = _evaluate_columns(f, columns, shared)

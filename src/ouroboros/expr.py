@@ -31,11 +31,12 @@ walker below on what it parses.
 A tree may share subtrees: :func:`parse` makes the equal subtrees of its
 text one object, and a tree built by hand may reuse a node. Equality,
 hashing, printing, pickling and copying read a shared node once per path,
-as they would read copies of it. The walks that evaluate, expand
-(:mod:`ouroboros.poly`) and find the dimension read each distinct node
-once: ``_shared`` names the nodes reached along more than one path, and a
-walk memoises those, and no others, for its own length. ``_size_at_most``
-still counts paths.
+as they would read copies of it. Every other walk reads each distinct node
+once. ``_shape`` finds in one walk a tree's dimension, its size in
+distinct nodes and the nodes named as a child more than once; the walks
+that evaluate and expand (:mod:`ouroboros.poly`) memoise those, and no
+others, for their own length, and :func:`differentiate` memoises every
+node it differentiates, since its result holds their derivatives anyway.
 
 Evaluation is one walk over columns, one per variable: Python float lists,
 numpy arrays, or a float standing for every sample. :func:`evaluate`,
@@ -54,7 +55,7 @@ import operator
 import re
 from contextlib import nullcontext
 from itertools import repeat
-from typing import TYPE_CHECKING, Sequence, Union
+from typing import TYPE_CHECKING, NamedTuple, Sequence, Union
 
 from ._record import Record
 
@@ -412,53 +413,47 @@ for _cls in (Const, Var, Add, Mul, Neg, Pow):
 # ---------------------------------------------------------------------------
 # evaluation
 
-def dimension(e: Expr) -> int:
-    """Largest variable index occurring in ``e``; 0 for a constant. Walks each distinct inner node once."""
-    top = 0
-    seen: set[int] = set()
-    pending = [e]
-    while pending:
-        node = pending.pop()
-        kind = type(node)
-        if kind is Var:
-            top = max(top, node.index)
-        elif kind is Const or id(node) in seen:
-            continue
-        elif kind is Add or kind is Mul:
-            seen.add(id(node))
-            pending += [child for _, child in (node.terms if kind is Add else node.factors)]
-        elif kind is Neg or kind is Pow:
-            seen.add(id(node))
-            pending.append(node.operand if kind is Neg else node.base)
-        else:
-            raise TypeError(f"not an expression node: {node!r}")
-    return top
+class _Shape(NamedTuple):
+    """What :func:`_shape` finds in one walk of a tree."""
+
+    dimension: int  # the largest variable index, 0 for a constant
+    shared: set[int]  # ids of the sums, products, negations and powers named as a child more than once
+    size: int  # distinct nodes, leaves included
 
 
-def _shared(e: Expr) -> set[int]:
-    """The ids of the sums, products, negations and powers reached along more than one path from ``e``.
+def _shape(e: Expr) -> _Shape:
+    """The shape of ``e``, each distinct node visited once.
 
-    Each distinct node is visited once. The walks memoise these nodes and no
-    others, each for the length of one walk: a node met once needs no memo,
-    and a leaf costs no more to read again than to look up.
+    The walks memoise the ``shared`` nodes and no others, for the length of
+    one walk: a node named once is met once, and a leaf costs no more to
+    read again than to look up.
     """
+    top = 0
     seen: set[int] = set()
     shared: set[int] = set()
     pending = [e]
     while pending:
         node = pending.pop()
         kind = type(node)
-        if kind is Const or kind is Var:
-            continue
         if id(node) in seen:
-            shared.add(id(node))
+            if kind is not Const and kind is not Var:
+                shared.add(id(node))
+            continue
+        seen.add(id(node))
+        if kind is Var:
+            top = max(top, node.index)
         elif kind is Add or kind is Mul:
-            seen.add(id(node))
             pending += [child for _, child in (node.terms if kind is Add else node.factors)]
         elif kind is Neg or kind is Pow:
-            seen.add(id(node))
             pending.append(node.operand if kind is Neg else node.base)
-    return shared
+        elif kind is not Const:
+            raise TypeError(f"not an expression node: {node!r}")
+    return _Shape(top, shared, len(seen))
+
+
+def dimension(e: Expr) -> int:
+    """Largest variable index occurring in ``e``; 0 for a constant."""
+    return _shape(e).dimension
 
 
 def evaluate(e: Expr, point: Sequence[float]) -> float:
@@ -467,7 +462,7 @@ def evaluate(e: Expr, point: Sequence[float]) -> float:
     The walk of :func:`evaluate_many`, with one float per variable.
     """
     try:
-        return _evaluate_columns(e, [float(x) for x in point], _shared(e))
+        return _evaluate_columns(e, [float(x) for x in point], _shape(e).shared)
     except EvaluationError as exc:
         raise EvaluationError(exc.message) from None
 
@@ -507,11 +502,11 @@ def evaluate_many(e: Expr, points: np.ndarray) -> np.ndarray:
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2:
         raise ValueError("points must be a 2-d array, one point per row")
-    return _column(_evaluate_columns(e, list(pts.T.copy()), _shared(e)), pts)
+    return _column(_evaluate_columns(e, list(pts.T.copy()), _shape(e).shared), pts)
 
 
 def _evaluate_columns(e: Expr, columns: list, shared: set[int]) -> list[float] | np.ndarray | float:
-    """``e`` at every sample; ``columns[j]`` holds x_{j+1}; ``shared`` is ``_shared(e)``.
+    """``e`` at every sample; ``columns[j]`` holds x_{j+1}; ``shared`` is ``_shape(e).shared``.
 
     Python floats and float64 arrays round each operation alike, so every
     container gives the same bits, inf and nan included, and the same
@@ -630,26 +625,6 @@ def _errstate(column):
     return np.errstate(over="ignore", invalid="ignore")
 
 
-def _size_at_most(e: Expr, limit: int) -> bool:
-    """Whether ``e`` has at most ``limit`` nodes, a shared node counted once per path; no more than ``limit`` of them are visited."""
-    pending = [e]
-    limit -= 1
-    while pending and limit >= 0:
-        node = pending.pop()
-        if isinstance(node, (Add, Mul)):
-            entries = node.terms if isinstance(node, Add) else node.factors
-            limit -= len(entries)
-            if limit >= 0:  # a long sum or product costs nothing more to refuse
-                pending.extend(child for _, child in entries)
-        elif isinstance(node, Neg):
-            limit -= 1
-            pending.append(node.operand)
-        elif isinstance(node, Pow):
-            limit -= 1
-            pending.append(node.base)
-    return limit >= 0
-
-
 # ---------------------------------------------------------------------------
 # smart constructors and differentiation
 
@@ -722,39 +697,47 @@ def differentiate(e: Expr, k: int) -> Expr:
     of a constant is the constant zero and variables absent from ``e``
     yield zero. A product differentiates to one summand per factor that
     depends on ``xk``, so the result is no deeper for a longer product.
+    Each distinct node is differentiated once per call.
     """
     if not isinstance(k, int) or k < 1:
         raise ValueError(f"variable index must be a positive integer, got {k!r}")
-    if isinstance(e, Const):
-        return Const(0.0)
-    if isinstance(e, Var):
-        return Const(1.0 if e.index == k else 0.0)
-    if isinstance(e, Add):
-        total = differentiate(e.terms[0][1], k)
-        for sign, term in e.terms[1:]:
-            d = differentiate(term, k)
-            total = add(total, d) if sign > 0 else sub(total, d)
-        return total
-    if isinstance(e, Mul):
-        total = Const(0.0)
-        for i, (sign, factor) in enumerate(e.factors):
-            d = differentiate(factor, k)
-            if isinstance(d, Const) and d.value == 0.0:
-                continue
-            summand: Expr = Const(1.0)  # the product with d in place of factor i
-            for j, (other_sign, other) in enumerate(e.factors):
-                if j == i or other_sign > 0:
-                    summand = mul(summand, d if j == i else other)
-                else:
-                    summand = div(summand, other)
-            # (1/f)' = -f'/f^2
-            total = add(total, summand) if sign > 0 else sub(total, div(summand, power(factor, 2)))
-        return total
-    if isinstance(e, Neg):
-        return neg(differentiate(e.operand, k))
-    if isinstance(e, Pow):
-        if e.exponent == 0:
+    memo: dict[int, Expr] = {}  # every inner node's derivative, by id: the result holds them anyway
+
+    def derive(e: Expr) -> Expr:
+        if isinstance(e, Const):
             return Const(0.0)
-        outer = mul(Const(float(e.exponent)), power(e.base, e.exponent - 1))
-        return mul(outer, differentiate(e.base, k))
-    raise TypeError(f"not an expression node: {e!r}")
+        if isinstance(e, Var):
+            return Const(1.0 if e.index == k else 0.0)
+        if id(e) in memo:
+            return memo[id(e)]
+        if isinstance(e, Add):
+            total = derive(e.terms[0][1])
+            for sign, term in e.terms[1:]:
+                d = derive(term)
+                total = add(total, d) if sign > 0 else sub(total, d)
+        elif isinstance(e, Mul):
+            total = Const(0.0)
+            for i, (sign, factor) in enumerate(e.factors):
+                d = derive(factor)
+                if isinstance(d, Const) and d.value == 0.0:
+                    continue
+                summand: Expr = Const(1.0)  # the product with d in place of factor i
+                for j, (other_sign, other) in enumerate(e.factors):
+                    if j == i or other_sign > 0:
+                        summand = mul(summand, d if j == i else other)
+                    else:
+                        summand = div(summand, other)
+                # (1/f)' = -f'/f^2
+                total = add(total, summand) if sign > 0 else sub(total, div(summand, power(factor, 2)))
+        elif isinstance(e, Neg):
+            total = neg(derive(e.operand))
+        elif isinstance(e, Pow) and e.exponent == 0:
+            total = Const(0.0)
+        elif isinstance(e, Pow):
+            total = mul(mul(Const(float(e.exponent)), power(e.base, e.exponent - 1)), derive(e.base))
+        else:
+            raise TypeError(f"not an expression node: {e!r}")
+        memo[id(e)] = total
+        return total
+
+    return derive(e)

@@ -52,10 +52,10 @@ from ._record import Record
 from .core import RESIDUAL_TOL, SYMBOLIC_ZERO_TOL, LinearForm, OuroborosReport, SampleDomain, check_linear_exact
 from .core import _check_sampled_at, _cloud, _exact_sum, _integer, _require_tolerance
 from .expr import Const, EvaluationError, Expr, differentiate, dimension, evaluate, mul, sub
-from .expr import _column, _concat, _errstate, _evaluate_columns, _map, _max, _pow_repeated, _shared
+from .expr import _column, _concat, _errstate, _evaluate_columns, _map, _max, _shape
 from .expr import add as expr_add
 from .families import arithmetic_mean
-from .poly import Poly, _expand
+from .poly import Poly, _expand, _monomial_columns
 
 __all__ = [
     "AlternatingBalanceReport",
@@ -165,7 +165,12 @@ class ResidualReport(Record):
 
 def residual_expr(u: Expr, spec: PdeSpec) -> Expr:
     """Residual of u against the chosen equation, as an expression."""
-    _require_dimension(u, spec.n)
+    _require_dimension(dimension(u), spec.n)
+    return _residual_expr(u, spec)
+
+
+def _residual_expr(u: Expr, spec: PdeSpec) -> Expr:
+    """:func:`residual_expr` once u's dimension is checked."""
     total: Expr = Const(0.0)
     for k, weight in spec.terms():
         term = mul(Const(float(abs(weight))), differentiate(u, k))
@@ -187,8 +192,7 @@ def check_residual(u: Expr | LinearForm, spec: PdeSpec, dom: SampleDomain) -> Re
     return report
 
 
-def _require_dimension(u: Expr | LinearForm, n: int) -> None:
-    used = u.n if isinstance(u, LinearForm) else dimension(u)
+def _require_dimension(used: int, n: int) -> None:
     if used > n:
         raise ValueError(f"u uses x{used} but the equation has n={n}")
 
@@ -196,27 +200,29 @@ def _require_dimension(u: Expr | LinearForm, n: int) -> None:
 def _residual_reports(
     u: Expr | LinearForm, specs: Sequence[PdeSpec], dom: SampleDomain
 ) -> tuple[list[ResidualReport], list | None, set[int] | None]:
-    """check_residual of u against each spec, the cloud drawn and ``_shared(u)`` (None and None for a linear form).
+    """check_residual of u against each spec, the cloud drawn and ``_shape(u).shared`` (None and None for a linear form).
 
     The normal form of u = sum(c_k * x_k) is {e_k: c_k}, whose residual has
     one coefficient, the constant sum(w_k * c_k) at the origin: it is decided
     by :func:`~ouroboros.core._exact_sum` (c_k = 0 past u.n) in time linear in
     n, with no samples, no expansion and no finite differences. An expression
-    is sampled once, differenced along every spec's direction in one stacked
-    evaluation, and expanded once. The cloud (:func:`~ouroboros.core._cloud`)
-    is a list of columns, Python float lists or numpy arrays.
+    is walked for its shape, sampled, differenced along every spec's direction
+    in one stacked evaluation, and expanded, each once. The cloud
+    (:func:`~ouroboros.core._cloud`) is a list of columns of either container.
     """
     if any(spec.n != dom.n for spec in specs):
         raise ValueError("sample domain and equation dimension disagree")
-    _require_dimension(u, dom.n)
     if isinstance(u, LinearForm):
+        _require_dimension(u.n, dom.n)
         decided = (_exact_sum((w, u.coeffs[k - 1]) for k, w in spec.terms() if k <= u.n) for spec in specs)
         reports = [ResidualReport(zero, c, 0.0 if zero else abs(c), math.nan, 0, LINEAR_NOTE) for zero, c in decided]
         return reports, None, None
-    points, shared = _cloud(u, dom), _shared(u)
-    fds = _fd_partials(u, points, [spec.direction() for spec in specs], DEFAULT_FD_STEP, shared)
-    form = _expand(u, dom.n, shared)
-    return [_residual_report(u, form, spec, points, fd, dom.count) for spec, fd in zip(specs, fds)], points, shared
+    shape = _shape(u)
+    _require_dimension(shape.dimension, dom.n)
+    points = _cloud(shape, dom)
+    fds = _fd_partials(u, points, [spec.direction() for spec in specs], DEFAULT_FD_STEP, shape.shared)
+    form = _expand(u, dom.n, shape.shared)
+    return [_residual_report(u, form, spec, points, fd, dom.count) for spec, fd in zip(specs, fds)], points, shape.shared
 
 
 def _residual_report(
@@ -232,8 +238,8 @@ def _residual_report(
     if residual is not None:
         values = _poly_values(residual, points)
     else:
-        residual = residual_expr(u, spec)
-        values = _evaluate_columns(residual, points, _shared(residual))
+        residual = _residual_expr(u, spec)
+        values = _evaluate_columns(residual, points, _shape(residual).shared)
     return ResidualReport(
         symbolic_zero=symbolic_zero,
         residual_constant=residual_constant,
@@ -252,27 +258,20 @@ def _max_abs(values) -> float:
 def _poly_values(p: Poly, columns: list):
     """p at every sample: its monomials times their coefficients, summed left to right.
 
-    Each power x_j^a is taken once, and each monomial multiplies its powers
-    in index order, as :func:`~ouroboros.poly.monomial_values` does, so the
-    sum has the bits of its table times the coefficients, cumulatively summed.
+    The monomials are the columns of :func:`~ouroboros.poly._monomial_columns`,
+    which :func:`~ouroboros.poly.monomial_values` stacks, so the sum has the
+    bits of that table times the coefficients, cumulatively summed.
     """
-    powers: dict[tuple[int, int], list[float] | np.ndarray] = {}
     total = None
     with _errstate(columns[0]):
-        for alpha, c in p.items():
-            monomial = None
-            for j, a in enumerate(alpha):
-                if a:
-                    if (j, a) not in powers:
-                        powers[j, a] = _map(lambda x: _pow_repeated(x, a), columns[j])
-                    monomial = powers[j, a] if monomial is None else _map(operator.mul, monomial, powers[j, a])
-            term = c if monomial is None else _map(operator.mul, monomial, c)
+        for c, monomial in zip(p.values(), _monomial_columns(columns, p)):
+            term = _map(operator.mul, monomial, c)  # 1.0 * c is c
             total = term if total is None else _map(operator.iadd, total, term)  # total is a new column
     return 0.0 if total is None else total
 
 
 def _fd_partials(u: Expr, columns: list, directions: list[list[float]], h: float, shared: set[int]) -> list:
-    """Central differences of u along each direction w, one column per w; ``shared`` is ``_shared(u)``.
+    """Central differences of u along each direction w, one column per w; ``shared`` is ``_shape(u).shared``.
 
     Column i holds (u(x + s*w) - u(x - s*w)) / (2s) at every point x, the
     derivative of u along w = directions[i], with the step s = h / max|w_k|:

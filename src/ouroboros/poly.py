@@ -13,9 +13,10 @@ graded monomial basis; only its values on a point cloud import numpy.
 from __future__ import annotations
 
 import itertools
-from typing import TYPE_CHECKING
+import operator
+from typing import TYPE_CHECKING, Iterator
 
-from .expr import Add, Const, Expr, Mul, Neg, Pow, Var, _pow_repeated, _shared
+from .expr import Add, Const, Expr, Mul, Neg, Pow, Var, _map, _pow_repeated, _shape
 
 if TYPE_CHECKING:
     import numpy as np
@@ -45,22 +46,34 @@ def monomial_exponents(n: int, degree: int) -> list[tuple[int, ...]]:
 
 
 def monomial_values(points: np.ndarray, exponents) -> np.ndarray:
-    """(N, len(exponents)) matrix of monomial values.
-
-    Each power x_i^p is taken once, by the binary exponentiation that
-    :mod:`ouroboros.expr` evaluates ``Pow`` with, and x^0 factors are left
-    out, so column j equals, bit for bit, ``evaluate_many`` of the tree
-    ``x1^a1*x2^a2*...`` (factors in index order, zero exponents omitted).
-    """
+    """(N, len(exponents)) matrix of the :func:`_monomial_columns`: column j
+    equals, bit for bit, ``evaluate_many`` of the tree ``x1^a1*x2^a2*...``
+    (factors in index order, zero exponents omitted)."""
     import numpy as np
 
     points = np.asarray(points, dtype=float)
     exps = np.asarray(exponents, dtype=int).reshape(-1, points.shape[1])
-    values = np.ones((exps.shape[0], points.shape[0]))  # one row per monomial
-    for column, powers in zip(points.T, exps.T):
-        for p in set(powers.tolist()) - {0}:  # np.unique's first call costs 12 ms
-            values[powers == p] *= _pow_repeated(column, p)
+    values = np.empty((exps.shape[0], points.shape[0]))  # one row per monomial
+    for row, monomial in zip(values, _monomial_columns(list(points.T.copy()), exps.tolist())):
+        row[:] = monomial
     return np.ascontiguousarray(values.T)
+
+
+def _monomial_columns(columns: list, exponents) -> Iterator:
+    """Each monomial x^alpha of ``exponents`` at every sample (``columns[j]`` holds x_{j+1}); 1.0 for x^0.
+
+    Each power x_j^a is taken once, by the binary exponentiation that ``Pow``
+    evaluates with, and only read; a monomial multiplies them in index order.
+    """
+    powers: dict[tuple[int, int], list[float] | np.ndarray] = {}
+    for alpha in exponents:
+        monomial = None
+        for j, a in enumerate(alpha):
+            if a:
+                if (j, a) not in powers:
+                    powers[j, a] = _map(lambda x: _pow_repeated(x, a), columns[j])
+                monomial = powers[j, a] if monomial is None else _map(operator.mul, monomial, powers[j, a])
+        yield 1.0 if monomial is None else monomial
 
 
 def combine(pairs) -> Poly:
@@ -115,7 +128,7 @@ def _degree(e: Expr, shared: set[int]) -> int:
     but the partial results inside it count toward the bound. Dispatches on
     the exact node type, as the expansion's walk does: isinstance chains
     nearly double the time of this walk. Memoises the nodes in ``shared``
-    (``_shared(e)``) for this call.
+    (``_shape(e).shared``) for this call.
     """
     memo: dict[int, int] = {}
 
@@ -160,16 +173,16 @@ def expand(e: Expr, n: int) -> Poly | None:
     take more than MAX_PRODUCTS coefficient products. Expands on packed keys
     wide enough for :func:`_degree`'s bound, and unpacks the result once.
 
-    A node reached along more than one path (``_shared``) is expanded once
-    per call and then read again; each reading charges its products to the
-    budget again, so the budget decides as it would on the tree with every
-    path written out.
+    A node reached along more than one path (``_shape(e).shared``) is
+    expanded once per call and then read again; each reading charges its
+    products to the budget again, so the budget decides as it would on the
+    tree with every path written out.
     """
-    return _expand(e, n, _shared(e))
+    return _expand(e, n, _shape(e).shared)
 
 
 def _expand(e: Expr, n: int, shared: set[int]) -> Poly | None:
-    """:func:`expand` with ``shared`` = ``_shared(e)`` already found."""
+    """:func:`expand` with ``shared`` = ``_shape(e).shared`` already found."""
     width = _degree(e, shared).bit_length()
     budget = [MAX_PRODUCTS]
     one = {0: 1.0}

@@ -202,7 +202,7 @@ class TestLongInputs:
 
 
 class TestSharing:
-    """parse makes equal subtrees one object; evaluation, expansion and dimension read a shared node once."""
+    """parse makes equal subtrees one object; evaluation, expansion, differentiation and dimension read a shared node once."""
 
     def test_equal_subtrees_are_one_object(self):
         e = parse("(x1+x2)^2*x3 + (x1+x2)^2")
@@ -225,6 +225,7 @@ class TestSharing:
         assert pickle.loads(pickle.dumps(e)) == rebuilt
         assert copy.deepcopy(e) == rebuilt
         assert dimension(e) == dimension(rebuilt)
+        assert all(differentiate(e, k) == differentiate(rebuilt, k) for k in (1, 2, 3))
 
     def test_a_doubling_dag_is_walked_in_time_linear_in_its_nodes(self):
         """Level k multiplies level k-1 by itself, so 64 levels hold x1^(2^64) on 2^64 paths.
@@ -335,7 +336,22 @@ class TestSimplification:
         assert power(x, 0) == Const(1.0)
 
 
+def squared_sum_dag(depth: int):
+    """e = x1 + x2, then e = Mul(((1, e), (1, e))) ``depth`` times: 2^depth copies of x1 + x2 on distinct paths, one object."""
+    e = Add(((1, Var(1)), (1, Var(2))))
+    for _ in range(depth):
+        e = Mul(((1, e), (1, e)))
+    return e
+
+
 class TestDifferentiation:
+    @pytest.mark.parametrize("depth", [1, 2, 5, 8])
+    def test_a_shared_dag_differentiates_as_its_unshared_rebuild(self, depth):
+        e = squared_sum_dag(depth)
+        rebuilt = unshared(e)
+        for k in (1, 2, 3):
+            assert differentiate(e, k) == differentiate(rebuilt, k)
+
     def test_product_rule_prints_cleanly(self):
         assert to_string(differentiate(parse("x1^2*x2"), 1)) == "2*x1*x2"
 

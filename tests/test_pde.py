@@ -2,6 +2,7 @@
 
 import math
 import sys
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 from ouroboros import pde
 from ouroboros.core import LinearForm, SampleDomain, Verdict, check_sampled
-from ouroboros.expr import EvaluationError, _shared, evaluate, evaluate_many, parse, to_string
+from ouroboros.expr import Add, Const, EvaluationError, Mul, Var, _shape, evaluate, evaluate_many, parse, to_string
 from ouroboros.families import arithmetic_mean, head_average_solution
 from ouroboros.pde import (
     BLOCK_CELLS,
@@ -30,7 +31,7 @@ from ouroboros.pde import (
     _poly_values,
 )
 from ouroboros.poly import expand
-from test_expr import expr_strategy
+from test_expr import expr_strategy, squared_sum_dag
 
 DOM = SampleDomain(n=2, radius=2.0, seed=0, count=64)
 
@@ -91,6 +92,19 @@ class TestResidualExpr:
 
 
 class TestCheckResidual:
+    def test_a_shared_dag_without_a_normal_form_is_checked_in_time_linear_in_its_nodes(self):
+        """u = e/(x1 + 3), e = x1 + x2 squared by Mul(((1, e), (1, e))) 16 times: 2^16 paths to x1 + x2.
+
+        u has no normal form, so the residual is u's derivative tree, built and
+        evaluated once per distinct node. The DAG is neither hashed nor printed.
+        """
+        u = Mul(((1, squared_sum_dag(16)), (-1, Add(((1, Var(1)), (1, Const(3.0)))))))
+        start = time.perf_counter()
+        report = check_residual(u, PdeSpec(PdeKind.EQ_II, n=2), SampleDomain(n=2, radius=2.0, seed=0, count=200))
+        seconds = time.perf_counter() - start
+        assert report.note == "u has no polynomial normal form; sampled bound only"
+        assert seconds < 1.0
+
     def test_solution_is_symbolically_zero(self):
         report = check_residual(
             arithmetic_mean(2).to_expr(), PdeSpec(PdeKind.EQ_I, n=2, beta=2), DOM
@@ -363,7 +377,7 @@ class TestResidualRoutes:
         count = 3 * (BLOCK_ROWS // (2 * len(directions))) + 7
         dom = SampleDomain(n=n, radius=2.0, seed=9, count=count)
         points = dom.samples()
-        blocked = np.array(_fd_partials(u, list(points.T), directions, h, _shared(u)))
+        blocked = np.array(_fd_partials(u, list(points.T), directions, h, _shape(u).shared))
         assert blocked.shape == (len(directions), count)
         assert np.array_equal(blocked, per_direction_loop(u, points, directions, h))
         for spec, got in zip(specs, blocked):
@@ -472,10 +486,10 @@ class TestDirectionalDifferences:
         before = pts.copy()
         u = parse(text)
         directions = [spec.direction() for spec in specs]
-        got = np.array(_fd_partials(u, list(pts.T), directions, DEFAULT_FD_STEP, _shared(u)))
+        got = np.array(_fd_partials(u, list(pts.T), directions, DEFAULT_FD_STEP, _shape(u).shared))
         assert np.array_equal(pts, before)
         assert got.tobytes() == per_direction_loop(u, pts, directions, DEFAULT_FD_STEP).tobytes()
-        assert np.array(_fd_partials(u, list(pts.T), directions, DEFAULT_FD_STEP, _shared(u))).tobytes() == got.tobytes()
+        assert np.array(_fd_partials(u, list(pts.T), directions, DEFAULT_FD_STEP, _shape(u).shared)).tobytes() == got.tobytes()
         for spec, row in zip(specs, got):
             exact = evaluate_many(residual_expr(u, spec), pts)
             assert np.all(np.abs(row - exact) <= 1e-8 * (1.0 + np.abs(exact)))
@@ -495,7 +509,7 @@ class TestDirectionalDifferences:
             want = per_direction_loop(e, pts, directions, h)
         except EvaluationError:
             with pytest.raises(EvaluationError) as got:
-                _fd_partials(e, list(pts.T), directions, h, _shared(e))
+                _fd_partials(e, list(pts.T), directions, h, _shape(e).shared)
             i = got.value.sample_index
             hits = 0
             for w in directions:
@@ -506,7 +520,7 @@ class TestDirectionalDifferences:
                         hits += 1
             assert hits > 0
             return
-        assert np.array(_fd_partials(e, list(pts.T), directions, h, _shared(e))).tobytes() == want.tobytes()
+        assert np.array(_fd_partials(e, list(pts.T), directions, h, _shape(e).shared)).tobytes() == want.tobytes()
 
     def test_a_zero_divisor_is_named_at_the_first_shift_in_order(self):
         """Zero at x - h*w1 of row 4 and at x + h*w2 of row 1: both shifts along w1
@@ -516,10 +530,10 @@ class TestDirectionalDifferences:
         directions = [[1.0, 0.0], [0.0, 1.0]]
         u = parse(f"1/((x1 - ({float(pts[4, 0] - h)!r}))*(x2 - ({float(pts[1, 1] + h)!r})))")
         with pytest.raises(EvaluationError) as got:
-            _fd_partials(u, list(pts.T), directions, h, _shared(u))
+            _fd_partials(u, list(pts.T), directions, h, _shape(u).shared)
         assert got.value.sample_index == 4
         with pytest.raises(EvaluationError) as swapped:
-            _fd_partials(u, list(pts.T), directions[::-1], h, _shared(u))
+            _fd_partials(u, list(pts.T), directions[::-1], h, _shape(u).shared)
         assert swapped.value.sample_index == 1
 
 

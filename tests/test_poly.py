@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ouroboros.core import SampleDomain
-from ouroboros.expr import Add, Const, Mul, Neg, Pow, Var, _shared, differentiate, dimension, evaluate_many, parse
+from ouroboros.expr import Add, Const, Mul, Neg, Pow, Var, _shape, differentiate, dimension, evaluate_many, parse
 from ouroboros.poly import MAX_PRODUCTS, _degree, combine, derivative, expand, monomial_exponents, monomial_values
 
 from test_expr import shared_parses, unshared
@@ -170,7 +170,7 @@ class TestExpand:
         rebuilt = unshared(e)
         assert_identical(expand(e, N), expand(rebuilt, N))
         assert_identical(expand(e, N), reference_expand(e, N))
-        assert _degree(e, _shared(e)) == _degree(rebuilt, set())
+        assert _degree(e, _shape(e).shared) == _degree(rebuilt, set())
         assert dimension(e) == dimension(rebuilt)
 
     def test_each_copy_of_a_shared_subtree_is_charged_to_the_budget(self):

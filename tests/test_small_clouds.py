@@ -3,6 +3,7 @@ that picks the route, and reports equal to the numpy route's, bit for bit."""
 
 import contextlib
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -14,8 +15,10 @@ from ouroboros import (
     Const,
     EvaluationError,
     Mul,
+    Neg,
     PdeKind,
     PdeSpec,
+    Pow,
     SampleDomain,
     Var,
     check_residual,
@@ -25,8 +28,11 @@ from ouroboros import (
     evaluate_many,
     parse,
 )
+from ouroboros import expr as expr_module
+from ouroboros import pde as pde_module
+from ouroboros import poly as poly_module
 from ouroboros.core import SMALL_CLOUD_CELLS, _check_sampled_at, _cloud, _philox_uniform
-from ouroboros.expr import _column, _evaluate_columns, _shared, _size_at_most
+from ouroboros.expr import _column, _evaluate_columns, _shape
 from ouroboros.pde import DEFAULT_FD_STEP, _fd_partials, _poly_values
 from ouroboros.poly import expand
 
@@ -99,21 +105,76 @@ class TestPhiloxDraw:
         assert np.array(columns).T.tobytes() == dom.samples().tobytes()
 
 
+def children(e) -> list:
+    if isinstance(e, (Add, Mul)):
+        return [node for _, node in (e.terms if isinstance(e, Add) else e.factors)]
+    if isinstance(e, Neg):
+        return [e.operand]
+    return [e.base] if isinstance(e, Pow) else []
+
+
+def paths(e):
+    """Every node of ``e`` once per path that reaches it."""
+    yield e
+    for child in children(e):
+        yield from paths(child)
+
+
 class TestWorkBound:
     def test_counts_every_node(self):
         e = parse("(x1 + x2)/2 - -x3^2")  # Add, Mul, Add, x1, x2, 2, Neg, Pow, x3
-        assert _size_at_most(e, 9)
-        assert not _size_at_most(e, 8)
-        assert _size_at_most(Var(1), 1) and not _size_at_most(Var(1), 0)
+        assert _shape(e).size == 9
+        assert _shape(Var(1)).size == 1
+        square = parse("(x1 + x2)*(x1 + x2)")  # Mul, Add, x1, x2: the Add is one object
+        assert _shape(square).size == 4
+        assert _shape(square).shared == {id(square.factors[0][1])}
 
-    def test_a_long_sum_is_refused_without_walking_its_terms(self):
-        class Unwalkable(tuple):
-            def __iter__(self):
-                raise AssertionError("the terms were walked")
+    @given(st.one_of(expr_strategy(), shared_parses(expr_strategy())))
+    @settings(max_examples=200, deadline=None)
+    def test_shape_matches_reference_walks(self, e):
+        """Dimension as on the unshared rebuild, size the distinct ids, and shared the inner
+        nodes that the distinct nodes name as a child more than once between them."""
+        distinct = {id(node): node for node in paths(e)}
+        edges = Counter(id(child) for node in distinct.values() for child in children(node))
+        shape = _shape(e)
+        assert shape.dimension == max((node.index for node in paths(unshared(e)) if isinstance(node, Var)), default=0)
+        assert shape.size == len(distinct)
+        assert shape.shared == {key for key, node in distinct.items() if children(node) and edges[key] > 1}
 
-        long_sum = Add(((1, Var(1)), (1, Var(2))))
-        object.__setattr__(long_sum, "terms", Unwalkable((1, Var(k)) for k in range(1, 301)))
-        assert not _size_at_most(long_sum, 100)
+    def test_a_tree_past_the_bound_by_paths_but_within_it_by_distinct_nodes_takes_python_floats(self):
+        """(x1 + x2)/2 squared by Mul(((1, e), (1, e))) 8 times has 1280 nodes along its paths and 13
+        distinct ones: its cloud is Python floats, and its reports equal the numpy route's."""
+        e = parse("(x1 + x2)/2")
+        for _ in range(8):
+            e = Mul(((1, e), (1, e)))
+        dom = SampleDomain(n=2, radius=2.0, seed=3, count=200)
+        assert _shape(e).size == 13
+        assert sum(1 for _ in paths(e)) == 1280
+        assert dom.count * (dom.n + 1280) > SMALL_CLOUD_CELLS >= dom.count * (dom.n + 13)
+        assert all(isinstance(column, list) for column in _cloud(_shape(e), dom))
+        for check, args in ((check_sampled, (e, dom)), (check_system, (e, 2, dom))):
+            by_numpy, by_python = on_both_routes(check, *args)
+            assert by_numpy == by_python, check.__name__
+
+    @pytest.mark.parametrize("text", ["(x1 + x2)/2 + (x1 - x2)^2*(x1 - x2)", "(x1 + x2)/2 + (x1 - x2)/(3 + (x1 - x2)^2)"])
+    def test_each_check_walks_the_shape_of_u_once(self, monkeypatch, text):
+        """With or without a normal form, one _shape(u) per check, wherever it is called from."""
+        u = parse(text)
+        calls = []
+
+        def counted(e, shape=expr_module._shape):
+            calls.append(e is u)
+            return shape(e)
+
+        for module in (expr_module, core, pde_module, poly_module):
+            monkeypatch.setattr(module, "_shape", counted)
+        dom = SampleDomain(n=2, radius=2.0, seed=0, count=50)
+        for check, args in ((check_sampled, (u, dom)),
+                            (check_residual, (u, PdeSpec(PdeKind.EQ_II, n=2), dom)),
+                            (check_system, (u, 2, dom))):
+            calls.clear()
+            check(*args)
+            assert calls.count(True) == 1, check.__name__
 
     @pytest.mark.parametrize("text, n, count", [
         ("(x1 + x2)/2", 2, 64),  # the defaults and sizes of the acceptance commands
@@ -121,7 +182,7 @@ class TestWorkBound:
         ("x1", 1, SMALL_CLOUD_CELLS // 2),  # on the bound: count * (n + 1 node)
     ])
     def test_small_clouds_take_python_floats(self, text, n, count):
-        cloud = _cloud(parse(text), SampleDomain(n=n, radius=2.0, seed=0, count=count))
+        cloud = _cloud(_shape(parse(text)), SampleDomain(n=n, radius=2.0, seed=0, count=count))
         assert len(cloud) == n and all(isinstance(column, list) for column in cloud)
 
     @pytest.mark.parametrize("text, n, count", [
@@ -131,7 +192,7 @@ class TestWorkBound:
     ])
     def test_large_clouds_take_numpy(self, text, n, count):
         dom = SampleDomain(n=n, radius=2.0, seed=0, count=count)
-        cloud = _cloud(parse(text), dom)
+        cloud = _cloud(_shape(parse(text)), dom)
         assert len(cloud) == n and all(isinstance(column, np.ndarray) and column.flags.c_contiguous for column in cloud)
         assert np.array(cloud).T.tobytes() == dom.samples().tobytes()
 
@@ -150,9 +211,9 @@ class TestRoutesAgree:
         points, columns = dom.samples(), dom._columns()
         arrays = list(points.T.copy())
         for by_numpy, by_python in (
-            (lambda: evaluate_many(e, points), lambda: _column(_evaluate_columns(e, columns, _shared(e)), columns[0])),
-            (lambda: _fd_partials(e, arrays, directions, DEFAULT_FD_STEP, _shared(e)),
-             lambda: _fd_partials(e, columns, directions, DEFAULT_FD_STEP, _shared(e))),
+            (lambda: evaluate_many(e, points), lambda: _column(_evaluate_columns(e, columns, _shape(e).shared), columns[0])),
+            (lambda: _fd_partials(e, arrays, directions, DEFAULT_FD_STEP, _shape(e).shared),
+             lambda: _fd_partials(e, columns, directions, DEFAULT_FD_STEP, _shape(e).shared)),
         ):
             try:
                 want = bits(by_numpy())
@@ -249,7 +310,7 @@ class TestSharedParsesAgree:
         python = [list(column) for column in zip(*rows)]
         for columns in (python, [np.array(column) for column in python]):
             want = bits_or_error(lambda: _column(_evaluate_columns(rebuilt, columns, set()), columns[0]))
-            assert bits_or_error(lambda: _column(_evaluate_columns(e, columns, _shared(e)), columns[0])) == want
+            assert bits_or_error(lambda: _column(_evaluate_columns(e, columns, _shape(e).shared), columns[0])) == want
 
     @given(shared_parses(expr_strategy()), SEEDS, COUNTS, st.booleans())
     @settings(max_examples=150, deadline=None)
@@ -258,9 +319,9 @@ class TestSharedParsesAgree:
         dom = SampleDomain(n=3, radius=2.0, seed=seed, count=count)
         columns = dom._columns() if python else list(dom.samples().T.copy())
         directions = [[1.0, 1.0, -2.0], [-1.0, 1.0, -1.0]]
-        assert bits_or_error(lambda: _fd_partials(e, columns, directions, DEFAULT_FD_STEP, _shared(e))) == \
+        assert bits_or_error(lambda: _fd_partials(e, columns, directions, DEFAULT_FD_STEP, _shape(e).shared)) == \
             bits_or_error(lambda: _fd_partials(rebuilt, columns, directions, DEFAULT_FD_STEP, set()))
-        assert exact(_check_sampled_at(e, dom, columns, _shared(e)).to_dict()) == \
+        assert exact(_check_sampled_at(e, dom, columns, _shape(e).shared).to_dict()) == \
             exact(_check_sampled_at(rebuilt, dom, columns, set()).to_dict())
 
 
@@ -274,13 +335,13 @@ class TestNoColumnIsWritten:
         columns = dom._columns() if python else list(dom.samples().T.copy())
         before = [bits(column) for column in columns]
         with contextlib.suppress(EvaluationError):
-            y = _evaluate_columns(e, columns, _shared(e))
+            y = _evaluate_columns(e, columns, _shape(e).shared)
             y_before = bits(y)
             with contextlib.suppress(EvaluationError):
-                _evaluate_columns(e, [y] * dom.n, _shared(e))
+                _evaluate_columns(e, [y] * dom.n, _shape(e).shared)
             assert bits(y) == y_before
         with contextlib.suppress(EvaluationError):
-            _fd_partials(e, columns, [[1.0, 1.0, -2.0], [-1.0, 1.0, -1.0]], DEFAULT_FD_STEP, _shared(e))
+            _fd_partials(e, columns, [[1.0, 1.0, -2.0], [-1.0, 1.0, -1.0]], DEFAULT_FD_STEP, _shape(e).shared)
         form = expand(e, 3)
         if form is not None:
             _poly_values(form, columns)
@@ -297,6 +358,6 @@ class TestNoColumnIsWritten:
         y = np.array([0.5, -1.5, 3.0, -0.0])
         column = y.tolist() if python else y.copy()
         e = parse(text)
-        got = _evaluate_columns(e, [column] * 2, _shared(e))
+        got = _evaluate_columns(e, [column] * 2, _shape(e).shared)
         assert bits(column) == bits(y)
         assert bits(got) == bits(values(y))
