@@ -48,9 +48,9 @@ RESIDUAL_TOL = 1e-9
 _TOL_N, _TOL_D = SYMBOLIC_ZERO_TOL.as_integer_ratio()
 _MIN_N, _MIN_D = sys.float_info.min.as_integer_ratio()
 # samples times (n + distinct nodes of u) up to which a cloud is drawn as
-# Python float lists (see _cloud): at the bound one check_system takes 15-42
-# ms on them (0.7-3.0 ms on arrays), less than a fresh process's numpy import,
-# 0.10-0.15 s (scripts/time_routes.py, three runs of 9 rounds, 2-CPU VM)
+# Python float lists (see _cloud): at the bound one check_system takes 11-16
+# ms on them (0.7-1.1 ms on arrays), less than a fresh process's numpy import,
+# 0.10-0.13 s (scripts/time_routes.py, three runs of 9 rounds, 2-CPU VM)
 SMALL_CLOUD_CELLS = 20_000
 # Philox4x64-10's multipliers and key increments (Salmon et al., SC 2011)
 _PHILOX_M0, _PHILOX_M1 = 0xD2E7470EE14C6C93, 0xCA5A826395121157
@@ -282,17 +282,15 @@ def check_sampled(f: Expr, dom: SampleDomain, tol: float = SAMPLED_TOL) -> Ourob
     shape = _shape(f)
     if shape.dimension > dom.n:
         raise ValueError(f"expression uses x{shape.dimension} but the domain has n={dom.n}")
-    return _check_sampled_at(f, dom, _cloud(shape, dom), shape.shared, tol)
+    return _check_sampled_at(shape, dom, _cloud(shape, dom), tol)
 
 
-def _check_sampled_at(
-    f: Expr, dom: SampleDomain, columns: list, shared: set[int], tol: float = SAMPLED_TOL
-) -> OuroborosReport:
-    """check_sampled on ``columns``, the cloud that ``dom`` draws (see _cloud), with ``shared`` = ``_shape(f).shared``;
+def _check_sampled_at(shape: _Shape, dom: SampleDomain, columns: list, tol: float = SAMPLED_TOL) -> OuroborosReport:
+    """check_sampled of the f of ``shape`` (``_shape(f)``) on ``columns``, the cloud that ``dom`` draws (see _cloud);
     the caller has checked ``tol`` and f's dimension."""
     try:
-        y = _evaluate_columns(f, columns, shared)
-        fy = _evaluate_columns(f, [y] * dom.n, shared)
+        y = _evaluate_columns(shape, columns)
+        fy = _evaluate_columns(shape, [y] * dom.n)
     except EvaluationError as exc:
         used = exc.sample_index + 1 if exc.sample_index is not None else 0
         return OuroborosReport(Verdict.ERROR, math.nan, None, used, error=str(exc))

@@ -25,18 +25,18 @@ sign directly in front of a bare number literal is folded into the constant
 (``-5`` is the constant -5, while ``-(5)`` is a negation node).
 
 Each ``(`` and each unary minus opens a level of nesting; :func:`parse`
-refuses more than ``MAX_DEPTH`` levels, which bounds the recursion of every
-walker below on what it parses.
+refuses more than ``MAX_DEPTH`` levels, which bounds its own recursion. Of
+the walks over a tree only printing, hashing and equality recurse, so
+``MAX_DEPTH`` bounds them on parsed trees; every other walk is a loop and
+takes a tree of any depth built by hand.
 
 A tree may share subtrees: :func:`parse` makes the equal subtrees of its
 text one object, and a tree built by hand may reuse a node. Equality,
 hashing, printing, pickling and copying read a shared node once per path,
-as they would read copies of it. Every other walk reads each distinct node
-once. ``_shape`` finds in one walk a tree's dimension, its size in
-distinct nodes and the nodes named as a child more than once; the walks
-that evaluate and expand (:mod:`ouroboros.poly`) memoise those, and no
-others, for their own length, and :func:`differentiate` memoises every
-node it differentiates, since its result holds their derivatives anyway.
+as they would read copies of it. ``_shape`` lists the distinct nodes once
+each, children first, and evaluation, differentiation and expansion
+(:mod:`ouroboros.poly`) are each one loop over that list, keeping one
+result per node.
 
 Evaluation is one walk over columns, one per variable: Python float lists,
 numpy arrays, or a float standing for every sample. :func:`evaluate`,
@@ -417,38 +417,62 @@ class _Shape(NamedTuple):
     """What :func:`_shape` finds in one walk of a tree."""
 
     dimension: int  # the largest variable index, 0 for a constant
-    shared: set[int]  # ids of the sums, products, negations and powers named as a child more than once
-    size: int  # distinct nodes, leaves included
+    # the distinct nodes, each after its children and the tree last, each with
+    # its children's slots (their positions here) in the order of its entries
+    order: list[tuple[Expr, tuple[int, ...]]]
+    parents: list[int]  # the slot of the node a recursive walk first reaches each node from, -1 for the tree
+    readers: list[int]  # the entries that name each node
+
+    @property
+    def size(self) -> int:
+        """Distinct nodes, leaves included."""
+        return len(self.order)
 
 
 def _shape(e: Expr) -> _Shape:
-    """The shape of ``e``, each distinct node visited once.
+    """The shape of ``e``, each distinct node visited once, without recursion.
 
-    The walks memoise the ``shared`` nodes and no others, for the length of
-    one walk: a node named once is met once, and a leaf costs no more to
-    read again than to look up.
+    The order is the one in which a recursive walk, children left to right,
+    first finishes each node. The other walks are each one loop over it.
     """
     top = 0
-    seen: set[int] = set()
-    shared: set[int] = set()
-    pending = [e]
+    slots: dict[int, int] = {}  # each listed node's slot, by id
+    order: list[tuple[Expr, tuple[int, ...]]] = []
+    parents: list[int] = []
+    readers: list[int] = []
+    pending: list = [e]  # nodes to visit, and (node, children, first slot) to list once the children are
     while pending:
         node = pending.pop()
         kind = type(node)
-        if id(node) in seen:
-            if kind is not Const and kind is not Var:
-                shared.add(id(node))
+        if kind is tuple:
+            node, children, first = node
+            entries = tuple([slots[id(child)] for child in children])
+            for slot in entries:
+                readers[slot] += 1
+                if slot >= first and parents[slot] < 0:  # listed during its visit, and not from a node inside it
+                    parents[slot] = len(order)
+        elif id(node) in slots:
             continue
-        seen.add(id(node))
-        if kind is Var:
-            top = max(top, node.index)
         elif kind is Add or kind is Mul:
-            pending += [child for _, child in (node.terms if kind is Add else node.factors)]
+            children = [child for _, child in (node.terms if kind is Add else node.factors)]
+            pending.append((node, children, len(order)))
+            pending += reversed(children)
+            continue
         elif kind is Neg or kind is Pow:
-            pending.append(node.operand if kind is Neg else node.base)
-        elif kind is not Const:
+            child = node.operand if kind is Neg else node.base
+            pending += ((node, (child,), len(order)), child)
+            continue
+        elif kind is Const or kind is Var:
+            if kind is Var and node.index > top:
+                top = node.index
+            entries = ()
+        else:
             raise TypeError(f"not an expression node: {node!r}")
-    return _Shape(top, shared, len(seen))
+        slots[id(node)] = len(order)
+        order.append((node, entries))
+        parents.append(-1)
+        readers.append(0)
+    return _Shape(top, order, parents, readers)
 
 
 def dimension(e: Expr) -> int:
@@ -462,32 +486,27 @@ def evaluate(e: Expr, point: Sequence[float]) -> float:
     The walk of :func:`evaluate_many`, with one float per variable.
     """
     try:
-        return _evaluate_columns(e, [float(x) for x in point], _shape(e).shared)
+        return _evaluate_columns(_shape(e), [float(x) for x in point])
     except EvaluationError as exc:
         raise EvaluationError(exc.message) from None
 
 
 def _pow_repeated(base, exponent: int):
-    """Binary exponentiation over * only.
+    """Binary exponentiation over * only, of a column: a float, a list of floats or an array.
 
-    Works on a float and on an array alike, so a float column and an array
-    take their powers with the same operations; overflow follows IEEE
-    multiplication (inf, no raise). The zero power is 1 everywhere, inf and
-    nan included: 1.0 for a float, an array of ones (``**`` makes one) for
-    an array.
+    Each multiplication takes whole columns (:func:`_map`), so every
+    container takes its powers with the same operations; overflow follows
+    IEEE multiplication (inf, no raise). The zero power is the float 1.0,
+    standing for 1 at every sample, inf and nan included.
     """
     result = None
-    b = base
-    e = exponent
-    while e > 0:
-        if e & 1:
-            result = b if result is None else result * b
-        e >>= 1
-        if e:
-            b = b * b
-    if result is None:  # exponent == 0, including 0^0 = 1
-        return 1.0 if isinstance(base, float) else base ** 0
-    return result
+    while exponent:
+        if exponent & 1:
+            result = base if result is None else _map(operator.mul, result, base)
+        exponent >>= 1
+        if exponent:
+            base = _map(operator.mul, base, base)
+    return 1.0 if result is None else result  # exponent 0, including 0^0 = 1
 
 
 def evaluate_many(e: Expr, points: np.ndarray) -> np.ndarray:
@@ -502,60 +521,79 @@ def evaluate_many(e: Expr, points: np.ndarray) -> np.ndarray:
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2:
         raise ValueError("points must be a 2-d array, one point per row")
-    return _column(_evaluate_columns(e, list(pts.T.copy()), _shape(e).shared), pts)
+    return _column(_evaluate_columns(_shape(e), list(pts.T.copy())), pts)
 
 
-def _evaluate_columns(e: Expr, columns: list, shared: set[int]) -> list[float] | np.ndarray | float:
-    """``e`` at every sample; ``columns[j]`` holds x_{j+1}; ``shared`` is ``_shape(e).shared``.
+def _evaluate_columns(shape: _Shape, columns: list) -> list[float] | np.ndarray | float:
+    """The tree of ``shape`` at every sample; ``columns[j]`` holds x_{j+1}.
 
     Python floats and float64 arrays round each operation alike, so every
     container gives the same bits, inf and nan included, and the same
     sample index for a zero divisor; a tree that reads no column gives a
-    float. No column passed in is written: a sum or product makes a new
-    column from its first two entries and accumulates the rest into it in
-    place. So a shared node's column, made once and read again, is never
-    written either.
+    float. No column passed in is written: a sum or product accumulates in
+    place only into the new column its first two entries make.
+
+    One loop over ``shape.order``. Each node's entries are folded into its
+    value left to right as soon as they are done, from the node the
+    recursive walk reaches them from, and a column is dropped once its last
+    reader has read it: so no more columns are held at once than that walk
+    holds. A node with no value holds the first of its entries' errors and
+    zero divisors, left to right, the error that walk would raise first. A
+    point too short for the tree is refused first; the tree's error is raised.
     """
+    if shape.dimension > len(columns):
+        raise ValueError(f"point of length {len(columns)} is too short for x{shape.dimension}")
+    order, parents = shape.order, shape.parents
+    results: list = [None] * len(order)
+    folded = [0] * len(order)  # the entries of each node folded into its value so far
+    readers = list(shape.readers)
+
+    def fold(target: int, done: int) -> None:
+        """Fold into the node at ``target`` its next entries that are done, those at slots up to ``done``."""
+        node, entries = order[target]
+        kind = type(node)
+        value = results[target]
+        entry = folded[target]
+        while entry < len(entries) and entries[entry] <= done:
+            slot = entries[entry]
+            operand = results[slot]
+            readers[slot] -= 1
+            if not readers[slot]:
+                results[slot] = None
+            if type(value) is EvaluationError or type(operand) is EvaluationError:
+                value = value if type(value) is EvaluationError else operand
+            elif kind is Neg:
+                value = _map(operator.neg, operand)
+            elif kind is Pow:
+                value = _pow_repeated(operand, node.exponent)
+            elif not entry:
+                value = operand
+            elif kind is Add:
+                ops = (operator.add, operator.sub) if entry == 1 else (operator.iadd, operator.isub)
+                value = _map(ops[node.terms[entry][0] < 0], value, operand)
+            elif node.factors[entry][0] > 0:
+                value = _map(operator.mul if entry == 1 else operator.imul, value, operand)
+            elif (bad := _first(_map(operator.eq, operand, 0.0))) is not None:  # -0.0 too
+                value = EvaluationError("division by zero", sample_index=bad)
+            else:
+                value = _map(operator.truediv if entry == 1 else operator.itruediv, value, operand)
+            entry += 1
+        results[target] = value
+        folded[target] = entry
+
     with _errstate(columns[0] if columns else 0.0):
-        return _walk(e, columns, shared, {})
-
-
-def _walk(e: Expr, columns: list, shared: set[int], memo: dict):
-    if isinstance(e, Const):
-        return e.value
-    if isinstance(e, Var):
-        if e.index > len(columns):
-            raise ValueError(f"point of length {len(columns)} is too short for x{e.index}")
-        return columns[e.index - 1]
-    key = id(e)
-    if key in memo:
-        return memo[key]
-    if isinstance(e, Add):
-        result = _walk(e.terms[0][1], columns, shared, memo)
-        ops = operator.add, operator.sub
-        for sign, term in e.terms[1:]:
-            result = _map(ops[sign < 0], result, _walk(term, columns, shared, memo))
-            ops = operator.iadd, operator.isub
-    elif isinstance(e, Mul):
-        result = _walk(e.factors[0][1], columns, shared, memo)
-        ops = operator.mul, operator.truediv
-        for sign, factor in e.factors[1:]:
-            value = _walk(factor, columns, shared, memo)
-            if sign < 0:
-                bad = _first(_map(operator.eq, value, 0.0))  # -0.0 too
-                if bad is not None:
-                    raise EvaluationError("division by zero", sample_index=bad)
-            result = _map(ops[sign < 0], result, value)
-            ops = operator.imul, operator.itruediv
-    elif isinstance(e, Neg):
-        result = _map(operator.neg, _walk(e.operand, columns, shared, memo))
-    elif isinstance(e, Pow):
-        result = _map(lambda b: _pow_repeated(b, e.exponent), _walk(e.base, columns, shared, memo))
-    else:
-        raise TypeError(f"not an expression node: {e!r}")
-    if key in shared:
-        memo[key] = result
-    return result
+        for position, (node, entries) in enumerate(order):
+            if entries:
+                fold(position, position)
+            elif type(node) is Var:
+                results[position] = columns[node.index - 1]
+            else:
+                results[position] = node.value
+            if parents[position] >= 0:
+                fold(parents[position], position)
+    if isinstance(results[-1], EvaluationError):  # an entry's error is its node's, so the tree holds the first
+        raise results[-1]
+    return results[-1]
 
 
 # The leaf helpers: a column is a list of Python floats, a numpy array, or a
@@ -691,53 +729,49 @@ def power(base: Expr, exponent: int) -> Expr:
 
 
 def differentiate(e: Expr, k: int) -> Expr:
-    """Exact partial derivative with respect to ``xk``.
+    """Exact partial derivative with respect to ``xk``: the derivative along the unit vector e_k.
 
     The result is built through the smart constructors, so the derivative
     of a constant is the constant zero and variables absent from ``e``
     yield zero. A product differentiates to one summand per factor that
     depends on ``xk``, so the result is no deeper for a longer product.
-    Each distinct node is differentiated once per call.
     """
     if not isinstance(k, int) or k < 1:
         raise ValueError(f"variable index must be a positive integer, got {k!r}")
-    memo: dict[int, Expr] = {}  # every inner node's derivative, by id: the result holds them anyway
+    return _derivative(_shape(e), {k: 1.0})
 
-    def derive(e: Expr) -> Expr:
-        if isinstance(e, Const):
-            return Const(0.0)
-        if isinstance(e, Var):
-            return Const(1.0 if e.index == k else 0.0)
-        if id(e) in memo:
-            return memo[id(e)]
-        if isinstance(e, Add):
-            total = derive(e.terms[0][1])
-            for sign, term in e.terms[1:]:
-                d = derive(term)
+
+def _derivative(shape: _Shape, w: dict[int, float]) -> Expr:
+    """The derivative of the tree of ``shape`` along w, sum(w[k] * d/dx_k), with w[k] = 0 for a k not in w."""
+    derivatives: list[Expr] = []
+    for node, slots in shape.order:
+        kind = type(node)
+        if kind is Const or kind is Pow and node.exponent == 0:
+            total: Expr = Const(0.0)
+        elif kind is Var:
+            total = Const(w.get(node.index, 0.0))
+        elif kind is Add:
+            total = derivatives[slots[0]]
+            for (sign, _), slot in zip(node.terms[1:], slots[1:]):
+                d = derivatives[slot]
                 total = add(total, d) if sign > 0 else sub(total, d)
-        elif isinstance(e, Mul):
+        elif kind is Mul:
             total = Const(0.0)
-            for i, (sign, factor) in enumerate(e.factors):
-                d = derive(factor)
+            for i, ((sign, factor), slot) in enumerate(zip(node.factors, slots)):
+                d = derivatives[slot]
                 if isinstance(d, Const) and d.value == 0.0:
                     continue
                 summand: Expr = Const(1.0)  # the product with d in place of factor i
-                for j, (other_sign, other) in enumerate(e.factors):
+                for j, (other_sign, other) in enumerate(node.factors):
                     if j == i or other_sign > 0:
                         summand = mul(summand, d if j == i else other)
                     else:
                         summand = div(summand, other)
                 # (1/f)' = -f'/f^2
                 total = add(total, summand) if sign > 0 else sub(total, div(summand, power(factor, 2)))
-        elif isinstance(e, Neg):
-            total = neg(derive(e.operand))
-        elif isinstance(e, Pow) and e.exponent == 0:
-            total = Const(0.0)
-        elif isinstance(e, Pow):
-            total = mul(mul(Const(float(e.exponent)), power(e.base, e.exponent - 1)), derive(e.base))
+        elif kind is Neg:
+            total = neg(derivatives[slots[0]])
         else:
-            raise TypeError(f"not an expression node: {e!r}")
-        memo[id(e)] = total
-        return total
-
-    return derive(e)
+            total = mul(mul(Const(float(node.exponent)), power(node.base, node.exponent - 1)), derivatives[slots[0]])
+        derivatives.append(total)
+    return derivatives[-1]

@@ -51,9 +51,8 @@ from typing import TYPE_CHECKING, Sequence
 from ._record import Record
 from .core import RESIDUAL_TOL, SYMBOLIC_ZERO_TOL, LinearForm, OuroborosReport, SampleDomain, check_linear_exact
 from .core import _check_sampled_at, _cloud, _exact_sum, _integer, _require_tolerance
-from .expr import Const, EvaluationError, Expr, differentiate, dimension, evaluate, mul, sub
-from .expr import _column, _concat, _errstate, _evaluate_columns, _map, _max, _shape
-from .expr import add as expr_add
+from .expr import EvaluationError, Expr, evaluate
+from .expr import _column, _concat, _derivative, _errstate, _evaluate_columns, _map, _max, _shape, _Shape
 from .families import arithmetic_mean
 from .poly import Poly, _expand, _monomial_columns
 
@@ -164,18 +163,10 @@ class ResidualReport(Record):
 
 
 def residual_expr(u: Expr, spec: PdeSpec) -> Expr:
-    """Residual of u against the chosen equation, as an expression."""
-    _require_dimension(dimension(u), spec.n)
-    return _residual_expr(u, spec)
-
-
-def _residual_expr(u: Expr, spec: PdeSpec) -> Expr:
-    """:func:`residual_expr` once u's dimension is checked."""
-    total: Expr = Const(0.0)
-    for k, weight in spec.terms():
-        term = mul(Const(float(abs(weight))), differentiate(u, k))
-        total = expr_add(total, term) if weight > 0 else sub(total, term)
-    return total
+    """Residual of u against the chosen equation, as an expression: u's derivative along :meth:`PdeSpec.direction`."""
+    shape = _shape(u)
+    _require_dimension(shape.dimension, spec.n)
+    return _derivative(shape, dict(enumerate(spec.direction(), 1)))
 
 
 def check_residual(u: Expr | LinearForm, spec: PdeSpec, dom: SampleDomain) -> ResidualReport:
@@ -199,8 +190,8 @@ def _require_dimension(used: int, n: int) -> None:
 
 def _residual_reports(
     u: Expr | LinearForm, specs: Sequence[PdeSpec], dom: SampleDomain
-) -> tuple[list[ResidualReport], list | None, set[int] | None]:
-    """check_residual of u against each spec, the cloud drawn and ``_shape(u).shared`` (None and None for a linear form).
+) -> tuple[list[ResidualReport], list | None, _Shape | None]:
+    """check_residual of u against each spec, the cloud drawn and ``_shape(u)`` (None and None for a linear form).
 
     The normal form of u = sum(c_k * x_k) is {e_k: c_k}, whose residual has
     one coefficient, the constant sum(w_k * c_k) at the origin: it is decided
@@ -220,26 +211,26 @@ def _residual_reports(
     shape = _shape(u)
     _require_dimension(shape.dimension, dom.n)
     points = _cloud(shape, dom)
-    fds = _fd_partials(u, points, [spec.direction() for spec in specs], DEFAULT_FD_STEP, shape.shared)
-    form = _expand(u, dom.n, shape.shared)
-    return [_residual_report(u, form, spec, points, fd, dom.count) for spec, fd in zip(specs, fds)], points, shape.shared
+    fds = _fd_partials(shape, points, [spec.direction() for spec in specs], DEFAULT_FD_STEP)
+    form = _expand(shape, dom.n)
+    return [_residual_report(shape, form, spec, points, fd, dom.count) for spec, fd in zip(specs, fds)], points, shape
 
 
 def _residual_report(
-    u: Expr,
+    shape: _Shape,
     form: Poly | None,
     spec: PdeSpec,
     points: list,
     fd: np.ndarray | list[float],
     count: int,
 ) -> ResidualReport:
-    """check_residual at the ``count`` ``points`` once u is expanded to ``form`` (None: no normal form) and differenced (``fd``)."""
+    """check_residual of the u of ``shape`` at ``count`` ``points``, given its normal ``form`` (or None) and ``fd``."""
     symbolic_zero, residual_constant, note, residual = _decide_residual(form, spec)
     if residual is not None:
         values = _poly_values(residual, points)
     else:
-        residual = _residual_expr(u, spec)
-        values = _evaluate_columns(residual, points, _shape(residual).shared)
+        along = _derivative(shape, dict(enumerate(spec.direction(), 1)))  # residual_expr's tree
+        values = _evaluate_columns(_shape(along), points)
     return ResidualReport(
         symbolic_zero=symbolic_zero,
         residual_constant=residual_constant,
@@ -270,8 +261,8 @@ def _poly_values(p: Poly, columns: list):
     return 0.0 if total is None else total
 
 
-def _fd_partials(u: Expr, columns: list, directions: list[list[float]], h: float, shared: set[int]) -> list:
-    """Central differences of u along each direction w, one column per w; ``shared`` is ``_shape(u).shared``.
+def _fd_partials(shape: _Shape, columns: list, directions: list[list[float]], h: float) -> list:
+    """Central differences of the u of ``shape`` along each direction w, one column per w.
 
     Column i holds (u(x + s*w) - u(x - s*w)) / (2s) at every point x, the
     derivative of u along w = directions[i], with the step s = h / max|w_k|:
@@ -297,7 +288,7 @@ def _fd_partials(u: Expr, columns: list, directions: list[list[float]], h: float
             size = len(block[0])
             stacked = [_concat([_map(operator.add, x, shift[j]) for shift in offsets]) for j, x in enumerate(block)]
             try:
-                values = _column(_evaluate_columns(u, stacked, shared), stacked[0])
+                values = _column(_evaluate_columns(shape, stacked), stacked[0])
             except EvaluationError as exc:
                 raise EvaluationError(exc.message, start + exc.sample_index % size) from None
             for i, s in enumerate(steps):
@@ -428,16 +419,16 @@ def check_system(u: Expr | LinearForm, n: int, dom: SampleDomain) -> SystemRepor
     """
     if n < 2 or n % 2 != 0:
         raise ValueError(f"the system needs an even dimension of at least 2, got n={n}")
-    (eq1, eq2), points, shared = _residual_reports(u, system_specs(n), dom)
+    (eq1, eq2), points, shape = _residual_reports(u, system_specs(n), dom)
     if isinstance(u, LinearForm):
         ouro = check_linear_exact(u)
         # the float u.to_expr() takes at the origin: it keeps the nonzero terms,
         # each c_k * 0.0, so it reads -0.0 when all of them are negative
         origin = -0.0 if any(u.coeffs) and all(c <= 0.0 for c in u.coeffs) else 0.0
     else:
-        ouro = _check_sampled_at(u, dom, points, shared)
+        ouro = _check_sampled_at(shape, dom, points)
         try:
-            origin = _evaluate_columns(u, [0.0] * n, shared)  # one float column per variable: one sample
+            origin = _evaluate_columns(shape, [0.0] * n)  # one float column per variable: one sample
         except EvaluationError as exc:
             raise EvaluationError(f"{exc.message} at the origin") from None
     return SystemReport(

@@ -16,7 +16,7 @@ import itertools
 import operator
 from typing import TYPE_CHECKING, Iterator
 
-from .expr import Add, Const, Expr, Mul, Neg, Pow, Var, _map, _pow_repeated, _shape
+from .expr import Add, Const, Expr, Mul, Neg, Pow, Var, _map, _pow_repeated, _shape, _Shape
 
 if TYPE_CHECKING:
     import numpy as np
@@ -71,7 +71,7 @@ def _monomial_columns(columns: list, exponents) -> Iterator:
         for j, a in enumerate(alpha):
             if a:
                 if (j, a) not in powers:
-                    powers[j, a] = _map(lambda x: _pow_repeated(x, a), columns[j])
+                    powers[j, a] = _pow_repeated(columns[j], a)
                 monomial = powers[j, a] if monomial is None else _map(operator.mul, monomial, powers[j, a])
         yield 1.0 if monomial is None else monomial
 
@@ -121,49 +121,35 @@ class _NoNormalForm(Exception):
     pass
 
 
-def _degree(e: Expr, shared: set[int]) -> int:
-    """A bound on the total degree of every polynomial that expanding ``e`` builds.
+def _degree(shape: _Shape) -> int:
+    """A bound on the total degree of every polynomial that expanding the tree of ``shape`` builds.
 
     A divisor counts 0 in its product, since it must expand to a constant,
     but the partial results inside it count toward the bound. Dispatches on
-    the exact node type, as the expansion's walk does: isinstance chains
-    nearly double the time of this walk. Memoises the nodes in ``shared``
-    (``_shape(e).shared``) for this call.
+    the exact node type, as the expansion's loop does: isinstance chains
+    nearly double the time of this loop.
     """
-    memo: dict[int, int] = {}
-
-    def degree(e: Expr) -> int:
-        kind = type(e)
-        if kind is Var:
-            return 1
-        if kind is Const:
-            return 0
-        key = id(e)
-        if key in memo:
-            return memo[key]
+    bounds: list[int] = []
+    for node, slots in shape.order:
+        kind = type(node)
         if kind is Mul:
             total = inner = 0
-            for sign, factor in e.factors:
+            for (sign, _), slot in zip(node.factors, slots):
                 if sign > 0:
-                    total += degree(factor)
+                    total += bounds[slot]
                 else:
-                    inner = max(inner, degree(factor))
+                    inner = max(inner, bounds[slot])
             bound = max(total, inner)
         elif kind is Add:
-            bound = 0
-            for _, term in e.terms:
-                bound = max(bound, degree(term))
+            bound = max([bounds[slot] for slot in slots])
         elif kind is Pow:
-            bound = degree(e.base) * max(e.exponent, 1)  # a zero power still expands its base
+            bound = bounds[slots[0]] * max(node.exponent, 1)  # a zero power still expands its base
         elif kind is Neg:
-            bound = degree(e.operand)
+            bound = bounds[slots[0]]
         else:
-            return 0
-        if key in shared:
-            memo[key] = bound
-        return bound
-
-    return degree(e)
+            bound = 1 if kind is Var else 0
+        bounds.append(bound)
+    return bounds[-1]
 
 
 def expand(e: Expr, n: int) -> Poly | None:
@@ -172,78 +158,68 @@ def expand(e: Expr, n: int) -> Poly | None:
     None when a divisor is not a nonzero constant, or when expanding would
     take more than MAX_PRODUCTS coefficient products. Expands on packed keys
     wide enough for :func:`_degree`'s bound, and unpacks the result once.
+    A variable past xn is refused before anything is expanded.
 
-    A node reached along more than one path (``_shape(e).shared``) is
-    expanded once per call and then read again; each reading charges its
-    products to the budget again, so the budget decides as it would on the
-    tree with every path written out.
+    Each distinct node is expanded once. Its products are charged to the
+    budget once per path from the root that reaches it, so the budget
+    decides as it would on the tree with every path written out.
     """
-    return _expand(e, n, _shape(e).shared)
+    return _expand(_shape(e), n)
 
 
-def _expand(e: Expr, n: int, shared: set[int]) -> Poly | None:
-    """:func:`expand` with ``shared`` = ``_shape(e).shared`` already found."""
-    width = _degree(e, shared).bit_length()
-    budget = [MAX_PRODUCTS]
+def _expand(shape: _Shape, n: int) -> Poly | None:
+    """:func:`expand` of the tree of ``shape``, one loop over its distinct nodes."""
+    if shape.dimension > n:
+        raise ValueError(f"x{shape.dimension} does not exist in dimension n={n}")
+    width = _degree(shape).bit_length()
     one = {0: 1.0}
     units = [1 << width * j for j in range(n)]
-    memo: dict[int, tuple[Packed, int]] = {}  # a shared node's expansion and the products it charged
+    paths = [0] * (shape.size - 1) + [1]  # the paths from the root that reach each node
+    for i in reversed(range(shape.size)):  # each node after every node that names it
+        for slot in shape.order[i][1]:
+            paths[slot] += paths[i]
+    budget = MAX_PRODUCTS
 
-    def charge(products: int) -> None:
-        budget[0] -= products
-        if budget[0] < 0:
+    def product(p: Packed, q: Packed, reach: int) -> Packed:
+        nonlocal budget
+        budget -= len(p) * len(q) * reach
+        if budget < 0:
             raise _NoNormalForm
-
-    def product(p: Packed, q: Packed) -> Packed:
-        charge(len(p) * len(q))
         return times(p, q)
 
-    def walk(e: Expr) -> Packed:
-        kind = type(e)
-        if kind is Const:
-            return combine([(e.value, one)])
-        if kind is Var:
-            if e.index > n:
-                raise ValueError(f"x{e.index} does not exist in dimension n={n}")
-            return {units[e.index - 1]: 1.0}
-        key = id(e)
-        if key in memo:
-            result, products = memo[key]
-            charge(products)
-            return result
-        before = budget[0]
-        if kind is Add:
-            result = combine([(sign, walk(term)) for sign, term in e.terms])
-        elif kind is Mul:
-            result = walk(e.factors[0][1])
-            for sign, factor in e.factors[1:]:
-                p = walk(factor)
-                if sign > 0:
-                    result = product(result, p)
-                    continue
-                if p.keys() != one.keys():
-                    raise _NoNormalForm
-                result = combine([(1, {a: c / p[0] for a, c in result.items()})])
-        elif kind is Neg:
-            result = combine([(-1, walk(e.operand))])
-        elif kind is Pow:
-            # binary exponentiation, the order expr evaluates powers in
-            base, k, result = walk(e.base), e.exponent, one
-            while k:
-                if k & 1:
-                    result = product(result, base)
-                k >>= 1
-                if k:
-                    base = product(base, base)
-        else:
-            raise TypeError(f"not an expression node: {e!r}")
-        if key in shared:
-            memo[key] = result, before - budget[0]
-        return result
-
+    forms: list[Packed] = []
     try:
-        form = walk(e)
+        for (node, slots), reach in zip(shape.order, paths):
+            kind = type(node)
+            if kind is Const:
+                form = combine([(node.value, one)])
+            elif kind is Var:
+                form = {units[node.index - 1]: 1.0}
+            elif kind is Add:
+                form = combine([(sign, forms[slot]) for (sign, _), slot in zip(node.terms, slots)])
+            elif kind is Mul:
+                form = forms[slots[0]]
+                for (sign, _), slot in zip(node.factors[1:], slots[1:]):
+                    p = forms[slot]
+                    if sign > 0:
+                        form = product(form, p, reach)
+                    elif p.keys() != one.keys():
+                        raise _NoNormalForm
+                    else:
+                        form = combine([(1, {a: c / p[0] for a, c in form.items()})])
+            elif kind is Neg:
+                form = combine([(-1, forms[slots[0]])])
+            else:
+                # binary exponentiation, the order expr evaluates powers in
+                base, k, form = forms[slots[0]], node.exponent, one
+                while k:
+                    if k & 1:
+                        form = product(form, base, reach)
+                    k >>= 1
+                    if k:
+                        base = product(base, base, reach)
+            forms.append(form)
     except _NoNormalForm:
         return None
     mask = (1 << width) - 1
-    return {tuple(key >> width * j & mask for j in range(n)): c for key, c in form.items()}
+    return {tuple(key >> width * j & mask for j in range(n)): c for key, c in forms[-1].items()}

@@ -201,6 +201,39 @@ class TestLongInputs:
         assert expand(e, 1) == {(count,): 1.0}
 
 
+def deep_tree(depth: int):
+    """x1, then alternately e + x2 and -e, ``depth`` levels: x1 again after every four, read exactly at integers."""
+    e = Var(1)
+    for level in range(depth):
+        e = Neg(e) if level % 2 else Add(((1, e), (1, Var(2))))
+    return e
+
+
+class TestDeepTrees:
+    """Every walk but printing, hashing and equality is a loop, so a tree built by hand may be of any depth."""
+
+    def test_every_walk_and_check_takes_a_tree_ten_thousand_deep(self):
+        from ouroboros.core import SampleDomain, Verdict, check_sampled
+        from ouroboros.pde import PdeKind, PdeSpec, check_residual, check_system, residual_expr
+
+        u = deep_tree(10_000)
+        assert sys.getrecursionlimit() < 10_000
+        point = (3.0, 5.0)
+        assert evaluate(u, point) == 3.0
+        assert evaluate_many(u, np.array([point, (-2.0, 7.0)])).tolist() == [3.0, -2.0]
+        assert dimension(u) == 2
+        assert expand(u, 2) == {(1, 0): 1.0}
+        assert [evaluate(differentiate(u, k), point) for k in (1, 2)] == [1.0, 0.0]
+        spec = PdeSpec(PdeKind.EQ_II, n=2)
+        assert evaluate(residual_expr(u, spec), point) == -1.0
+        dom = SampleDomain(n=2, radius=2.0, seed=0, count=50)
+        assert check_sampled(u, dom).verdict is Verdict.HOLDS_SAMPLED
+        report = check_residual(u, spec, dom)
+        assert report.residual_constant == -1.0 and report.max_abs_residual == 1.0
+        system = check_system(u, 2, dom)
+        assert system.eq2 == report and system.origin_value == 0.0 and system.ouroboros.holds
+
+
 class TestSharing:
     """parse makes equal subtrees one object; evaluation, expansion, differentiation and dimension read a shared node once."""
 

@@ -2,8 +2,9 @@
 that picks the route, and reports equal to the numpy route's, bit for bit."""
 
 import contextlib
+import operator
 import random
-from collections import Counter
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from ouroboros import (
     core,
     evaluate_many,
     parse,
+    to_string,
 )
 from ouroboros import expr as expr_module
 from ouroboros import pde as pde_module
@@ -120,6 +122,15 @@ def paths(e):
         yield from paths(child)
 
 
+def post_order(e, seen: set) -> list:
+    """The distinct nodes of ``e`` not in ``seen``, each after its children, left to right, as a recursive walk finishes them."""
+    if id(e) in seen:
+        return []
+    listed = [node for child in children(e) for node in post_order(child, seen)]
+    seen.add(id(e))
+    return listed + [e]
+
+
 class TestWorkBound:
     def test_counts_every_node(self):
         e = parse("(x1 + x2)/2 - -x3^2")  # Add, Mul, Add, x1, x2, 2, Neg, Pow, x3
@@ -127,19 +138,25 @@ class TestWorkBound:
         assert _shape(Var(1)).size == 1
         square = parse("(x1 + x2)*(x1 + x2)")  # Mul, Add, x1, x2: the Add is one object
         assert _shape(square).size == 4
-        assert _shape(square).shared == {id(square.factors[0][1])}
+        total = square.factors[0][1]
+        listed = [(id(node), slots) for node, slots in _shape(square).order]
+        assert listed == [(id(total.terms[0][1]), ()), (id(total.terms[1][1]), ()), (id(total), (0, 1)), (id(square), (2, 2))]
 
     @given(st.one_of(expr_strategy(), shared_parses(expr_strategy())))
     @settings(max_examples=200, deadline=None)
     def test_shape_matches_reference_walks(self, e):
-        """Dimension as on the unshared rebuild, size the distinct ids, and shared the inner
-        nodes that the distinct nodes name as a child more than once between them."""
+        """Dimension as on the unshared rebuild, size the distinct ids, and the order each distinct
+        node once, after all of its children, as a recursive walk first finishes them."""
         distinct = {id(node): node for node in paths(e)}
-        edges = Counter(id(child) for node in distinct.values() for child in children(node))
         shape = _shape(e)
         assert shape.dimension == max((node.index for node in paths(unshared(e)) if isinstance(node, Var)), default=0)
         assert shape.size == len(distinct)
-        assert shape.shared == {key for key, node in distinct.items() if children(node) and edges[key] > 1}
+        listed = [node for node, _ in shape.order]
+        assert [id(node) for node in listed] == [id(node) for node in post_order(e, set())]
+        assert sorted(map(id, listed)) == sorted(distinct)
+        for position, (node, slots) in enumerate(shape.order):
+            assert [id(listed[slot]) for slot in slots] == [id(child) for child in children(node)]
+            assert all(slot < position for slot in slots)
 
     def test_a_tree_past_the_bound_by_paths_but_within_it_by_distinct_nodes_takes_python_floats(self):
         """(x1 + x2)/2 squared by Mul(((1, e), (1, e))) 8 times has 1280 nodes along its paths and 13
@@ -211,9 +228,9 @@ class TestRoutesAgree:
         points, columns = dom.samples(), dom._columns()
         arrays = list(points.T.copy())
         for by_numpy, by_python in (
-            (lambda: evaluate_many(e, points), lambda: _column(_evaluate_columns(e, columns, _shape(e).shared), columns[0])),
-            (lambda: _fd_partials(e, arrays, directions, DEFAULT_FD_STEP, _shape(e).shared),
-             lambda: _fd_partials(e, columns, directions, DEFAULT_FD_STEP, _shape(e).shared)),
+            (lambda: evaluate_many(e, points), lambda: _column(_evaluate_columns(_shape(e), columns), columns[0])),
+            (lambda: _fd_partials(_shape(e), arrays, directions, DEFAULT_FD_STEP),
+             lambda: _fd_partials(_shape(e), columns, directions, DEFAULT_FD_STEP)),
         ):
             try:
                 want = bits(by_numpy())
@@ -300,6 +317,104 @@ def bits_or_error(compute):
 GRID_ROWS = st.lists(st.tuples(*[st.sampled_from([-2.0, -1.0, -0.0, 0.0, 0.5, 1.0, 2.0])] * 3), min_size=1, max_size=12)
 
 
+def reference_evaluate(e, columns: list) -> list:
+    """The recursive walk that evaluation was, kept as its oracle: every path read, whole columns of
+    Python floats, entries left to right, and the first zero divisor met raising at its first zero."""
+    def power(base: float, k: int) -> float:  # binary exponentiation over *
+        result = None
+        while k:
+            if k & 1:
+                result = base if result is None else result * base
+            k >>= 1
+            if k:
+                base = base * base
+        return 1.0 if result is None else result
+
+    def walk(e) -> list:
+        if isinstance(e, Const):
+            return [e.value] * len(columns[0])
+        if isinstance(e, Var):
+            return list(columns[e.index - 1])
+        if isinstance(e, Neg):
+            return [-a for a in walk(e.operand)]
+        if isinstance(e, Pow):
+            return [power(a, e.exponent) for a in walk(e.base)]
+        entries = e.terms if isinstance(e, Add) else e.factors
+        ops = (operator.add, operator.sub) if isinstance(e, Add) else (operator.mul, operator.truediv)
+        total = walk(entries[0][1])
+        for sign, node in entries[1:]:
+            value = walk(node)
+            if isinstance(e, Mul) and sign < 0 and 0.0 in value:  # -0.0 too
+                raise EvaluationError("division by zero", sample_index=value.index(0.0))
+            total = list(map(ops[sign < 0], total, value))
+        return total
+
+    return walk(e)
+
+
+def several_divisors(trees):
+    """Trees whose products divide by several entries, nested, so that zero divisors compete."""
+    def product(children):
+        rest = st.lists(st.tuples(st.sampled_from([1, -1, -1]), children), min_size=1, max_size=3)
+        return st.tuples(children, rest).map(lambda first_rest: Mul(((1, first_rest[0]), *first_rest[1])))
+
+    return st.recursive(trees, product, max_leaves=8)
+
+
+VARIABLES = st.integers(min_value=1, max_value=3).map(Var)
+ZERO_ROWS = st.lists(st.tuples(*[st.sampled_from([-1.0, -0.0, 0.0, 0.5, 2.0])] * 3), min_size=2, max_size=12)
+
+
+class TestReferenceEvaluation:
+    """The loop over the shape gives the recursive walk's values, bits and error, sample index included."""
+
+    @staticmethod
+    def assert_matches(e, rows):
+        python = [list(column) for column in zip(*rows)]
+        for tree in (e, unshared(e)):
+            want = bits_or_error(lambda: reference_evaluate(tree, python))
+            for columns in (python, [np.array(column) for column in python]):
+                assert bits_or_error(lambda: _column(_evaluate_columns(_shape(tree), columns), columns[0])) == want
+
+    @given(shared_parses(expr_strategy()), GRID_ROWS)
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_recursive_walk(self, e, rows):
+        self.assert_matches(e, rows)
+
+    @given(several_divisors(VARIABLES).map(lambda e: parse(to_string(e))), ZERO_ROWS)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_recursive_walk_where_zero_divisors_compete(self, e, rows):
+        self.assert_matches(e, rows)
+
+    def test_the_divisor_met_first_is_reported_not_the_one_finished_first(self):
+        """x1/x2/(1/x3): the walk reads x2 before it enters 1/x3, so x2's zero at sample 3 is the
+        error, though 1/x3, finished first in the order, has no value at sample 1."""
+        e = parse("x1/x2/(1/x3)")
+        columns = [[1.0] * 5, [1.0, 1.0, 1.0, 0.0, 1.0], [1.0, 0.0, 1.0, 1.0, 1.0]]
+        assert bits_or_error(lambda: reference_evaluate(e, columns)) == ("division by zero", 3)
+        for container in (list, np.array):
+            with pytest.raises(EvaluationError) as exc:
+                _evaluate_columns(_shape(e), [container(column) for column in columns])
+            assert (exc.value.message, exc.value.sample_index) == ("division by zero", 3)
+        with pytest.raises(EvaluationError) as exc:
+            evaluate_many(e, np.array(columns).T)
+        assert str(exc.value) == "division by zero (sample 3)"
+
+
+class TestColumnsHeld:
+    def test_a_long_sum_holds_a_few_columns_not_one_per_term(self):
+        """Each product is folded into the sum once it is made, as the recursive walk did, so a sum
+        of 40 products over 10^4 samples holds a few columns at once, not one per product."""
+        count = 10_000
+        e = parse(" + ".join(f"{k}*x{k % 4 + 1}" for k in range(1, 41)))
+        shape, columns = _shape(e), list(SampleDomain(n=4, radius=2.0, seed=0, count=count).samples().T.copy())
+        tracemalloc.start()
+        _evaluate_columns(shape, columns)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak < 5 * 8 * count
+
+
 class TestSharedParsesAgree:
     """A parse that shares equal subtrees reads, bit for bit, as its rebuild with every path written out."""
 
@@ -309,8 +424,8 @@ class TestSharedParsesAgree:
         rebuilt = unshared(e)
         python = [list(column) for column in zip(*rows)]
         for columns in (python, [np.array(column) for column in python]):
-            want = bits_or_error(lambda: _column(_evaluate_columns(rebuilt, columns, set()), columns[0]))
-            assert bits_or_error(lambda: _column(_evaluate_columns(e, columns, _shape(e).shared), columns[0])) == want
+            want = bits_or_error(lambda: _column(_evaluate_columns(_shape(rebuilt), columns), columns[0]))
+            assert bits_or_error(lambda: _column(_evaluate_columns(_shape(e), columns), columns[0])) == want
 
     @given(shared_parses(expr_strategy()), SEEDS, COUNTS, st.booleans())
     @settings(max_examples=150, deadline=None)
@@ -319,10 +434,10 @@ class TestSharedParsesAgree:
         dom = SampleDomain(n=3, radius=2.0, seed=seed, count=count)
         columns = dom._columns() if python else list(dom.samples().T.copy())
         directions = [[1.0, 1.0, -2.0], [-1.0, 1.0, -1.0]]
-        assert bits_or_error(lambda: _fd_partials(e, columns, directions, DEFAULT_FD_STEP, _shape(e).shared)) == \
-            bits_or_error(lambda: _fd_partials(rebuilt, columns, directions, DEFAULT_FD_STEP, set()))
-        assert exact(_check_sampled_at(e, dom, columns, _shape(e).shared).to_dict()) == \
-            exact(_check_sampled_at(rebuilt, dom, columns, set()).to_dict())
+        assert bits_or_error(lambda: _fd_partials(_shape(e), columns, directions, DEFAULT_FD_STEP)) == \
+            bits_or_error(lambda: _fd_partials(_shape(rebuilt), columns, directions, DEFAULT_FD_STEP))
+        assert exact(_check_sampled_at(_shape(e), dom, columns).to_dict()) == \
+            exact(_check_sampled_at(_shape(rebuilt), dom, columns).to_dict())
 
 
 class TestNoColumnIsWritten:
@@ -335,13 +450,13 @@ class TestNoColumnIsWritten:
         columns = dom._columns() if python else list(dom.samples().T.copy())
         before = [bits(column) for column in columns]
         with contextlib.suppress(EvaluationError):
-            y = _evaluate_columns(e, columns, _shape(e).shared)
+            y = _evaluate_columns(_shape(e), columns)
             y_before = bits(y)
             with contextlib.suppress(EvaluationError):
-                _evaluate_columns(e, [y] * dom.n, _shape(e).shared)
+                _evaluate_columns(_shape(e), [y] * dom.n)
             assert bits(y) == y_before
         with contextlib.suppress(EvaluationError):
-            _fd_partials(e, columns, [[1.0, 1.0, -2.0], [-1.0, 1.0, -1.0]], DEFAULT_FD_STEP, _shape(e).shared)
+            _fd_partials(_shape(e), columns, [[1.0, 1.0, -2.0], [-1.0, 1.0, -1.0]], DEFAULT_FD_STEP)
         form = expand(e, 3)
         if form is not None:
             _poly_values(form, columns)
@@ -358,6 +473,6 @@ class TestNoColumnIsWritten:
         y = np.array([0.5, -1.5, 3.0, -0.0])
         column = y.tolist() if python else y.copy()
         e = parse(text)
-        got = _evaluate_columns(e, [column] * 2, _shape(e).shared)
+        got = _evaluate_columns(_shape(e), [column] * 2)
         assert bits(column) == bits(y)
         assert bits(got) == bits(values(y))
