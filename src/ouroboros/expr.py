@@ -24,6 +24,13 @@ structurally equal tree; the only normalisation involved is that a minus
 sign directly in front of a bare number literal is folded into the constant
 (``-5`` is the constant -5, while ``-(5)`` is a negation node).
 
+:func:`parse` scans the text once with one regular expression into
+(kind, offset, value) tokens, refusing a bad character at its offset. It
+then descends recursively: a sum and a product are each one loop over
+their two operators, and every node goes into one table keyed by its kind
+and fields, each child by identity, so equal subtrees of the text become
+one object.
+
 Each ``(`` and each unary minus opens a level of nesting; :func:`parse`
 refuses more than ``MAX_DEPTH`` levels, which bounds its own recursion. Of
 the walks over a tree only printing, hashing and equality recurse, so
@@ -54,6 +61,7 @@ import math
 import operator
 import re
 from contextlib import nullcontext
+from functools import partial
 from itertools import repeat
 from typing import TYPE_CHECKING, NamedTuple, Sequence, Union
 
@@ -179,167 +187,126 @@ Expr = Union[Const, Var, Add, Mul, Neg, Pow]
 # ---------------------------------------------------------------------------
 # parsing
 
-_NUMBER_RE = re.compile(r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?")
-_VAR_RE = re.compile(r"x(\d+)")
+# a token after optional whitespace; "bad" is any character that starts no other token
+_TOKEN_RE = re.compile(r"\s*(?:(?P<op>[-+*/^()])|(?P<number>(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?)"
+                       r"|(?P<var>x\d+)|(?P<end>\Z)|(?P<bad>.))", re.DOTALL)
 
 
 def _tokenize(text: str) -> list[tuple]:
-    """(kind, pos, text, value) tuples; kind is "number", "var", "end" or the operator itself."""
+    """(kind, pos, value) triples: "number" and its text, "var" and its index, each operator and itself, then "end"."""
     tokens = []
-    pos = 0
-    end = len(text)
-    while pos < end:
-        ch = text[pos]
-        if ch.isspace():
-            pos += 1
-            continue
-        if ch == "x":
-            m = _VAR_RE.match(text, pos)
-            if m is None:
-                raise ParseError("expected a variable index after 'x'", pos)
-            index = int(m.group(1))
-            if index == 0:
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        pos, value = m.start(kind), m[kind]
+        if kind == "op":
+            kind = value
+        elif kind == "number" and math.isinf(float(value)):
+            raise ParseError("number literal out of range", pos)
+        elif kind == "var":
+            try:
+                value = int(value[1:])
+            except ValueError:  # more digits than int() converts
+                raise ParseError("variable index out of range", pos) from None
+            if not value:
                 raise ParseError("variable index must be at least 1", pos)
-            tokens.append(("var", pos, m.group(0), index))
-            pos = m.end()
-            continue
-        if ch.isdigit() or ch == ".":
-            m = _NUMBER_RE.match(text, pos)
-            if m is None:
+        elif kind == "bad":
+            if value == "x":
+                raise ParseError("expected a variable index after 'x'", pos)
+            if value.isdigit() or value == ".":
                 raise ParseError("malformed number literal", pos)
-            value = float(m.group(0))
-            if math.isinf(value):
-                raise ParseError("number literal out of range", pos)
-            tokens.append(("number", pos, m.group(0), value))
-            pos = m.end()
-            continue
-        if ch in "+-*/^()":
-            tokens.append((ch, pos, ch, None))
-            pos += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", pos)
-    tokens.append(("end", end, "", None))
+            raise ParseError(f"unexpected character {value!r}", pos)
+        tokens.append((kind, pos, value))
+        if kind == "end":
+            break
     return tokens
 
 
 class _Parser:
+    """Recursive descent over the tokens of one text; equal subtrees of the text become one node."""
+
     def __init__(self, tokens: list[tuple]):
         self.tokens = tokens
-        self.i = 0
+        self.i = 0  # the next token
         self.depth = 0  # enclosing parentheses and unary minus signs
-        self.nodes: dict = {}  # every node of this parse, by the key that leaf or share gives it
+        self.nodes: dict = {}  # every node of this parse, by its key (see intern)
 
-    def peek(self) -> tuple:
-        return self.tokens[self.i]
+    def intern(self, key, kind: type, *fields) -> Expr:
+        """The node of this parse with ``key``, made as ``kind(*fields)`` on first use.
 
-    def advance(self) -> tuple:
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def leaf(self, kind: type, value) -> Expr:
-        """The constant or variable of this parse with ``value``, made on first use.
-
-        A variable is keyed by its index, a constant by ``value.hex()``, so
-        0 and -0 stay two nodes.
+        Keys: a variable's index, a constant's ``value.hex()`` (0 and -0 stay two), else kind and fields, each
+        child by identity; children are interned first, so equal subtrees have equal keys.
         """
-        key = value.hex() if kind is Const else value
         node = self.nodes.get(key)
         if node is None:
-            node = self.nodes[key] = kind(value)
+            node = self.nodes[key] = kind(*fields)
         return node
 
-    def share(self, node: Expr) -> Expr:
-        """The sum, product, negation or power of this parse equal to ``node``; ``node`` if it is the first.
+    def expr(self, closing: str, message: str) -> Expr:
+        """A sum of products of factors, then the token ``closing``; ``message`` at any other token."""
+        node = self.chain(Add, "+-", partial(self.chain, Mul, "*/", self.parse_factor))
+        if self.tokens[self.i][0] != closing:
+            raise ParseError(message, self.tokens[self.i][1])
+        self.i += 1
+        return node
 
-        The key is the kind and the fields, each child by identity: children
-        are shared already, so equal subtrees have equal keys. A sum or
-        product is keyed after it has spliced in a leading entry of its kind.
+    def chain(self, kind: type, ops: str, operand) -> Expr:
+        """``operand()``, again after each ``ops[0]`` (sign +1) or ``ops[1]`` (sign -1); two or more make one ``kind``.
+
+        Sums chain over "+-", products over "*/"; keyed once the constructor has spliced in a leading entry.
         """
-        kind = type(node)
-        if kind is Mul:
-            key = (Mul, *[(sign, id(factor)) for sign, factor in node.factors])
-        elif kind is Add:
-            key = (Add, *[(sign, id(term)) for sign, term in node.terms])
-        elif kind is Pow:
-            key = (Pow, id(node.base), node.exponent)
-        else:
-            key = (Neg, id(node.operand))
+        entries = [(1, operand())]
+        while self.tokens[self.i][0] in ops:
+            sign = 1 if self.tokens[self.i][0] == ops[0] else -1
+            self.i += 1
+            entries.append((sign, operand()))
+        if len(entries) == 1:
+            return entries[0][1]
+        node = kind(entries)
+        key = (kind, *[(sign, id(child)) for sign, child in getattr(node, kind._fields[0])])
         return self.nodes.setdefault(key, node)
 
-    def parse_expr(self) -> Expr:
-        terms = [(1, self.parse_term())]
-        while self.peek()[0] in ("+", "-"):
-            sign = 1 if self.advance()[0] == "+" else -1
-            terms.append((sign, self.parse_term()))
-        return self.share(Add(terms)) if len(terms) > 1 else terms[0][1]
-
-    def parse_term(self) -> Expr:
-        factors = [(1, self.parse_factor())]
-        while self.peek()[0] in ("*", "/"):
-            sign = 1 if self.advance()[0] == "*" else -1
-            factors.append((sign, self.parse_factor()))
-        return self.share(Mul(factors)) if len(factors) > 1 else factors[0][1]
-
     def parse_factor(self) -> Expr:
-        minus_count = 0
-        while self.peek()[0] == "-":
-            if self.depth + minus_count == MAX_DEPTH:
-                raise ParseError("expression nested too deeply", self.peek()[1])
-            self.advance()
-            minus_count += 1
-        self.depth += minus_count
-        node, bare_number = self.parse_atom()
-        self.depth -= minus_count
-        has_exponent = False
-        if self.peek()[0] == "^":
-            self.advance()
-            kind, pos, text, _ = self.advance()
+        tokens, start = self.tokens, self.i
+        while tokens[self.i][0] == "-":
+            self.i += 1
+        minus = self.i - start
+        kind, pos, value = tokens[self.i]
+        if self.depth + minus + (kind == "(") > MAX_DEPTH:  # refused at the first minus or "(" too many
+            raise ParseError("expression nested too deeply", tokens[start + MAX_DEPTH - self.depth][1])
+        self.i += 1
+        if kind == "number":
+            value = float(value)
+            if minus and tokens[self.i][0] != "^":  # "-5" is the constant -5, "-5^2" is -(5^2)
+                value = -value
+                minus -= 1
+            node = self.intern(value.hex(), Const, value)
+        elif kind == "var":
+            node = self.intern(value, Var, value)
+        elif kind == "(":
+            self.depth += minus + 1
+            node = self.expr(")", "expected ')'")
+            self.depth -= minus + 1
+        else:
+            message = "unexpected end of input" if kind == "end" else "expected a number, a variable, or '('"
+            raise ParseError(message, pos)
+        if tokens[self.i][0] == "^":
+            kind, pos, text = tokens[self.i + 1]
+            self.i += 2
             if kind != "number" or not text.isdigit():
                 raise ParseError("exponent must be a nonnegative integer", pos)
-            node = self.share(Pow(node, int(text)))
-            has_exponent = True
-        # A minus directly before a bare literal denotes a negative constant;
-        # with an exponent present the minus stays outside ("-5^2" is -(5^2)).
-        if minus_count and bare_number and not has_exponent:
-            node = self.leaf(Const, -node.value)
-            minus_count -= 1
-        for _ in range(minus_count):
-            node = self.share(Neg(node))
+            try:
+                exponent = int(text)
+            except ValueError:  # more digits than int() converts
+                raise ParseError("exponent out of range", pos) from None
+            node = self.intern((Pow, id(node), exponent), Pow, node, exponent)
+        for _ in range(minus):
+            node = self.intern((Neg, id(node)), Neg, node)
         return node
-
-    def parse_atom(self) -> tuple[Expr, bool]:
-        kind, pos, _, value = self.advance()
-        if kind == "number":
-            return self.leaf(Const, value), True
-        if kind == "var":
-            return self.leaf(Var, value), False
-        if kind == "(":
-            if self.depth == MAX_DEPTH:
-                raise ParseError("expression nested too deeply", pos)
-            self.depth += 1
-            node = self.parse_expr()
-            self.depth -= 1
-            closing_kind, closing_pos, _, _ = self.advance()
-            if closing_kind != ")":
-                raise ParseError("expected ')'", closing_pos)
-            return node, False
-        if kind == "end":
-            raise ParseError("unexpected end of input", pos)
-        raise ParseError("expected a number, a variable, or '('", pos)
 
 
 def parse(text: str) -> Expr:
-    """Parse an expression string into a tree, raising :class:`ParseError`.
-
-    Equal subtrees of the text become one object (``_Parser.leaf`` and ``_Parser.share``).
-    """
-    parser = _Parser(_tokenize(text))
-    node = parser.parse_expr()
-    kind, pos, _, _ = parser.peek()
-    if kind != "end":
-        raise ParseError("unexpected input after expression", pos)
-    return node
+    """Parse an expression string into a tree, raising :class:`ParseError`; equal subtrees become one object."""
+    return _Parser(_tokenize(text)).expr("end", "unexpected input after expression")
 
 
 # ---------------------------------------------------------------------------
@@ -537,9 +504,8 @@ def _evaluate_columns(shape: _Shape, columns: list) -> list[float] | np.ndarray 
     value left to right as soon as they are done, from the node the
     recursive walk reaches them from, and a column is dropped once its last
     reader has read it: so no more columns are held at once than that walk
-    holds. A node with no value holds the first of its entries' errors and
-    zero divisors, left to right, the error that walk would raise first. A
-    point too short for the tree is refused first; the tree's error is raised.
+    holds, and the first zero divisor folded is the one that walk would
+    raise. A point too short for the tree is refused first.
     """
     if shape.dimension > len(columns):
         raise ValueError(f"point of length {len(columns)} is too short for x{shape.dimension}")
@@ -560,9 +526,7 @@ def _evaluate_columns(shape: _Shape, columns: list) -> list[float] | np.ndarray 
             readers[slot] -= 1
             if not readers[slot]:
                 results[slot] = None
-            if type(value) is EvaluationError or type(operand) is EvaluationError:
-                value = value if type(value) is EvaluationError else operand
-            elif kind is Neg:
+            if kind is Neg:
                 value = _map(operator.neg, operand)
             elif kind is Pow:
                 value = _pow_repeated(operand, node.exponent)
@@ -574,7 +538,7 @@ def _evaluate_columns(shape: _Shape, columns: list) -> list[float] | np.ndarray 
             elif node.factors[entry][0] > 0:
                 value = _map(operator.mul if entry == 1 else operator.imul, value, operand)
             elif (bad := _first(_map(operator.eq, operand, 0.0))) is not None:  # -0.0 too
-                value = EvaluationError("division by zero", sample_index=bad)
+                raise EvaluationError("division by zero", sample_index=bad)
             else:
                 value = _map(operator.truediv if entry == 1 else operator.itruediv, value, operand)
             entry += 1
@@ -591,8 +555,6 @@ def _evaluate_columns(shape: _Shape, columns: list) -> list[float] | np.ndarray 
                 results[position] = node.value
             if parents[position] >= 0:
                 fold(parents[position], position)
-    if isinstance(results[-1], EvaluationError):  # an entry's error is its node's, so the tree holds the first
-        raise results[-1]
     return results[-1]
 
 

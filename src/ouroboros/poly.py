@@ -156,9 +156,10 @@ def expand(e: Expr, n: int) -> Poly | None:
     """Normal form of ``e`` over x1..xn.
 
     None when a divisor is not a nonzero constant, or when expanding would
-    take more than MAX_PRODUCTS coefficient products. Expands on packed keys
-    wide enough for :func:`_degree`'s bound, and unpacks the result once.
-    A variable past xn is refused before anything is expanded.
+    take more than MAX_PRODUCTS coefficient products. A divisor is checked
+    as soon as it is expanded, before anything after it. Expands on packed
+    keys wide enough for :func:`_degree`'s bound, and unpacks the result
+    once. A variable past xn is refused before anything is expanded.
 
     Each distinct node is expanded once. Its products are charged to the
     budget once per path from the root that reaches it, so the budget
@@ -178,6 +179,8 @@ def _expand(shape: _Shape, n: int) -> Poly | None:
     for i in reversed(range(shape.size)):  # each node after every node that names it
         for slot in shape.order[i][1]:
             paths[slot] += paths[i]
+    divisors = {slot for node, slots in shape.order if type(node) is Mul
+                for (sign, _), slot in zip(node.factors, slots) if sign < 0}
     budget = MAX_PRODUCTS
 
     def product(p: Packed, q: Packed, reach: int) -> Packed:
@@ -189,7 +192,7 @@ def _expand(shape: _Shape, n: int) -> Poly | None:
 
     forms: list[Packed] = []
     try:
-        for (node, slots), reach in zip(shape.order, paths):
+        for position, ((node, slots), reach) in enumerate(zip(shape.order, paths)):
             kind = type(node)
             if kind is Const:
                 form = combine([(node.value, one)])
@@ -203,8 +206,6 @@ def _expand(shape: _Shape, n: int) -> Poly | None:
                     p = forms[slot]
                     if sign > 0:
                         form = product(form, p, reach)
-                    elif p.keys() != one.keys():
-                        raise _NoNormalForm
                     else:
                         form = combine([(1, {a: c / p[0] for a, c in form.items()})])
             elif kind is Neg:
@@ -218,6 +219,8 @@ def _expand(shape: _Shape, n: int) -> Poly | None:
                     k >>= 1
                     if k:
                         base = product(base, base, reach)
+            if position in divisors and form.keys() != one.keys():  # a divisor must be a nonzero constant
+                raise _NoNormalForm
             forms.append(form)
     except _NoNormalForm:
         return None

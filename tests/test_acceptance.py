@@ -244,9 +244,26 @@ def _random_tree(r: random.Random, depth: int):
 
 
 MALFORMED = [
-    "", "   ", "x", "x0", "y1", "1 +", "+ 1", "(1", "1)", "()",
-    "1 ++ 2", "2^", "2^x1", "2^-3", "2^3^4", "1..5", "1.2.3", "x1 x2",
-    "3 @ 4", "x1 + (2 * )",
+    ("", "unexpected end of input", 0),
+    ("   ", "unexpected end of input", 3),
+    ("x", "expected a variable index after 'x'", 0),
+    ("x0", "variable index must be at least 1", 0),
+    ("y1", "unexpected character 'y'", 0),
+    ("1 +", "unexpected end of input", 3),
+    ("+ 1", "expected a number, a variable, or '('", 0),
+    ("(1", "expected ')'", 2),
+    ("1)", "unexpected input after expression", 1),
+    ("()", "expected a number, a variable, or '('", 1),
+    ("1 ++ 2", "expected a number, a variable, or '('", 3),
+    ("2^", "exponent must be a nonnegative integer", 2),
+    ("2^x1", "exponent must be a nonnegative integer", 2),
+    ("2^-3", "exponent must be a nonnegative integer", 2),
+    ("2^3^4", "unexpected input after expression", 3),
+    ("1..5", "unexpected input after expression", 2),
+    ("1.2.3", "unexpected input after expression", 3),
+    ("x1 x2", "unexpected input after expression", 3),
+    ("3 @ 4", "unexpected character '@'", 2),
+    ("x1 + (2 * )", "expected a number, a variable, or '('", 10),
 ]
 
 
@@ -259,11 +276,10 @@ def test_criterion_08_parser_round_trips_and_rejects_malformed_input():
         reparsed = parse(printed)
         assert reparsed == tree, (i, printed)
     assert len(MALFORMED) == 20
-    for text in MALFORMED:
+    for text, message, position in MALFORMED:
         with pytest.raises(ParseError) as excinfo:
             parse(text)
-        assert isinstance(excinfo.value.position, int)
-        assert 0 <= excinfo.value.position <= len(text) + 1
+        assert (excinfo.value.message, excinfo.value.position) == (message, position), text
     print("CRITERION 8: PASS - 200/200 structural round-trips and 20/20 "
           "malformed inputs raised positioned syntax errors")
 

@@ -33,6 +33,9 @@ from ouroboros.expr import (
 )
 from ouroboros.poly import expand
 
+# the most digits int() converts from a string; 0 where it converts any number
+INT_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
 
 def pair(node, sign):
     """Map (left, right) to the two-entry sum or product left +- right or left */ right."""
@@ -119,11 +122,45 @@ class TestParsing:
             parse("x0")
 
     @pytest.mark.parametrize(
-        "bad", ["", "x", "1 +", "(1", "1)", "2^x1", "2^-1", "2^3^2", "1..2", "x1 x2", "$"]
+        "bad, message, position",
+        [
+            ("", "unexpected end of input", 0),
+            ("   ", "unexpected end of input", 3),
+            ("x", "expected a variable index after 'x'", 0),
+            ("x\u00b2", "expected a variable index after 'x'", 0),  # a digit, but not a decimal one
+            ("x0", "variable index must be at least 1", 0),
+            ("\u00b2", "malformed number literal", 0),
+            (".", "malformed number literal", 0),
+            ("1e400", "number literal out of range", 0),
+            ("1 +", "unexpected end of input", 3),
+            ("1 ++ 2", "expected a number, a variable, or '('", 3),
+            ("x1 + (2 * )", "expected a number, a variable, or '('", 10),
+            ("(1", "expected ')'", 2),
+            ("1)", "unexpected input after expression", 1),
+            ("2^x1", "exponent must be a nonnegative integer", 2),
+            ("2^-1", "exponent must be a nonnegative integer", 2),
+            ("x1^2.5", "exponent must be a nonnegative integer", 3),
+            ("2^3^2", "unexpected input after expression", 3),
+            ("1..2", "unexpected input after expression", 2),
+            ("x1 x2", "unexpected input after expression", 3),
+            ("$", "unexpected character '$'", 0),
+            ("-" * 100 + "(x1)", "expression nested too deeply", 100),
+        ],
     )
-    def test_rejects_malformed_input(self, bad):
-        with pytest.raises(ParseError):
+    def test_rejects_malformed_input(self, bad, message, position):
+        with pytest.raises(ParseError) as exc:
             parse(bad)
+        assert (exc.value.message, exc.value.position) == (message, position)
+
+    @pytest.mark.skipif(not INT_DIGITS, reason="int() converts any number of digits")
+    @pytest.mark.parametrize("text, message, position", [
+        ("x1 + x" + "9" * (INT_DIGITS + 1), "variable index out of range", 5),
+        ("x1^" + "0" * INT_DIGITS + "2", "exponent out of range", 3),
+    ], ids=["variable-index", "exponent"])
+    def test_digits_past_the_int_conversion_limit_are_a_parse_error(self, text, message, position):
+        with pytest.raises(ParseError) as exc:
+            parse(text)
+        assert (exc.value.message, exc.value.position) == (message, position)
 
     def test_parse_error_carries_position(self):
         with pytest.raises(ParseError) as exc:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ouroboros import poly
 from ouroboros.core import SampleDomain
 from ouroboros.expr import Add, Const, Mul, Neg, Pow, Var, _shape, differentiate, dimension, evaluate_many, parse
 from ouroboros.poly import MAX_PRODUCTS, _degree, combine, derivative, expand, monomial_exponents, monomial_values
@@ -144,6 +145,15 @@ class TestExpand:
         assert expand(parse("x1/x2"), 2) is None
         assert expand(parse("1/0"), 1) is None
         assert expand(parse("x1/(x2 - x2)"), 2) is None
+
+    def test_a_non_constant_divisor_gives_up_at_its_own_slot(self, monkeypatch):
+        """x2 is refused as soon as it is expanded, before the power beside it costs a product."""
+        def fail(p, q):
+            raise AssertionError("a product was taken after the divisor x2 was expanded")
+
+        monkeypatch.setattr(poly, "times", fail)
+        text = "x1/x2*(" + " + ".join(f"x{k}" for k in range(1, 11)) + ")^8"
+        assert expand(parse(text), 10) is None
 
     def test_variables_beyond_the_dimension_are_rejected(self):
         with pytest.raises(ValueError):
