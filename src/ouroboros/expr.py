@@ -25,7 +25,7 @@ sign directly in front of a bare number literal is folded into the constant
 (``-5`` is the constant -5, while ``-(5)`` is a negation node).
 
 :func:`parse` scans the text once with one regular expression into
-(kind, offset, value) tokens, refusing a bad character at its offset. It
+(kind, offset, value, text) tokens, refusing a bad character at its offset. It
 then descends recursively: a sum and a product are each one loop over
 their two operators, and every node goes into one table keyed by its kind
 and fields, each child by identity, so equal subtrees of the text become
@@ -193,29 +193,30 @@ _TOKEN_RE = re.compile(r"\s*(?:(?P<op>[-+*/^()])|(?P<number>(?:\d+(?:\.\d*)?|\.\
 
 
 def _tokenize(text: str) -> list[tuple]:
-    """(kind, pos, value) triples: "number" and its text, "var" and its index, each operator and itself, then "end"."""
+    """(kind, pos, value, text) tuples: "number" and its float, "var" and its index, each operator, then "end"."""
     tokens = []
     for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
-        pos, value = m.start(kind), m[kind]
+        pos, token = m.start(kind), m[kind]
+        value = token
         if kind == "op":
-            kind = value
-        elif kind == "number" and math.isinf(float(value)):
+            kind = token
+        elif kind == "number" and math.isinf(value := float(token)):  # a number's value is its float
             raise ParseError("number literal out of range", pos)
         elif kind == "var":
             try:
-                value = int(value[1:])
+                value = int(token[1:])
             except ValueError:  # more digits than int() converts
                 raise ParseError("variable index out of range", pos) from None
             if not value:
                 raise ParseError("variable index must be at least 1", pos)
         elif kind == "bad":
-            if value == "x":
+            if token == "x":
                 raise ParseError("expected a variable index after 'x'", pos)
-            if value.isdigit() or value == ".":
+            if token.isdigit() or token == ".":
                 raise ParseError("malformed number literal", pos)
-            raise ParseError(f"unexpected character {value!r}", pos)
-        tokens.append((kind, pos, value))
+            raise ParseError(f"unexpected character {token!r}", pos)
+        tokens.append((kind, pos, value, token))
         if kind == "end":
             break
     return tokens
@@ -261,21 +262,19 @@ class _Parser:
             entries.append((sign, operand()))
         if len(entries) == 1:
             return entries[0][1]
-        node = kind(entries)
-        key = (kind, *[(sign, id(child)) for sign, child in getattr(node, kind._fields[0])])
-        return self.nodes.setdefault(key, node)
+        entries = _entries(kind, entries)
+        return self.intern((kind, *[(sign, id(child)) for sign, child in entries]), kind, entries)
 
     def parse_factor(self) -> Expr:
         tokens, start = self.tokens, self.i
         while tokens[self.i][0] == "-":
             self.i += 1
         minus = self.i - start
-        kind, pos, value = tokens[self.i]
+        kind, pos, value, _ = tokens[self.i]
         if self.depth + minus + (kind == "(") > MAX_DEPTH:  # refused at the first minus or "(" too many
             raise ParseError("expression nested too deeply", tokens[start + MAX_DEPTH - self.depth][1])
         self.i += 1
         if kind == "number":
-            value = float(value)
             if minus and tokens[self.i][0] != "^":  # "-5" is the constant -5, "-5^2" is -(5^2)
                 value = -value
                 minus -= 1
@@ -290,7 +289,7 @@ class _Parser:
             message = "unexpected end of input" if kind == "end" else "expected a number, a variable, or '('"
             raise ParseError(message, pos)
         if tokens[self.i][0] == "^":
-            kind, pos, text = tokens[self.i + 1]
+            kind, pos, _, text = tokens[self.i + 1]
             self.i += 2
             if kind != "number" or not text.isdigit():
                 raise ParseError("exponent must be a nonnegative integer", pos)
@@ -504,8 +503,9 @@ def _evaluate_columns(shape: _Shape, columns: list) -> list[float] | np.ndarray 
     value left to right as soon as they are done, from the node the
     recursive walk reaches them from, and a column is dropped once its last
     reader has read it: so no more columns are held at once than that walk
-    holds, and the first zero divisor folded is the one that walk would
-    raise. A point too short for the tree is refused first.
+    holds. A node with no value holds the first of its entries' errors and
+    zero divisors, left to right, the error that walk would raise first. A
+    point too short for the tree is refused first; the tree's error is raised.
     """
     if shape.dimension > len(columns):
         raise ValueError(f"point of length {len(columns)} is too short for x{shape.dimension}")
@@ -526,7 +526,9 @@ def _evaluate_columns(shape: _Shape, columns: list) -> list[float] | np.ndarray 
             readers[slot] -= 1
             if not readers[slot]:
                 results[slot] = None
-            if kind is Neg:
+            if type(value) is EvaluationError or type(operand) is EvaluationError:
+                value = value if type(value) is EvaluationError else operand
+            elif kind is Neg:
                 value = _map(operator.neg, operand)
             elif kind is Pow:
                 value = _pow_repeated(operand, node.exponent)
@@ -538,7 +540,7 @@ def _evaluate_columns(shape: _Shape, columns: list) -> list[float] | np.ndarray 
             elif node.factors[entry][0] > 0:
                 value = _map(operator.mul if entry == 1 else operator.imul, value, operand)
             elif (bad := _first(_map(operator.eq, operand, 0.0))) is not None:  # -0.0 too
-                raise EvaluationError("division by zero", sample_index=bad)
+                value = EvaluationError("division by zero", sample_index=bad)
             else:
                 value = _map(operator.truediv if entry == 1 else operator.itruediv, value, operand)
             entry += 1
@@ -555,6 +557,8 @@ def _evaluate_columns(shape: _Shape, columns: list) -> list[float] | np.ndarray 
                 results[position] = node.value
             if parents[position] >= 0:
                 fold(parents[position], position)
+    if isinstance(results[-1], EvaluationError):  # an entry's error is its node's, so the tree holds the first
+        raise results[-1]
     return results[-1]
 
 

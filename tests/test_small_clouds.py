@@ -386,11 +386,15 @@ class TestReferenceEvaluation:
     def test_matches_the_recursive_walk_where_zero_divisors_compete(self, e, rows):
         self.assert_matches(e, rows)
 
-    def test_the_divisor_met_first_is_reported_not_the_one_finished_first(self):
-        """x1/x2/(1/x3): the walk reads x2 before it enters 1/x3, so x2's zero at sample 3 is the
-        error, though 1/x3, finished first in the order, has no value at sample 1."""
-        e = parse("x1/x2/(1/x3)")
-        columns = [[1.0] * 5, [1.0, 1.0, 1.0, 0.0, 1.0], [1.0, 0.0, 1.0, 1.0, 1.0]]
+    @given(st.lists(VARIABLES, min_size=1, max_size=3), several_divisors(VARIABLES), ZERO_ROWS)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_recursive_walk_where_divisors_are_finished_before_their_product(self, first, e, rows):
+        """Leading terms finish some of the product's entries first, so it folds them only later."""
+        self.assert_matches(parse(" + ".join(map(to_string, [*first, e]))), rows)
+
+    @staticmethod
+    def assert_reports_sample_3(text, columns):
+        e = parse(text)
         assert bits_or_error(lambda: reference_evaluate(e, columns)) == ("division by zero", 3)
         for container in (list, np.array):
             with pytest.raises(EvaluationError) as exc:
@@ -399,6 +403,19 @@ class TestReferenceEvaluation:
         with pytest.raises(EvaluationError) as exc:
             evaluate_many(e, np.array(columns).T)
         assert str(exc.value) == "division by zero (sample 3)"
+
+    def test_the_divisor_met_first_is_reported_not_the_one_finished_first(self):
+        """x1/x2/(1/x3): the walk reads x2 before it enters 1/x3, so x2's zero at sample 3 is the
+        error, though 1/x3, finished first in the order, has no value at sample 1."""
+        columns = [[1.0] * 5, [1.0, 1.0, 1.0, 0.0, 1.0], [1.0, 0.0, 1.0, 1.0, 1.0]]
+        self.assert_reports_sample_3("x1/x2/(1/x3)", columns)
+
+    def test_a_divisor_finished_elsewhere_is_reported_before_a_later_new_one(self):
+        """x1 + x2 + x1/x2*(x3/x4): x1 and x2 are finished before the product, so the product's
+        first entries wait for x3/x4, whose x4 has no value at sample 1; the walk divides by x2
+        first, so x2's zero at sample 3 is the error."""
+        columns = [[1.0] * 5, [1.0, 1.0, 1.0, 0.0, 1.0], [1.0] * 5, [1.0, 0.0, 1.0, 1.0, 1.0]]
+        self.assert_reports_sample_3("x1 + x2 + x1/x2*(x3/x4)", columns)
 
 
 class TestColumnsHeld:
