@@ -41,14 +41,15 @@ A tree may share subtrees: :func:`parse` makes the equal subtrees of its
 text one object, and a tree built by hand may reuse a node. Equality,
 hashing, printing, pickling and copying read a shared node once per path,
 as they would read copies of it. ``_shape`` lists the distinct nodes once
-each, children first, and evaluation, differentiation and expansion
-(:mod:`ouroboros.poly`) are each one loop over that list, keeping one
-result per node.
+each, children first: differentiation and expansion (:mod:`ouroboros.poly`)
+are each one loop over that list. It also lists the steps, each entry a
+recursive walk reads, in the order that walk reads them.
 
-Evaluation is one walk over columns, one per variable: Python float lists,
-numpy arrays, or a float standing for every sample. :func:`evaluate`,
-:func:`evaluate_many` and the sampled checks all take it, and only a few
-leaf helpers tell the containers apart.
+Evaluation is one loop over the steps, on columns, one per variable: Python
+float lists, numpy arrays, or a float standing for every sample. It holds the
+columns that walk holds and raises the first zero divisor that walk meets.
+:func:`evaluate`, :func:`evaluate_many` and the sampled checks all take it;
+only a few leaf helpers tell the containers apart.
 
 Simplification is deliberately conservative: the smart constructors below
 fold constant subtrees and eliminate additive zeros and multiplicative
@@ -201,7 +202,8 @@ def _tokenize(text: str) -> list[tuple]:
         value = token
         if kind == "op":
             kind = token
-        elif kind == "number" and math.isinf(value := float(token)):  # a number's value is its float
+        elif kind == "number" and (math.isinf(value := float(token))  # a number's value is its float
+                                   or not value and token.lower().partition("e")[0].strip("0.")):  # 1e-400
             raise ParseError("number literal out of range", pos)
         elif kind == "var":
             try:
@@ -386,8 +388,10 @@ class _Shape(NamedTuple):
     # the distinct nodes, each after its children and the tree last, each with
     # its children's slots (their positions here) in the order of its entries
     order: list[tuple[Expr, tuple[int, ...]]]
-    parents: list[int]  # the slot of the node a recursive walk first reaches each node from, -1 for the tree
-    readers: list[int]  # the entries that name each node
+    # every entry read, as (node slot, entry index, child slot), in the order a
+    # recursive walk reads them: entry i after child i's subtree, before child i+1's
+    steps: list[tuple[int, int, int]]
+    readers: list[int]  # the steps that read each node
 
     @property
     def size(self) -> int:
@@ -399,34 +403,34 @@ def _shape(e: Expr) -> _Shape:
     """The shape of ``e``, each distinct node visited once, without recursion.
 
     The order is the one in which a recursive walk, children left to right,
-    first finishes each node. The other walks are each one loop over it.
+    first finishes each node; the steps are the entries it reads, in turn, a
+    finished node read again where it is met again. The other walks are each
+    one loop over one of them.
     """
     top = 0
     slots: dict[int, int] = {}  # each listed node's slot, by id
     order: list[tuple[Expr, tuple[int, ...]]] = []
-    parents: list[int] = []
+    steps: list = []  # (node, entry, child slot), the node mapped to its slot once all are listed
     readers: list[int] = []
-    pending: list = [e]  # nodes to visit, and (node, children, first slot) to list once the children are
+    pending: list = [e]  # nodes to visit, and (node, entry, children) to read once children[entry] is listed
     while pending:
         node = pending.pop()
         kind = type(node)
         if kind is tuple:
-            node, children, first = node
-            entries = tuple([slots[id(child)] for child in children])
-            for slot in entries:
-                readers[slot] += 1
-                if slot >= first and parents[slot] < 0:  # listed during its visit, and not from a node inside it
-                    parents[slot] = len(order)
+            node, entry, children = node
+            slot = slots[id(children[entry])]
+            readers[slot] += 1
+            steps.append((node, entry, slot))
+            if entry < len(children) - 1:
+                continue
+            entries = tuple([slots[id(child)] for child in children])  # its last entry read: list the node
         elif id(node) in slots:
             continue
-        elif kind is Add or kind is Mul:
-            children = [child for _, child in (node.terms if kind is Add else node.factors)]
-            pending.append((node, children, len(order)))
-            pending += reversed(children)
-            continue
-        elif kind is Neg or kind is Pow:
-            child = node.operand if kind is Neg else node.base
-            pending += ((node, (child,), len(order)), child)
+        elif kind is Add or kind is Mul or kind is Neg or kind is Pow:
+            children = ([node.operand] if kind is Neg else [node.base] if kind is Pow
+                        else [child for _, child in (node.terms if kind is Add else node.factors)])
+            for entry in range(len(children) - 1, -1, -1):
+                pending += ((node, entry, children), children[entry])
             continue
         elif kind is Const or kind is Var:
             if kind is Var and node.index > top:
@@ -436,9 +440,8 @@ def _shape(e: Expr) -> _Shape:
             raise TypeError(f"not an expression node: {node!r}")
         slots[id(node)] = len(order)
         order.append((node, entries))
-        parents.append(-1)
         readers.append(0)
-    return _Shape(top, order, parents, readers)
+    return _Shape(top, order, [(slots[id(node)], entry, slot) for node, entry, slot in steps], readers)
 
 
 def dimension(e: Expr) -> int:
@@ -499,36 +502,29 @@ def _evaluate_columns(shape: _Shape, columns: list) -> list[float] | np.ndarray 
     float. No column passed in is written: a sum or product accumulates in
     place only into the new column its first two entries make.
 
-    One loop over ``shape.order``. Each node's entries are folded into its
-    value left to right as soon as they are done, from the node the
-    recursive walk reaches them from, and a column is dropped once its last
-    reader has read it: so no more columns are held at once than that walk
-    holds. A node with no value holds the first of its entries' errors and
-    zero divisors, left to right, the error that walk would raise first. A
-    point too short for the tree is refused first; the tree's error is raised.
+    One loop over ``shape.steps``, the entries in the order a recursive walk
+    reads them. Each step folds a child's value into its node's, and a
+    column is dropped once its last reader has read it, so no more columns
+    are held at once than that walk holds. The first zero divisor the loop
+    meets is the one that walk meets first, and is raised there. A point
+    too short for the tree is refused first.
     """
     if shape.dimension > len(columns):
         raise ValueError(f"point of length {len(columns)} is too short for x{shape.dimension}")
-    order, parents = shape.order, shape.parents
-    results: list = [None] * len(order)
-    folded = [0] * len(order)  # the entries of each node folded into its value so far
+    order = shape.order
     readers = list(shape.readers)
-
-    def fold(target: int, done: int) -> None:
-        """Fold into the node at ``target`` its next entries that are done, those at slots up to ``done``."""
-        node, entries = order[target]
-        kind = type(node)
-        value = results[target]
-        entry = folded[target]
-        while entry < len(entries) and entries[entry] <= done:
-            slot = entries[entry]
+    # the leaves' values from the start, a column passed in or a float; every other node's once it is read
+    results: list = [columns[node.index - 1] if type(node) is Var else node.value if type(node) is Const else None
+                     for node, _ in order]
+    with _errstate(columns[0] if columns else 0.0):
+        for target, entry, slot in shape.steps:
+            node = order[target][0]
+            kind = type(node)
             operand = results[slot]
             readers[slot] -= 1
             if not readers[slot]:
                 results[slot] = None
-            if type(value) is EvaluationError or type(operand) is EvaluationError:
-                value = value if type(value) is EvaluationError else operand
-            elif kind is Neg:
+            if kind is Neg:
                 value = _map(operator.neg, operand)
             elif kind is Pow:
                 value = _pow_repeated(operand, node.exponent)
@@ -536,29 +532,14 @@ def _evaluate_columns(shape: _Shape, columns: list) -> list[float] | np.ndarray 
                 value = operand
             elif kind is Add:
                 ops = (operator.add, operator.sub) if entry == 1 else (operator.iadd, operator.isub)
-                value = _map(ops[node.terms[entry][0] < 0], value, operand)
+                value = _map(ops[node.terms[entry][0] < 0], results[target], operand)
             elif node.factors[entry][0] > 0:
-                value = _map(operator.mul if entry == 1 else operator.imul, value, operand)
+                value = _map(operator.mul if entry == 1 else operator.imul, results[target], operand)
             elif (bad := _first(_map(operator.eq, operand, 0.0))) is not None:  # -0.0 too
-                value = EvaluationError("division by zero", sample_index=bad)
+                raise EvaluationError("division by zero", sample_index=bad)
             else:
-                value = _map(operator.truediv if entry == 1 else operator.itruediv, value, operand)
-            entry += 1
-        results[target] = value
-        folded[target] = entry
-
-    with _errstate(columns[0] if columns else 0.0):
-        for position, (node, entries) in enumerate(order):
-            if entries:
-                fold(position, position)
-            elif type(node) is Var:
-                results[position] = columns[node.index - 1]
-            else:
-                results[position] = node.value
-            if parents[position] >= 0:
-                fold(parents[position], position)
-    if isinstance(results[-1], EvaluationError):  # an entry's error is its node's, so the tree holds the first
-        raise results[-1]
+                value = _map(operator.truediv if entry == 1 else operator.itruediv, results[target], operand)
+            results[target] = value
     return results[-1]
 
 

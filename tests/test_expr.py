@@ -109,6 +109,9 @@ class TestParsing:
             ("2*-3", -6.0),
             ("--4", 4.0),
             ("1e2 + .5", 100.5),
+            ("0e-400", 0.0),  # zero digits are zero at any exponent
+            ("0.000", 0.0),
+            ("5e-324", 5e-324),  # the smallest subnormal is not zero
             ("6/3/2", 1.0),  # left-associative
             ("2 - 3 - 4", -5.0),
         ],
@@ -132,6 +135,9 @@ class TestParsing:
             ("\u00b2", "malformed number literal", 0),
             (".", "malformed number literal", 0),
             ("1e400", "number literal out of range", 0),
+            ("1e-400", "number literal out of range", 0),  # nonzero digits that round to zero
+            ("x1/1e-400", "number literal out of range", 3),
+            ("2e-324", "number literal out of range", 0),
             ("1 +", "unexpected end of input", 3),
             ("1 ++ 2", "expected a number, a variable, or '('", 3),
             ("x1 + (2 * )", "expected a number, a variable, or '('", 10),

@@ -131,6 +131,19 @@ def post_order(e, seen: set) -> list:
     return listed + [e]
 
 
+def reads(e, seen: set) -> list:
+    """(id(node), entry) for each entry a recursive walk reads, each after its child's subtree; a node
+    in ``seen`` is not walked again, and the walk adds each node it finishes."""
+    if id(e) in seen:
+        return []
+    record = []
+    for entry, child in enumerate(children(e)):
+        record += reads(child, seen)
+        record.append((id(e), entry))
+    seen.add(id(e))
+    return record
+
+
 class TestWorkBound:
     def test_counts_every_node(self):
         e = parse("(x1 + x2)/2 - -x3^2")  # Add, Mul, Add, x1, x2, 2, Neg, Pow, x3
@@ -157,6 +170,22 @@ class TestWorkBound:
         for position, (node, slots) in enumerate(shape.order):
             assert [id(listed[slot]) for slot in slots] == [id(child) for child in children(node)]
             assert all(slot < position for slot in slots)
+
+    @given(st.one_of(expr_strategy(), shared_parses(expr_strategy())))
+    @settings(max_examples=200, deadline=None)
+    def test_steps_are_the_reads_of_a_recursive_walk(self, e):
+        """The steps read each entry where a recursive walk reads it, which is what lets evaluation raise
+        the first zero divisor it meets; each names its node's child, and readers count the steps."""
+        shape = _shape(e)
+        assert [(id(shape.order[target][0]), entry) for target, entry, _ in shape.steps] == reads(e, set())
+        assert all(slot == shape.order[target][1][entry] for target, entry, slot in shape.steps)
+        assert shape.readers == [sum(slot == s for *_, slot in shape.steps) for s in range(shape.size)]
+
+    def test_the_steps_read_a_finished_divisor_before_walking_a_new_entry(self):
+        """x1 + x2 + x1/x2*(x3/x4), slots x1 x2 x3 x4, x3/x4, the product, the sum: the product
+        divides by the finished x2 (step (5, 1, 1)) before it walks x3/x4."""
+        steps = _shape(parse("x1 + x2 + x1/x2*(x3/x4)")).steps
+        assert steps == [(6, 0, 0), (6, 1, 1), (5, 0, 0), (5, 1, 1), (4, 0, 2), (4, 1, 3), (5, 2, 4), (6, 2, 5)]
 
     def test_a_tree_past_the_bound_by_paths_but_within_it_by_distinct_nodes_takes_python_floats(self):
         """(x1 + x2)/2 squared by Mul(((1, e), (1, e))) 8 times has 1280 nodes along its paths and 13
@@ -419,11 +448,13 @@ class TestReferenceEvaluation:
 
 
 class TestColumnsHeld:
-    def test_a_long_sum_holds_a_few_columns_not_one_per_term(self):
+    @pytest.mark.parametrize("factor", ["", "*(x1 - x2)"], ids=["unshared", "shared-difference"])
+    def test_a_long_sum_holds_a_few_columns_not_one_per_term(self, factor):
         """Each product is folded into the sum once it is made, as the recursive walk did, so a sum
-        of 40 products over 10^4 samples holds a few columns at once, not one per product."""
+        of 40 products over 10^4 samples holds a few columns at once, not one per product. A shared
+        (x1 - x2) in every product is held from its first reader to its last, one column more."""
         count = 10_000
-        e = parse(" + ".join(f"{k}*x{k % 4 + 1}" for k in range(1, 41)))
+        e = parse(" + ".join(f"{k}*x{k % 4 + 1}{factor}" for k in range(1, 41)))
         shape, columns = _shape(e), list(SampleDomain(n=4, radius=2.0, seed=0, count=count).samples().T.copy())
         tracemalloc.start()
         _evaluate_columns(shape, columns)
