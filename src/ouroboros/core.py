@@ -7,9 +7,11 @@ sum to 1 (or are all zero), which is what :func:`check_linear_exact` tests.
 :func:`check_sampled` probes arbitrary expressions numerically on a seeded
 sample cloud. The exact route runs without numpy, and so does a small cloud:
 while count * (n + distinct nodes of f) <= SMALL_CLOUD_CELLS the cloud is
-drawn by a pure-Python Philox as Python float lists, past it by numpy as
-arrays (:func:`_cloud`), and one body checks either container to the same
-bits. Only a larger cloud imports numpy, on first use.
+drawn by a pure-Python Philox as Python float lists, past it by numpy
+straight into one array per coordinate, BLOCK_CELLS cells at a time
+(:func:`_cloud`). Both draw the bits of :meth:`SampleDomain.samples`, and
+one body checks either container to the same bits. Only a larger cloud
+imports numpy, on first use.
 """
 
 from __future__ import annotations
@@ -52,6 +54,11 @@ _MIN_N, _MIN_D = sys.float_info.min.as_integer_ratio()
 # ms on them (0.7-1.1 ms on arrays), less than a fresh process's numpy import,
 # 0.10-0.13 s (scripts/time_routes.py, three runs of 9 rounds, 2-CPU VM)
 SMALL_CLOUD_CELLS = 20_000
+# cells (rows times n) per block: of a large cloud's draw into its columns
+# (SampleDomain._arrays, at least one row), and of each stacked evaluation in
+# pde._fd_partials (pde.BLOCK_ROWS rows up to n = 8, fewer beyond, at least
+# one sample's shifts)
+BLOCK_CELLS = 131_072
 # Philox4x64-10's multipliers and key increments (Salmon et al., SC 2011)
 _PHILOX_M0, _PHILOX_M1 = 0xD2E7470EE14C6C93, 0xCA5A826395121157
 _PHILOX_W0, _PHILOX_W1 = 0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B
@@ -104,8 +111,10 @@ class SampleDomain(Record):
 
     Sampling goes through a counter-based generator (Philox) keyed only by
     ``seed``, so equal domains reproduce the same points on any platform.
-    :meth:`samples` returns them as a numpy array, and the private
-    ``_columns`` draws the same floats in pure Python, one list per coordinate.
+    :meth:`samples` returns them as a (count, n) numpy array. The private
+    ``_columns`` draws the same floats in pure Python, one list per
+    coordinate, and ``_arrays`` draws them straight into one numpy array per
+    coordinate, a block of rows at a time, with no (count, n) array.
     """
 
     __slots__ = ("n", "radius", "seed", "count")
@@ -135,6 +144,32 @@ class SampleDomain(Record):
         draws = _philox_uniform(self.seed, self.count * self.n, -self.radius, self.radius)
         return [draws[j::self.n] for j in range(self.n)]
 
+    def _arrays(self) -> list[np.ndarray]:
+        """samples() drawn straight into one contiguous array per coordinate: ``_arrays()[j][i] == samples()[i, j]``.
+
+        Each block of BLOCK_CELLS // n rows (at least one) draws its doubles
+        d in row-major order into one reused buffer, and coordinate j's
+        share becomes 2r * d - r: the two roundings of uniform(-r, r)'s
+        low + (high - low) * d, so the bits are samples()'s. No (count, n)
+        array is made.
+        """
+        import numpy as np
+
+        n, count, r = self.n, self.count, self.radius
+        rng = np.random.Generator(np.random.Philox(key=self.seed))
+        columns = np.empty((n, count))
+        rows = max(1, BLOCK_CELLS // n)
+        buffer = np.empty(min(rows, count) * n)
+        for start in range(0, count, rows):
+            stop = min(start + rows, count)
+            draws = buffer[:(stop - start) * n]
+            rng.random(out=draws)
+            for j in range(n):
+                column = columns[j, start:stop]
+                np.multiply(draws[j::n], 2.0 * r, out=column)
+                column -= r
+        return list(columns)
+
 
 def _philox_uniform(seed: int, count: int, low: float, high: float) -> list[float]:
     """``Generator(Philox(key=seed)).uniform(low, high, count)``, bit for bit, in pure Python.
@@ -162,13 +197,14 @@ def _philox_uniform(seed: int, count: int, low: float, high: float) -> list[floa
 def _cloud(shape: _Shape, dom: SampleDomain) -> list:
     """dom's points for checking a u of this shape, one column per coordinate:
     Python float lists (``dom._columns()``) while count * (n + distinct nodes
-    of u) <= SMALL_CLOUD_CELLS, else the contiguous rows of ``dom.samples().T``.
+    of u) <= SMALL_CLOUD_CELLS, else numpy arrays drawn straight into
+    columns a block at a time (``dom._arrays()``), to samples()'s bits.
 
     The checks walk either container with the same code.
     """
     if dom.count * (dom.n + shape.size) <= SMALL_CLOUD_CELLS:
         return dom._columns()
-    return list(dom.samples().T.copy())
+    return dom._arrays()
 
 
 class OuroborosReport(Record):

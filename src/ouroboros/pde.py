@@ -49,7 +49,7 @@ from enum import Enum
 from typing import TYPE_CHECKING, Sequence
 
 from ._record import Record
-from .core import RESIDUAL_TOL, SYMBOLIC_ZERO_TOL, LinearForm, OuroborosReport, SampleDomain, check_linear_exact
+from .core import BLOCK_CELLS, RESIDUAL_TOL, SYMBOLIC_ZERO_TOL, LinearForm, OuroborosReport, SampleDomain, check_linear_exact
 from .core import _check_sampled_at, _cloud, _exact_sum, _integer, _require_tolerance
 from .expr import EvaluationError, Expr, evaluate
 from .expr import _column, _concat, _derivative, _errstate, _evaluate_columns, _map, _max, _shape, _Shape
@@ -78,9 +78,6 @@ DEFAULT_FD_STEP = 1e-5
 # rows per stacked evaluation in _fd_partials; at 1e5 points, 16384 beat
 # 1024, 4096 and the whole stacked cloud (2-CPU VM)
 BLOCK_ROWS = 16384
-# cells (rows times n) per stacked block in _fd_partials: BLOCK_ROWS rows
-# up to n = 8, fewer beyond, and always at least one sample's shifts
-BLOCK_CELLS = 8 * BLOCK_ROWS
 # the note of every linear-form residual report
 LINEAR_NOTE = "linear form: residual decided exactly on its coefficients; no samples drawn"
 

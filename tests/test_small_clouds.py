@@ -33,7 +33,7 @@ from ouroboros import (
 from ouroboros import expr as expr_module
 from ouroboros import pde as pde_module
 from ouroboros import poly as poly_module
-from ouroboros.core import SMALL_CLOUD_CELLS, _check_sampled_at, _cloud, _philox_uniform
+from ouroboros.core import BLOCK_CELLS, SMALL_CLOUD_CELLS, _check_sampled_at, _cloud, _philox_uniform
 from ouroboros.expr import _column, _evaluate_columns, _shape
 from ouroboros.pde import DEFAULT_FD_STEP, _fd_partials, _poly_values
 from ouroboros.poly import expand
@@ -47,16 +47,16 @@ def route(python: bool):
     def refuse(self):
         raise AssertionError("the other route drew the cloud")
 
-    saved = core.SMALL_CLOUD_CELLS, SampleDomain.samples, SampleDomain._columns
+    saved = core.SMALL_CLOUD_CELLS, SampleDomain.samples, SampleDomain._arrays, SampleDomain._columns
     core.SMALL_CLOUD_CELLS = 10**12 if python else 0
     if python:
-        SampleDomain.samples = refuse
+        SampleDomain.samples = SampleDomain._arrays = refuse
     else:
         SampleDomain._columns = refuse
     try:
         yield
     finally:
-        core.SMALL_CLOUD_CELLS, SampleDomain.samples, SampleDomain._columns = saved
+        core.SMALL_CLOUD_CELLS, SampleDomain.samples, SampleDomain._arrays, SampleDomain._columns = saved
 
 
 def exact(value):
@@ -105,6 +105,43 @@ class TestPhiloxDraw:
         columns = dom._columns()
         assert all(type(x) is float for column in columns for x in column)
         assert np.array(columns).T.tobytes() == dom.samples().tobytes()
+
+
+class TestColumnDraw:
+    """A large cloud is drawn straight into its columns, a block of BLOCK_CELLS // n rows at a time."""
+
+    @pytest.mark.parametrize("n", [1, 3, 8, 13])
+    @pytest.mark.parametrize("edge", ["1", "B-1", "B", "B+1", "3B+5"])
+    def test_matches_numpys_uniform_draw_bit_for_bit(self, monkeypatch, n, edge):
+        block = BLOCK_CELLS // n
+        count = {"1": 1, "B-1": block - 1, "B": block, "B+1": block + 1, "3B+5": 3 * block + 5}[edge]
+        monkeypatch.setattr(core, "SMALL_CLOUD_CELLS", 0)
+        rng = random.Random(n * 100 + count)
+        shape = _shape(parse("x1"))
+        for seed in [0, 1, 2**32, 2**63, 2**64 - 1, rng.getrandbits(64)]:
+            for radius in [5e-324, 1e-300, 0.1, 2.0, 35.0, 8.9e307]:
+                cloud = _cloud(shape, SampleDomain(n=n, radius=radius, seed=seed, count=count))
+                assert all(isinstance(column, np.ndarray) and column.flags.c_contiguous for column in cloud)
+                want = np.random.Generator(np.random.Philox(key=seed)).uniform(-radius, radius, (count, n))
+                assert np.array(cloud).T.tobytes() == want.tobytes(), (seed, radius)
+
+    def test_does_not_go_through_samples(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("samples() drew the cloud")
+
+        monkeypatch.setattr(SampleDomain, "samples", refuse)
+        cloud = _cloud(_shape(parse("x1")), SampleDomain(n=3, radius=2.0, seed=5, count=SMALL_CLOUD_CELLS))
+        assert len(cloud) == 3 and all(isinstance(column, np.ndarray) for column in cloud)
+
+    def test_peak_memory_is_the_columns_and_one_block(self):
+        """No (count, n) array and no transposed copy: 10^5 x 8 peaked at 12.8 MB that way."""
+        dom = SampleDomain(n=8, radius=2.0, seed=0, count=100_000)
+        shape = _shape(parse("x1"))
+        tracemalloc.start()
+        cloud = _cloud(shape, dom)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak <= sum(column.nbytes for column in cloud) + BLOCK_CELLS * 8 + 64 * 1024
 
 
 def children(e) -> list:
