@@ -2,9 +2,12 @@
 
 The package's expression nodes, forms, specs and reports are records. A
 record class lists its fields in ``__slots__``, in constructor order, and
-its ``__init__`` checks its arguments and then sets each field once, with
-``_set`` or ``object.__setattr__``. A ``"__dict__"`` slot is not a field;
-it only gives a ``functools.cached_property`` room.
+the constructor comes from those slots: :class:`Record`'s ``__init__``
+binds positional arguments in slot order, then keywords, then the class's
+``_defaults``, and sets each field once. A class writes its own
+``__init__`` only to check or convert its arguments; it then sets each
+field once, with ``_set`` or ``object.__setattr__``. A ``"__dict__"``
+slot is not a field; it only gives a ``functools.cached_property`` room.
 
 Records behave as the standard library's frozen data classes did here, but
 load nothing: that module imports inspect, ast and dis, and compiles each
@@ -21,9 +24,30 @@ class Record:
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
+    # values of the fields a caller may leave out, by name
+    _defaults: dict = {}
 
     def __init_subclass__(cls) -> None:
         cls._fields = tuple(name for name in cls.__slots__ if name != "__dict__")
+
+    def __init__(self, *args, **kwargs) -> None:
+        """Bind the fields as a function of them would: by position, by keyword, else from ``_defaults``."""
+        fields, name = self._fields, type(self).__qualname__
+        if len(args) > len(fields):
+            raise TypeError(f"{name}() takes {len(fields)} fields, got {len(args)} positional arguments")
+        values = list(args)
+        for field in fields[len(args):]:
+            if field in kwargs:
+                values.append(kwargs.pop(field))
+            elif field in self._defaults:
+                values.append(self._defaults[field])
+            else:
+                raise TypeError(f"{name}() is missing field {field!r}")
+        for key in kwargs:
+            if key in fields:
+                raise TypeError(f"{name}() got field {key!r} both by position and by keyword")
+            raise TypeError(f"{name}() has no field {key!r}")
+        self._set(*values)
 
     def _set(self, *values) -> None:
         """Set every field once, in order; for ``__init__`` alone."""

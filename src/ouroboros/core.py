@@ -123,14 +123,9 @@ class SampleDomain(Record):
         n, seed, count = _integer("dimension", n), _integer("seed", seed), _integer("sample count", count)
         if n < 1:
             raise ValueError("dimension must be at least 1")
-        if not (radius > 0 and math.isfinite(radius)):
-            raise ValueError(f"radius must be positive and finite, got {radius}")
-        if not math.isfinite(2.0 * radius):
-            raise ValueError(f"radius must be at most half the largest float, got {radius}")
+        _require_sampleable(radius, seed)
         if count < 1:
             raise ValueError("sample count must be at least 1")
-        if not 0 <= seed < 2**64:
-            raise ValueError("seed must be a 64-bit unsigned integer")
         self._set(n, radius, seed, count)
 
     def samples(self) -> np.ndarray:
@@ -209,31 +204,15 @@ def _cloud(shape: _Shape, dom: SampleDomain) -> list:
 
 class OuroborosReport(Record):
     __slots__ = ("verdict", "max_deviation", "witness", "samples_used", "range_contained", "error")
-
-    def __init__(
-        self,
-        verdict: Verdict,
-        max_deviation: float,
-        witness: tuple[float, ...] | None,
-        samples_used: int,
-        range_contained: bool | None = None,
-        error: str | None = None,
-    ) -> None:
-        self._set(verdict, max_deviation, witness, samples_used, range_contained, error)
+    _defaults = {"range_contained": None, "error": None}
 
     @property
     def holds(self) -> bool:
         return self.verdict in (Verdict.HOLDS_EXACT, Verdict.HOLDS_SAMPLED)
 
     def to_dict(self) -> dict:
-        return {
-            "verdict": self.verdict.value,
-            "max_deviation": self.max_deviation,
-            "witness": list(self.witness) if self.witness is not None else None,
-            "samples_used": self.samples_used,
-            "range_contained": self.range_contained,
-            "error": self.error,
-        }
+        witness = list(self.witness) if self.witness is not None else None
+        return {**self._asdict(), "verdict": self.verdict.value, "witness": witness}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True)
@@ -282,6 +261,22 @@ def _require_tolerance(tol: float) -> None:
     """A NaN, infinite or negative tolerance would pass any deviation, or none."""
     if not 0 <= tol < math.inf:
         raise ValueError(f"tolerance must be finite and non-negative, got {tol}")
+
+
+def _require_even(n: int) -> None:
+    """The system of equations I and II pairs the coordinates: n must be even and at least 2."""
+    if n < 2 or n % 2 != 0:
+        raise ValueError(f"an even dimension of at least 2 is required, got n={n}")
+
+
+def _require_sampleable(radius: float, seed: int) -> None:
+    """A box [-radius, radius] whose width 2 * radius is a finite float, and a seed that keys Philox."""
+    if not (radius > 0 and math.isfinite(radius)):
+        raise ValueError(f"radius must be positive and finite, got {radius}")
+    if not math.isfinite(2.0 * radius):
+        raise ValueError(f"radius must be at most half the largest float, got {radius}")
+    if not 0 <= seed < 2**64:
+        raise ValueError("seed must be a 64-bit unsigned integer")
 
 
 def check_linear_exact(f: LinearForm, tol: float = EXACT_TOL) -> OuroborosReport:

@@ -36,7 +36,7 @@ from functools import cached_property
 import numpy as np
 
 from ._record import Record
-from .core import SampleDomain, _integer
+from .core import SampleDomain, _integer, _require_even, _require_sampleable
 from .pde import system_specs
 from .poly import derivative, monomial_exponents, monomial_values, packed_keys, times
 
@@ -107,14 +107,12 @@ class ExplorationConfig(Record):
         starts, max_iterations = _integer("start count", starts), _integer("iteration cap", max_iterations)
         if samples is not None:
             samples = _integer("sample budget", samples)
-        if n < 2 or n % 2 != 0:
-            raise ValueError(f"an even dimension of at least 2 is required, got n={n}")
+        _require_even(n)
         if degree < 1:
             raise ValueError("degree must be at least 1")
         if samples is not None and samples < 1:
             raise ValueError("sample budget must be positive")
-        if not (radius > 0 and math.isfinite(radius)):
-            raise ValueError(f"radius must be positive and finite, got {radius}")
+        _require_sampleable(radius, seed)
         if starts < 1:
             raise ValueError("at least one start is required")
         if max_iterations < 1:
@@ -168,7 +166,7 @@ class ExplorationProblem:
         # degree aggregation: row g sums the theta slots of total degree g
         self.grade = np.zeros((config.degree + 1, self.size))
         self.grade[[sum(alpha) for alpha in self.exponents], np.arange(self.size)] = 1.0
-        self.free = np.arange(1, self.size - 1)  # eliminated: slot 0 and the last
+        self.free = slice(1, self.size - 1)  # eliminated: slot 0 and the last
         # the linear blocks' share of the Gauss-Newton matrix is constant
         linear = self._over_free(np.vstack([self.a1, self.a2]))
         self.linear_gauss_newton = (linear.T @ linear) / count
@@ -182,7 +180,7 @@ class ExplorationProblem:
         return theta
 
     def reduce(self, theta: np.ndarray) -> np.ndarray:
-        return np.asarray(theta, dtype=float)[self.free]
+        return np.asarray(theta, dtype=float)[self.free].copy()  # never a view of the caller's theta
 
     def _over_free(self, jac: np.ndarray) -> np.ndarray:
         """A Jacobian over theta (last axis) as one over the free coordinates."""
@@ -243,30 +241,9 @@ class StartRecord(Record):
     __slots__ = (
         "start", "theta", "objective", "residual_eq1", "residual_eq2", "residual_ouroboros",
         "distance_to_mean", "distance_to_solution_set", "classification", "converged",
-        "n_evaluations", "n_jacobian_evaluations", "solver_status",
+        "n_evaluations", "n_jacobian_evaluations",
+        "solver_status",  # 0 spent max_iterations; 1, 2, 3 met tol on the gradient, decrease, step
     )
-
-    def __init__(
-        self,
-        start: int,
-        theta: tuple[float, ...],
-        objective: float,
-        residual_eq1: float,
-        residual_eq2: float,
-        residual_ouroboros: float,
-        distance_to_mean: float,
-        distance_to_solution_set: float,
-        classification: Classification,
-        converged: bool,
-        n_evaluations: int,
-        n_jacobian_evaluations: int,
-        solver_status: int,  # 0 spent max_iterations; 1, 2, 3 met tol on the gradient, decrease, step
-    ) -> None:
-        self._set(
-            start, theta, objective, residual_eq1, residual_eq2, residual_ouroboros, distance_to_mean,
-            distance_to_solution_set, classification, converged, n_evaluations, n_jacobian_evaluations,
-            solver_status,
-        )
 
     def to_dict(self) -> dict:
         return {**self._asdict(), "theta": list(self.theta), "classification": self.classification.value}
@@ -274,15 +251,7 @@ class StartRecord(Record):
 
 class ExplorationReport(Record):
     __slots__ = ("config", "runs", "solution_set", "notes")
-
-    def __init__(
-        self,
-        config: ExplorationConfig,
-        runs: tuple[StartRecord, ...],
-        solution_set: SolutionSet,
-        notes: tuple[str, ...] = (NONTRIVIALITY_NOTE, SCOPE_NOTE),
-    ) -> None:
-        self._set(config, runs, solution_set, notes)
+    _defaults = {"notes": (NONTRIVIALITY_NOTE, SCOPE_NOTE)}
 
     @property
     def counts(self) -> dict[str, int]:
@@ -441,11 +410,6 @@ class SolutionSet(Record):
 
     __slots__ = ("n", "degree", "particular", "basis", "__dict__")  # the dict holds _orthonormal
 
-    def __init__(
-        self, n: int, degree: int, particular: tuple[Fraction, ...], basis: tuple[tuple[Fraction, ...], ...]
-    ) -> None:
-        self._set(n, degree, particular, basis)
-
     @property
     def dimension(self) -> int:
         return len(self.basis)
@@ -485,8 +449,7 @@ def solution_set(n: int, degree: int) -> SolutionSet:
     s^k * prod(xi_j^a_j) with a != 0 and k + |a| <= d: the basis. The
     dimension is 0 at n = 2 and C(n - 2 + d, d) - (d + 1) for n >= 4.
     """
-    if n < 2 or n % 2 != 0:
-        raise ValueError(f"an even dimension of at least 2 is required, got n={n}")
+    _require_even(n)
     if degree < 1:
         raise ValueError("degree must be at least 1")
     exponents = monomial_exponents(n, degree)

@@ -49,8 +49,8 @@ from enum import Enum
 from typing import TYPE_CHECKING, Sequence
 
 from ._record import Record
-from .core import BLOCK_CELLS, RESIDUAL_TOL, SYMBOLIC_ZERO_TOL, LinearForm, OuroborosReport, SampleDomain, check_linear_exact
-from .core import _check_sampled_at, _cloud, _exact_sum, _integer, _require_tolerance
+from .core import BLOCK_CELLS, RESIDUAL_TOL, SYMBOLIC_ZERO_TOL, LinearForm, SampleDomain, check_linear_exact
+from .core import _check_sampled_at, _cloud, _exact_sum, _integer, _require_even, _require_tolerance
 from .expr import EvaluationError, Expr, evaluate
 from .expr import _column, _concat, _derivative, _errstate, _evaluate_columns, _map, _max, _shape, _Shape
 from .families import arithmetic_mean
@@ -131,32 +131,14 @@ class ResidualReport(Record):
     __slots__ = (
         "symbolic_zero", "residual_constant", "max_abs_residual", "max_abs_residual_fd", "samples_used", "note",
     )
-
-    def __init__(
-        self,
-        symbolic_zero: bool,
-        residual_constant: float | None,
-        max_abs_residual: float,
-        max_abs_residual_fd: float,
-        samples_used: int,
-        note: str | None = None,
-    ) -> None:
-        self._set(symbolic_zero, residual_constant, max_abs_residual, max_abs_residual_fd, samples_used, note)
+    _defaults = {"note": None}
 
     def passes(self, tol: float = RESIDUAL_TOL) -> bool:
         _require_tolerance(tol)
         return self.symbolic_zero or self.max_abs_residual <= tol
 
     def to_dict(self) -> dict:
-        return {
-            "convention": "left minus right",
-            "symbolic_zero": self.symbolic_zero,
-            "residual_constant": self.residual_constant,
-            "max_abs_residual": self.max_abs_residual,
-            "max_abs_residual_fd": self.max_abs_residual_fd,
-            "samples_used": self.samples_used,
-            "note": self.note,
-        }
+        return {"convention": "left minus right", **self._asdict()}
 
 
 def residual_expr(u: Expr, spec: PdeSpec) -> Expr:
@@ -342,11 +324,8 @@ class AlternatingBalanceReport(Record):
 
     __slots__ = ("holds", "odd_sum", "even_sum")
 
-    def __init__(self, holds: bool, odd_sum: float, even_sum: float) -> None:
-        self._set(holds, odd_sum, even_sum)
-
     def to_dict(self) -> dict:
-        return {"holds": self.holds, "odd_sum": self.odd_sum, "even_sum": self.even_sum}
+        return self._asdict()
 
 
 def check_alternating_balance(coeffs) -> AlternatingBalanceReport:
@@ -357,9 +336,7 @@ def check_alternating_balance(coeffs) -> AlternatingBalanceReport:
     reported rounded once, -inf or inf past the float range.
     """
     coeffs = tuple(float(c) for c in coeffs)
-    n = len(coeffs)
-    if n < 2 or n % 2 != 0:
-        raise ValueError(f"an even dimension of at least 2 is required, got n={n}")
+    _require_even(len(coeffs))
     if not all(map(math.isfinite, coeffs)):
         raise ValueError("coefficients must be finite")
     odd, even = coeffs[0::2], coeffs[1::2]
@@ -378,16 +355,6 @@ class SystemReport(Record):
     """
 
     __slots__ = ("eq1", "eq2", "origin_value", "zero_at_origin", "ouroboros")
-
-    def __init__(
-        self,
-        eq1: ResidualReport,
-        eq2: ResidualReport,
-        origin_value: float,
-        zero_at_origin: bool,
-        ouroboros: OuroborosReport,
-    ) -> None:
-        self._set(eq1, eq2, origin_value, zero_at_origin, ouroboros)
 
     def passes(self, tol: float = RESIDUAL_TOL) -> bool:
         """Both residuals pass at ``tol``, u(0) = 0, and self-application holds."""
@@ -414,8 +381,7 @@ def check_system(u: Expr | LinearForm, n: int, dom: SampleDomain) -> SystemRepor
 
     Raises EvaluationError when u has no value at a sample or at the origin.
     """
-    if n < 2 or n % 2 != 0:
-        raise ValueError(f"the system needs an even dimension of at least 2, got n={n}")
+    _require_even(n)
     (eq1, eq2), points, shape = _residual_reports(u, system_specs(n), dom)
     if isinstance(u, LinearForm):
         ouro = check_linear_exact(u)

@@ -89,9 +89,6 @@ def as_constant_rv(c: float) -> DiscreteRandomVariable:
 class ExpectationReport(Record):
     __slots__ = ("expectation", "recomposed", "deviation", "holds")
 
-    def __init__(self, expectation: float, recomposed: float, deviation: float, holds: bool) -> None:
-        self._set(expectation, recomposed, deviation, holds)
-
     def to_dict(self) -> dict:
         return {
             "expectation": self.expectation,

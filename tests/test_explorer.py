@@ -23,7 +23,7 @@ from ouroboros.explorer import (
     monomial_exponents,
     solution_set,
 )
-from ouroboros.pde import PdeKind, PdeSpec, check_residual, check_system, system_specs
+from ouroboros.pde import PdeKind, PdeSpec, check_alternating_balance, check_residual, check_system, system_specs
 from ouroboros.poly import combine, derivative, expand
 from test_poly import reference_times
 
@@ -77,6 +77,20 @@ class TestConfig:
         with pytest.raises(ValueError):
             ExplorationConfig(n=3, degree=2)
 
+    @pytest.mark.parametrize("n", [0, 3])
+    def test_every_even_dimension_check_says_the_same(self, n):
+        """The config, the exact set and both system checks refuse an odd or too small n in one wording."""
+        message = f"an even dimension of at least 2 is required, got n={n}"
+        calls = [
+            lambda: ExplorationConfig(n=n, degree=1),
+            lambda: solution_set(n, 1),
+            lambda: check_system(parse("x1"), n, SampleDomain(n=4, radius=2.0, seed=0, count=4)),
+            lambda: check_alternating_balance([1.0] * n),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                call()
+
     def test_bad_parameters_are_rejected(self):
         with pytest.raises(ValueError):
             ExplorationConfig(n=2, degree=0)
@@ -94,6 +108,22 @@ class TestConfig:
     def test_tol_must_be_positive_and_finite(self, tol):
         with pytest.raises(ValueError):
             ExplorationConfig(n=2, degree=1, tol=tol)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("radius", 1e308, "radius must be at most half the largest float, got 1e[+]308"),
+        ("seed", -1, "seed must be a 64-bit unsigned integer"),
+        ("seed", 2**64, "seed must be a 64-bit unsigned integer"),
+    ])
+    def test_a_cloud_explore_cannot_draw_is_refused_when_built(self, field, value, message):
+        """The config refuses what its sample domain would, with the same words, before explore starts."""
+        with pytest.raises(ValueError, match=message):
+            ExplorationConfig(n=2, degree=1, **{field: value})
+        with pytest.raises(ValueError, match=message):
+            SampleDomain(**{"n": 2, "radius": 2.0, "seed": 0, "count": 1, field: value})
+
+    def test_the_widest_box_and_the_largest_seed_still_build(self):
+        config = ExplorationConfig(n=2, degree=1, radius=8.9e307, seed=2**64 - 1)
+        assert (config.radius, config.seed) == (8.9e307, 2**64 - 1)
 
     def test_to_dict_is_every_field_with_the_sample_budget_resolved(self):
         config = ExplorationConfig(n=4, degree=3, seed=5)
@@ -167,6 +197,7 @@ class TestObjective:
         assert theta[0] == 0.0
         assert theta.sum() == pytest.approx(1.0, abs=1e-12)
         assert np.array_equal(problem.reduce(theta), np.array(phi))
+        assert not np.shares_memory(problem.reduce(theta), theta)
 
     def test_operator_matrices_match_per_column_derivatives(self):
         """a1 and a2 equal, bit for bit, their definition column by column, each

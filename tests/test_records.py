@@ -179,3 +179,50 @@ def test_a_cached_basis_is_not_a_field():
     assert cached == fresh and hash(cached) == hash(fresh) and repr(cached) == repr(fresh)
     assert cached._fields == ("n", "degree", "particular", "basis")
     assert copy.deepcopy(cached) == fresh
+
+
+@pytest.mark.parametrize("call", [
+    lambda: AlternatingBalanceReport(True, 0.5, 0.5, 0.5),
+    lambda: AlternatingBalanceReport(True, 0.5, 0.5, parity=1),
+    lambda: AlternatingBalanceReport(True, 0.5, 0.5, holds=True),
+    lambda: AlternatingBalanceReport(True, 0.5),
+], ids=["too-many-positional", "unknown-keyword", "field-given-twice", "missing-field"])
+def test_the_slot_constructor_refuses_a_bad_call(call):
+    """A record with no ``__init__`` of its own binds its slots as a function of them would, or raises."""
+    assert "__init__" not in vars(AlternatingBalanceReport)
+    with pytest.raises(TypeError):
+        call()
+
+
+def test_defaults_apply_whether_the_other_fields_come_by_position_or_keyword():
+    fields = dict(symbolic_zero=True, residual_constant=0.0, max_abs_residual=0.0, max_abs_residual_fd=0.0,
+                  samples_used=3)
+    by_position, by_keyword = ResidualReport(*fields.values()), ResidualReport(**fields)
+    assert by_position == by_keyword and by_keyword.note is None
+    assert ResidualReport(True, 0.0, max_abs_residual=0.0, max_abs_residual_fd=0.0, samples_used=3) == by_keyword
+    assert ResidualReport(*fields.values(), "a note").note == "a note"
+    assert OuroborosReport(Verdict.FAILS, 0.25, None, 0)._values()[-2:] == (None, None)
+    assert OuroborosReport(Verdict.FAILS, 0.25, None, 0, error="boom")._values()[-2:] == (None, "boom")
+    config, mean = ExplorationConfig(2, 1), mean_set()
+    notes = (explorer.NONTRIVIALITY_NOTE, explorer.SCOPE_NOTE)
+    assert ExplorationReport(config, (), mean).notes == notes
+    assert ExplorationReport(config=config, runs=(), solution_set=mean).notes == notes
+
+
+def test_reports_built_from_their_fields_give_the_same_json_data():
+    """The dicts these reports gave when each ``to_dict`` named every key by hand."""
+    assert residual().to_dict() == {
+        "convention": "left minus right", "symbolic_zero": True, "residual_constant": 0.0, "max_abs_residual": 0.0,
+        "max_abs_residual_fd": 1e-12, "samples_used": 200, "note": "linear",
+    }
+    data = ouroboros_report().to_dict()
+    assert data == {
+        "verdict": "fails", "max_deviation": 0.25, "witness": [1.0, 0.0], "samples_used": 0,
+        "range_contained": None, "error": None,
+    }
+    assert type(data["verdict"]) is str and type(data["witness"]) is list
+    assert OuroborosReport(Verdict.ERROR, 0.0, None, 5, True, "boom").to_dict() == {
+        "verdict": "error", "max_deviation": 0.0, "witness": None, "samples_used": 5,
+        "range_contained": True, "error": "boom",
+    }
+    assert AlternatingBalanceReport(True, 0.5, 0.5).to_dict() == {"holds": True, "odd_sum": 0.5, "even_sum": 0.5}
