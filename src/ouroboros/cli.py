@@ -404,7 +404,10 @@ def _run_expect(args: argparse.Namespace) -> int:
         values=_to_floats(values, "--values"),
         probs=_to_floats(probs, "--probs"),
     )
-    report = check_expectation_ouroboros(rv)
+    try:
+        report = check_expectation_ouroboros(rv)
+    except OverflowError as exc:  # fsum refuses a sum beyond the float range
+        raise InputError("the expectation lies beyond the float range") from exc
     config = {"values": [_exact_text(v) for v in values], "probs": [_exact_text(p) for p in probs]}
     result = {
         "values": [float(v) for v in values],

@@ -135,21 +135,23 @@ class ExplorationProblem:
     """Objective machinery for one sample cloud.
 
     Residuals r1 (equation I, beta = n) and r2 (equation II) are linear in
-    theta and carried by precomputed matrices; the self-application defect
-    o(x) = u(u(x) * ones) - u(x) is polynomial in theta. The objective is
+    theta and carried by precomputed matrices. For a nonconstant u the
+    self-application defect o(x) = u(u(x) * ones) - u(x) vanishes iff u is
+    the identity on the diagonal, iff G theta = e1 (G = ``grade`` sums theta
+    by degree: d + 1 rows). Every residual row of the objective
 
-        J = mean(r1^2) + mean(r2^2) + mean(o^2)
+        J = mean(r1^2) + mean(r2^2) + |G theta - e1|^2
 
-    and the analytic gradient is exact. The normalisation is handled by
-    eliminating theta[0] (= 0) and the last slot (= 1 - sum of the others),
-    which at degree 1 is precisely the unit-coefficient-sum parametrisation.
+    is linear, so its Gauss-Newton matrix is constant, formed here, and the
+    analytic gradient is exact. The normalisation is handled by eliminating
+    theta[0] (= 0) and the last slot (= 1 - sum of the others), which at
+    degree 1 is precisely the unit-coefficient-sum parametrisation.
     """
 
     def __init__(self, config: ExplorationConfig, points: np.ndarray):
         self.config = config
         self.points = np.asarray(points, dtype=float)
         n = config.n
-        count = self.points.shape[0]
         self.exponents = monomial_exponents(n, config.degree)
         self.size = len(self.exponents)
         self.phi_matrix = monomial_values(self.points, self.exponents)
@@ -167,9 +169,11 @@ class ExplorationProblem:
         self.grade = np.zeros((config.degree + 1, self.size))
         self.grade[[sum(alpha) for alpha in self.exponents], np.arange(self.size)] = 1.0
         self.free = slice(1, self.size - 1)  # eliminated: slot 0 and the last
-        # the linear blocks' share of the Gauss-Newton matrix is constant
+        # every residual row is linear, so the Gauss-Newton matrix is constant
         linear = self._over_free(np.vstack([self.a1, self.a2]))
-        self.linear_gauss_newton = (linear.T @ linear) / count
+        grade = self._over_free(self.grade)
+        self.gauss_newton = (linear.T @ linear) / len(self.points) + grade.T @ grade
+        self.e1 = np.eye(config.degree + 1)[1]  # G theta when p(t) = t
 
     # -- constraint handling -------------------------------------------------
 
@@ -189,46 +193,38 @@ class ExplorationProblem:
     # -- objective -----------------------------------------------------------
 
     def residual_parts(self, theta: np.ndarray):
-        """r1, r2, then y = u(x), the powers of y, s and the defect o = p(y) - y.
+        """r1, r2 and the sampled defect o = p(y) - y at y = u(x).
 
         With s_g the sum of u's degree-g coefficients, p(t) = sum_g s_g t^g
         is u on the diagonal, so o = u(u(x), ..., u(x)) - u(x).
         """
-        theta = np.asarray(theta, dtype=float)
-        y = self.phi_matrix @ theta
-        s = self.grade @ theta
-        powers = np.vander(y, len(s), increasing=True)
-        return self.a1 @ theta, self.a2 @ theta, y, powers, s, powers @ s - y
+        y, s = self.phi_matrix @ theta, self.grade @ theta
+        return self.a1 @ theta, self.a2 @ theta, np.vander(y, len(s), increasing=True) @ s - y
 
     def objective(self, theta: np.ndarray) -> float:
-        """The objective alone, from the residuals: no Jacobian is formed."""
-        r1, r2, *_, o = self.residual_parts(theta)
-        return _mean_squares(r1, r2, o)
+        """The objective alone, from the residuals: no gradient is formed."""
+        diagonal = self.grade @ theta - self.e1
+        return _mean_squares(self.a1 @ theta, self.a2 @ theta) + float(diagonal @ diagonal)
 
     def objective_full(self, theta: np.ndarray) -> tuple[float, np.ndarray]:
         """Objective and exact gradient with respect to the full theta."""
-        value, half_gradient, _ = self._gradient_parts(theta)
+        value, half_gradient = self._gradient_parts(theta)
         return value, 2.0 * half_gradient
 
     def normal_equations(self, phi: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
-        """Objective, J^T r and J^T J over the free coordinates, r = [r1; r2; o] / sqrt(N)."""
-        value, half_gradient, jac_o = self._gradient_parts(self.embed(phi))
-        jac_o = self._over_free(jac_o)
-        return value, self._over_free(half_gradient), self.linear_gauss_newton + (jac_o.T @ jac_o) / len(jac_o)
+        """Objective, J^T r and the constant J^T J over the free coordinates; r: [r1; r2] / sqrt(N), G theta - e1."""
+        value, half_gradient = self._gradient_parts(self.embed(phi))
+        return value, self._over_free(half_gradient), self.gauss_newton
 
     def _gradient_parts(self, theta: np.ndarray):
-        """Objective, J^T r over the full theta, and the defect's Jacobian."""
-        r1, r2, y, powers, s, o = self.residual_parts(theta)
-        # d o_i / d theta_j = y_i^deg(j) + (p'(y_i) - 1) * phi_ij
-        degree = self.config.degree
-        dp = powers[:, : degree] @ (np.arange(1, degree + 1) * s[1:])
-        jac_o = powers @ self.grade + ((dp - 1.0)[:, None] * self.phi_matrix)
-        half_gradient = (self.a1.T @ r1 + self.a2.T @ r2 + jac_o.T @ o) / len(o)
-        return _mean_squares(r1, r2, o), half_gradient, jac_o
+        """Objective and J^T r over the full theta."""
+        r1, r2, diagonal = self.a1 @ theta, self.a2 @ theta, self.grade @ theta - self.e1
+        half_gradient = (self.a1.T @ r1 + self.a2.T @ r2) / len(r1) + self.grade.T @ diagonal
+        return _mean_squares(r1, r2) + float(diagonal @ diagonal), half_gradient
 
 
-def _mean_squares(r1: np.ndarray, r2: np.ndarray, o: np.ndarray) -> float:
-    return float(np.mean(r1**2) + np.mean(r2**2) + np.mean(o**2))
+def _mean_squares(*rows: np.ndarray) -> float:
+    return float(sum(np.mean(r**2) for r in rows))
 
 
 class Classification(str, Enum):
@@ -310,10 +306,12 @@ def explore(config: ExplorationConfig) -> ExplorationReport:
     measured against :func:`solution_set`: it is non_converged when its
     theta lies farther than SET_DISTANCE_TOL from the set, otherwise
     mean_like when it lies that close to the mean's theta, else
-    other_candidate. ``converged`` separately records objective <= 1e-10.
-    Exhausting the evaluation cap is an outcome, not an error: each run
-    records why the loop stopped and how many Jacobians it formed. Meanwhile
-    numpy's OpenBLAS runs on one thread, process-wide (:func:`_one_blas_thread`).
+    other_candidate. A run's ``objective`` is read on the cloud at its end
+    point, with the sampled defect mean(o^2) for the diagonal rows, and
+    ``converged`` separately records objective <= 1e-10. Exhausting the
+    evaluation cap is an outcome, not an error: each run records why the loop
+    stopped and how often it evaluated the normal equations. Meanwhile numpy's
+    OpenBLAS runs on one thread, process-wide (:func:`_one_blas_thread`).
     A run whose values overflow keeps its inf and nan silently: its objective
     reads inf (null in JSON) and it is labelled like any other run.
     """
@@ -328,9 +326,10 @@ def explore(config: ExplorationConfig) -> ExplorationReport:
 
     runs = []
     for s in range(config.starts):
-        phi, value, n_evaluations, n_jacobians, status = _levenberg_marquardt(problem, init_vectors[s])
+        phi, _, n_evaluations, n_jacobians, status = _levenberg_marquardt(problem, init_vectors[s])
         theta = problem.embed(phi)
-        r1, r2, *_, o = problem.residual_parts(theta)
+        r1, r2, o = problem.residual_parts(theta)
+        value = _mean_squares(r1, r2, o)
         distance = float(np.linalg.norm(theta - target))
         distance_to_set = exact.distance(theta)
         if distance_to_set > SET_DISTANCE_TOL:
@@ -363,7 +362,7 @@ def _levenberg_marquardt(problem: ExplorationProblem, phi: np.ndarray):
 
     Each step solves (H + lam * diag(H)) step = -g with H and g from
     :meth:`ExplorationProblem.normal_equations` (More 1978). A trial point
-    evaluates residuals only; an accepted one forms the Jacobian and divides
+    evaluates residuals only; an accepted one forms the gradient and divides
     lam, a rejected one multiplies it. Status 1, 2 and 3: ``tol`` bounded
     the gradient, the relative decrease, the step; 0: the evaluations ran out.
     """

@@ -524,6 +524,13 @@ class TestExpectCommand:
     def test_bad_probabilities_exit_two(self, capsys):
         assert main(["expect", "--values", "1,2", "--probs", "0.5,0.6"]) == 2
 
+    def test_an_expectation_beyond_the_float_range_is_bad_input(self, capsys):
+        """Each value and probability is a float, and the probabilities sum to 1 within
+        tolerance, but E[X] overflows: bad input (exit 2), not an internal error (exit 3)."""
+        largest = "1.7976931348623157e308"
+        assert main(["expect", "--values", f"{largest},{largest}", "--probs", "0.5,0.5000000000001"]) == 2
+        assert "expectation lies beyond the float range" in capsys.readouterr().err
+
 
 class TestExploreCommand:
     def test_small_search_with_csv(self, capsys, tmp_path):

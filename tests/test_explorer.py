@@ -223,7 +223,7 @@ class TestObjective:
         theta = rng.standard_normal(problem.size)
         u = polynomial_expr(theta, 4, 2)
         dom = SampleDomain(n=4, radius=2.0, seed=11, count=30)
-        r1, r2, y, powers, s, o = problem.residual_parts(theta)
+        r1, r2, _ = problem.residual_parts(theta)
         for spec, matrix_abs in (
             (PdeSpec(PdeKind.EQ_I, n=4, beta=4), np.abs(r1).max()),
             (PdeSpec(PdeKind.EQ_II, n=4), np.abs(r2).max()),
@@ -236,35 +236,61 @@ class TestObjective:
         rng = np.random.default_rng(2)
         theta = rng.standard_normal(problem.size)
         u = polynomial_expr(theta, 2, 3)
-        _, _, _, _, _, o = problem.residual_parts(theta)
+        _, _, o = problem.residual_parts(theta)
         for i, point in enumerate(problem.points):
             y = evaluate(u, tuple(point))
             defect = evaluate(u, (y, y)) - y
             assert o[i] == pytest.approx(defect, rel=1e-9, abs=1e-9)
 
+    @given(
+        st.sampled_from([(2, 2), (2, 3), (4, 2), (4, 3), (6, 2)]),
+        st.integers(0, 2**32 - 1),
+        st.integers(0, 3),
+        st.sampled_from([1e-3, -1e-6]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_the_diagonal_rows_vanish_exactly_where_the_defect_does(self, shape, seed, moved, eps):
+        """G theta = e1 leaves a sampled defect at rounding level; moving one degree's sum by eps leaves eps * y^g."""
+        n, degree = shape
+        cfg, problem = make_problem(n=n, degree=degree, count=20)
+        theta = np.random.default_rng(seed).standard_normal(problem.size)
+        degrees = np.array([sum(alpha) for alpha in problem.exponents])
+        for g in range(degree + 1):
+            block = np.flatnonzero(degrees == g)
+            theta[block[-1]] = float(g == 1) - theta[block[:-1]].sum()
+        y = problem.phi_matrix @ theta
+        block_sizes = np.array([np.abs(theta[degrees == g]).sum() for g in range(degree + 1)])
+        scale = np.vander(np.abs(y), degree + 1, increasing=True) @ block_sizes + np.abs(y)
+        _, _, o = problem.residual_parts(theta)
+        assert np.all(np.abs(o) <= 1e-12 * scale)
+
+        g = moved % (degree + 1)
+        theta[np.flatnonzero(degrees == g)[0]] += eps
+        y = problem.phi_matrix @ theta
+        _, _, o = problem.residual_parts(theta)
+        assert np.abs(o).max() > 0
+        assert np.all(np.abs(o - eps * y**g) <= 1e-12 * (scale + np.abs(y) ** g))
+
 
 def unreduced_stack(problem, phi):
-    """Residuals and Jacobian over the free coordinates, all 3N rows, from the definitions.
+    """Residuals and Jacobian over the free coordinates, all 2N + d + 1 rows, from the definitions.
 
-    r = [a1 theta; a2 theta; o] / sqrt(N), and d o / d theta_j is
-    y^deg(j) + (p'(y) - 1) * phi_j with p(t) = sum_g s_g t^g.
+    r = [a1 theta; a2 theta] / sqrt(N) followed by G theta - e1, where row g
+    of G picks the theta slots whose exponents sum to g: p(t) = t on the diagonal.
     """
     count = problem.points.shape[0]
     theta = problem.embed(phi)
-    y = problem.phi_matrix @ theta
-    s = np.array([sum(t for t, alpha in zip(theta, problem.exponents) if sum(alpha) == g)
-                  for g in range(problem.config.degree + 1)])
-    o = np.polynomial.polynomial.polyval(y, s) - y
-    slope = np.polynomial.polynomial.polyval(y, np.polynomial.polynomial.polyder(s))
-    degrees = np.array([sum(alpha) for alpha in problem.exponents])
-    jac_o = y[:, None] ** degrees[None, :] + (slope - 1.0)[:, None] * problem.phi_matrix
-    r = np.concatenate([problem.a1 @ theta, problem.a2 @ theta, o]) / math.sqrt(count)
-    jac = np.vstack([problem.a1, problem.a2, jac_o]) / math.sqrt(count)
+    grade = np.array([[float(sum(alpha) == g) for alpha in problem.exponents]
+                      for g in range(problem.config.degree + 1)])
+    e1 = np.eye(problem.config.degree + 1)[1]
+    root = math.sqrt(count)
+    r = np.concatenate([problem.a1 @ theta / root, problem.a2 @ theta / root, grade @ theta - e1])
+    jac = np.vstack([problem.a1 / root, problem.a2 / root, grade])
     return r, jac[:, problem.free] - jac[:, -1:]
 
 
 class TestNormalEquations:
-    """One Levenberg-Marquardt step needs J^T r and J^T J; they are those of the 3N residual rows."""
+    """One Levenberg-Marquardt step needs J^T r and J^T J; they are those of the 2N + d + 1 residual rows."""
 
     @pytest.mark.parametrize("n,degree", [(4, 2), (6, 3)])
     def test_normal_equations_match_the_unreduced_form(self, n, degree):
@@ -273,19 +299,21 @@ class TestNormalEquations:
         problem = ExplorationProblem(cfg, dom.samples())
         count = cfg.resolved_samples
         rng = np.random.default_rng(n * 10 + degree)
+        matrices = []
         for scale in (1.0, 1e-3):
             phi = problem.reduce(mean_theta(n, degree)) + scale * rng.standard_normal(problem.size - 2)
             value, gradient, gauss_newton = problem.normal_equations(phi)
             r, jac = unreduced_stack(problem, phi)
-            linear = jac[: 2 * count]
+            assert r.shape == (2 * count + degree + 1,)
             for ours, unreduced in (
                 (gauss_newton, jac.T @ jac),
                 (gradient, jac.T @ r),
                 (value, r @ r),
-                # the linear blocks alone, the share formed once
-                (problem.linear_gauss_newton, linear.T @ linear),
             ):
                 assert np.abs(ours - unreduced).max() <= 1e-12 * np.abs(unreduced).max()
+            matrices.append(gauss_newton)
+        # every row is linear in theta: the matrix is formed once, with the cloud
+        assert matrices[0] is matrices[1]
 
     def test_normal_equations_are_square_in_the_free_coordinates(self):
         for n, degree in ((2, 1), (4, 2), (4, 3), (6, 3)):
@@ -351,6 +379,15 @@ class TestExplore:
             assert 1 <= run.n_jacobian_evaluations <= run.n_evaluations
             assert run.to_dict()["solver_status"] == run.solver_status
 
+    @pytest.mark.parametrize("n,degree", [(2, 3), (4, 3)])
+    def test_every_start_reaches_the_exact_set_within_ten_evaluations(self, n, degree):
+        """With every residual row linear, no run stalls along the set (seed 0, the default cloud)."""
+        report = explore(ExplorationConfig(n=n, degree=degree, seed=0, starts=10))
+        exact = solution_set(n, degree)
+        for run in report.runs:
+            assert exact.distance(run.theta) <= SET_DISTANCE_TOL
+            assert run.n_evaluations <= 10
+
     @pytest.mark.parametrize("n,degree,starts", [(2, 3, 8), (4, 3, 10), (6, 3, 3)])
     def test_no_run_ends_above_its_start(self, n, degree, starts):
         """Only a step that lowers the objective is taken, so no run ends worse than it began."""
@@ -392,10 +429,12 @@ class TestExplore:
                 assert run.classification is Classification.NON_CONVERGED
 
     def test_a_run_stopped_short_of_the_set_is_non_converged(self):
-        """Capped at 15 evaluations, some runs reach the mean and some stop short; only the distance decides."""
-        report = explore(ExplorationConfig(n=2, degree=3, seed=0, starts=8, max_iterations=15))
-        assert report.counts["mean_like"] and report.counts["non_converged"]
-        for run in report.runs:
+        """Capped at 4 evaluations the runs stop short of the mean, at 5 they reach it; only the distance decides."""
+        short, reached = (
+            explore(ExplorationConfig(n=2, degree=3, seed=0, starts=8, max_iterations=cap)) for cap in (4, 5)
+        )
+        assert short.counts["non_converged"] == 8 and reached.counts["mean_like"] == 8
+        for run in short.runs + reached.runs:
             on_set = run.distance_to_solution_set <= SET_DISTANCE_TOL
             assert (run.classification is Classification.MEAN_LIKE) is on_set
             assert run.objective <= 1e-10 or not on_set

@@ -1,5 +1,6 @@
 """The runnable experiments under scripts/ finish cleanly."""
 
+import json
 import os
 import subprocess
 import sys
@@ -85,3 +86,39 @@ def test_time_routes_times_both_containers_at_the_bound():
         assert float(python_ms) > 0 and float(numpy_ms) > 0
         assert int(samples) == SMALL_CLOUD_CELLS // (4 + int(nodes))  # on the bound, where _cloud still takes Python floats
     assert last.endswith("ms to import numpy in a fresh process")
+
+
+def test_bench_json_keeps_each_run_of_a_workload(tmp_path):
+    """A 1-s sampled-check run: the runtime record, the final JSON line and the tree's state, in BENCH_<label>.json."""
+    pytest.importorskip("scipy")  # perfbench's runtime record reads scipy's version
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "bench_json.py"),
+         "--label", "smoke", "--workload", "sampled-check", "--seeds", "0", "--seconds", "1"],
+        capture_output=True,
+        text=True,
+        cwd=tmp_path,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    doc = json.loads((tmp_path / "BENCH_smoke.json").read_text())
+    assert doc["label"] == "smoke" and doc["correct"] is True
+    (run,) = doc["runs"]
+    assert run["argv"][1:] == ["perfbench/run.py", "--workload", "sampled-check",
+                               "--seed", "0", "--seconds", "1.0", "--trace", "0"]
+    assert run["returncode"] == 0 and run["correct"] is True
+    assert run["result"]["correct"] is True
+    assert {"setup_s", "op_s.p50", "op_s.tail", "work_per_s", "s_per_ok", "peak_rss_mb", "ok_share"} <= set(
+        run["result"]["metrics"])
+    assert {"python", "numpy", "scipy", "nproc"} <= set(run["runtime"])
+    assert run["git_head"] is None or len(run["git_head"]) == 40
+    assert run["git_dirty"] in (None, True, False)
+
+
+def test_bench_json_refuses_a_label_that_is_not_a_file_name(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "bench_json.py"),
+         "--label", "../out", "--workload", "sampled-check", "--seeds", "0", "--seconds", "1"],
+        capture_output=True,
+        text=True,
+        cwd=tmp_path,
+    )
+    assert proc.returncode == 2 and "--label" in proc.stderr
